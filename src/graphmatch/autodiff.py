@@ -35,9 +35,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -333,7 +330,7 @@ def backward(loss):
     """Populate .grad for every requires_grad tensor reachable from loss.
 
     Gradients accumulate additively, both across multiple uses inside one
-    graph and across repeated backward calls (zero_grad to reset).
+    graph and across repeated backward calls (Model.zero_grad resets them).
     """
     loss = _as_tensor(loss)
     if loss.data.size != 1:

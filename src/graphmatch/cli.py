@@ -18,7 +18,7 @@ from . import __version__
 from .data import (gen_clone_dataset, gen_ged_dataset, load_dataset,
                    load_dataset_dir, save_dataset)
 from .ged import EditCostScheme, GedBudgetError, ged_exact
-from .model import Model, ModelConfig, load_checkpoint, save_checkpoint
+from .model import Model, config_from_dict, load_checkpoint, save_checkpoint
 from .report import evaluate_model, write_report
 from .training import TrainConfig, train
 
@@ -99,7 +99,7 @@ def _model_config_from(args, file_cfg, feature_dim):
         val = getattr(args, flag, None)
         if val is not None:
             cfg[key] = val
-    return ModelConfig(**cfg)
+    return config_from_dict(cfg)
 
 
 def cmd_train(args):

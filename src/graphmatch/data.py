@@ -7,7 +7,9 @@ On-disk layout (line-delimited JSON, UTF-8, stable key order):
 
 Two generators stand in for the real-world corpora: random labeled graphs
 with exact edit-distance targets for the regression task, and perturbed
-"clone groups" for the classification task.
+"clone groups" for the classification task. No automatic converter for the
+released GED benchmarks is provided: translate their per-graph files and
+ground-truth score matrix into the three files above.
 """
 
 import json
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ged import ged_exact
-from .graphs import Graph, LabeledPair, make_graph, validate
+from .graphs import LabeledPair, make_graph
 
 log = logging.getLogger(__name__)
 
@@ -33,19 +35,18 @@ class Dataset:
     pairs: list
     split: dict
     task: str = "regression"
+    groups: dict = field(init=False)  # group id -> member graph ids (classification)
+    _split_index: dict = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.groups = {}
+        for gid, g in self.graphs.items():
+            if g.group is not None:
+                self.groups.setdefault(g.group, []).append(gid)
+        self._split_index = {g: name for name, ids in self.split.items() for g in ids}
 
     def graph(self, gid):
         return self.graphs[gid]
-
-    @property
-    def groups(self):
-        """group id -> list of member graph ids (classification datasets)."""
-        out = {}
-        for gid, g in self.graphs.items():
-            grp = getattr(g, "_group", None)
-            if grp is not None:
-                out.setdefault(grp, []).append(gid)
-        return out
 
     def pair_split(self, pair):
         """A pair belongs to test/val if it touches a test/val graph."""
@@ -57,12 +58,8 @@ class Dataset:
         return "train"
 
     def _split_of(self, gid):
-        idx = getattr(self, "_split_index", None)
-        if idx is None:
-            idx = {g: name for name, ids in self.split.items() for g in ids}
-            self._split_index = idx
         try:
-            return idx[gid]
+            return self._split_index[gid]
         except KeyError:
             raise DatasetError(f"graph {gid!r} is missing from the split") from None
 
@@ -70,25 +67,10 @@ class Dataset:
         return [p for p in self.pairs if self.pair_split(p) == name]
 
 
-# groups travel on the Graph object without widening its schema
-def _attach_group(g, group):
-    object.__setattr__(g, "_group", group)
-    return g
-
-
-def graph_group(g):
-    return getattr(g, "_group", None)
-
-
-# Graph is a frozen dataclass with __slots__-free layout, so the attribute
-# attach above works; keep it private to this module.
-
-
 def _graph_record(g):
     rec = {"id": g.id}
-    grp = graph_group(g)
-    if grp is not None:
-        rec["group"] = grp
+    if g.group is not None:
+        rec["group"] = g.group
     if g.labels is not None:
         rec["labels"] = list(g.labels)
     rec["nodes"] = [[float(x) for x in row] for row in np.asarray(g.features)]
@@ -119,7 +101,8 @@ def load_dataset(graphs_path, pairs_path=None, split_path=None, task="regression
                 continue
             try:
                 rec = json.loads(line)
-                g = make_graph(rec["id"], rec["nodes"], rec["edges"], rec.get("labels"))
+                g = make_graph(rec["id"], rec["nodes"], rec["edges"], rec.get("labels"),
+                               rec.get("group"))
             except (ValueError, KeyError, TypeError) as e:
                 raise DatasetError(f"{graphs_path}:{lineno}: {e}") from e
             if rec["id"] in graphs:
@@ -129,8 +112,6 @@ def load_dataset(graphs_path, pairs_path=None, split_path=None, task="regression
             elif g.feature_dim != width:
                 raise DatasetError(
                     f"{graphs_path}:{lineno}: feature width {g.feature_dim} != {width}")
-            if rec.get("group") is not None:
-                _attach_group(g, str(rec["group"]))
             graphs[g.id] = g
     if not graphs:
         raise DatasetError(f"{graphs_path}: no graphs")
@@ -324,8 +305,7 @@ def gen_clone_dataset(n_groups, variants_per_group, perturbation_budget, seed=0,
             else:
                 vfeats, vedges = _perturb(feats, edges, perturbation_budget, rng, feature_dim)
             gid = f"f{gi:04d}v{vi}"
-            g = make_graph(gid, vfeats, vedges)
-            _attach_group(g, f"f{gi:04d}")
+            g = make_graph(gid, vfeats, vedges, group=f"f{gi:04d}")
             graphs[gid] = g
             members.append(gid)
         group_members[f"f{gi:04d}"] = members
@@ -359,15 +339,3 @@ def gen_clone_dataset(n_groups, variants_per_group, perturbation_budget, seed=0,
                         pairs.append(LabeledPair(gid, neg, -1.0))
     return Dataset(graphs=graphs, pairs=pairs, split=split, task="classification")
 
-
-def convert_external_dataset(src_dir, out_dir):
-    """Converter stub for the released GED benchmark layout.
-
-    Expected input: a directory of per-graph GEXF/JSON files plus a
-    ground-truth score matrix. Translating that layout into graphs.jsonl /
-    pairs.jsonl / split.json is left to the operator; this stub documents the
-    target schema and refuses rather than guessing at the source format.
-    """
-    raise NotImplementedError(
-        "convert the released benchmark into graphs.jsonl/pairs.jsonl/split.json "
-        "as documented in the data module; no automatic converter is provided")

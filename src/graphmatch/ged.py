@@ -148,16 +148,6 @@ def ged_exact(g1, g2, costs=None, node_budget=10, timeout=10.0):
     raise RuntimeError("A* exhausted the queue without reaching a goal")
 
 
-def astar_start_bound(g1, g2, costs=None):
-    """Heuristic value at the A* start state (for admissibility checks)."""
-    costs = costs or EditCostScheme()
-    n, m = g1.num_nodes, g2.num_nodes
-    lab1, lab2 = _labels(g1), _labels(g2)
-    common = sum((Counter(lab1) & Counter(lab2)).values())
-    node_lb = max(n, m) - common
-    return float(node_lb) + float(abs(len(g1.edges) - len(g2.edges)))
-
-
 def ged_bruteforce(g1, g2, costs=None, max_nodes=5):
     """Exhaustive minimum over all injective partial node mappings.
 

@@ -1,7 +1,7 @@
 """Graph container and the preprocessing the GCN encoder consumes."""
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,13 +19,15 @@ class Graph:
     Edges are stored deduplicated with u < v and without self-loops; the
     self-loop term of the normalized adjacency is added during preprocessing.
     Optional integer node labels drive substitution costs in edit-distance
-    computations.
+    computations; the optional group names the clone group a graph belongs to
+    (the positives of the classification task).
     """
 
     id: str
     features: np.ndarray  # N x d
     edges: tuple  # of (u, v) with u < v
     labels: tuple | None = None
+    group: str | None = None
 
     @property
     def num_nodes(self):
@@ -36,7 +38,7 @@ class Graph:
         return self.features.shape[1]
 
 
-def make_graph(graph_id, features, edges, labels=None):
+def make_graph(graph_id, features, edges, labels=None, group=None):
     """Build and validate a Graph, deduplicating undirected edges."""
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[0] < 1:
@@ -61,12 +63,8 @@ def make_graph(graph_id, features, edges, labels=None):
         if len(labels) != n:
             raise GraphError(f"graph {graph_id!r}: {len(labels)} labels for {n} nodes")
     feats.setflags(write=False)
-    return Graph(id=str(graph_id), features=feats, edges=tuple(sorted(seen)), labels=labels)
-
-
-def validate(g: Graph):
-    """Re-check invariants on an existing Graph (cheap, raises GraphError)."""
-    make_graph(g.id, np.array(g.features), g.edges, g.labels)
+    return Graph(id=str(graph_id), features=feats, edges=tuple(sorted(seen)), labels=labels,
+                 group=None if group is None else str(group))
 
 
 def adjacency_matrix(g: Graph):
@@ -101,11 +99,3 @@ class LabeledPair:
     g1: str
     g2: str
     target: float
-
-
-@dataclass
-class FunctionGroup:
-    """Graphs sharing one source identity (positives for classification)."""
-
-    group_id: str
-    members: list = field(default_factory=list)

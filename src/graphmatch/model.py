@@ -10,7 +10,7 @@ Three modes share one parameter store:
 
 import base64
 import json
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -39,7 +39,6 @@ class ModelConfig:
     mode: str = "mgmn"
     task: str = "regression"
     sgnn_aggregator: str = "bilstm"
-    ngmn_aggregator: str = "bilstm"
     normalize_attention: bool = False
 
     def __post_init__(self):
@@ -53,8 +52,6 @@ class ModelConfig:
             raise ConfigError(f"task must be one of {TASKS}, got {self.task!r}")
         if self.sgnn_aggregator not in AGGREGATORS:
             raise ConfigError(f"sgnn_aggregator must be one of {AGGREGATORS}")
-        if self.ngmn_aggregator != "bilstm":
-            raise ConfigError("ngmn_aggregator supports only 'bilstm'")
 
     def branch_dim(self):
         """Length of the per-graph embedding fed to the prediction head."""
@@ -157,22 +154,12 @@ def attentive_graph_embedding(weights, h_other, normalize=False):
     return weights @ h_other
 
 
-def multi_perspective_match(x1, x2, w):
-    """Compare two row-aligned matrices under each learned perspective.
-
-    x1, x2: (N, d); w: (P, d) with one reweighting vector per row.
-    Returns (N, P) of cosines between the reweighted rows.
-    """
-    return ad.weighted_cosine(x1, x2, w)
-
-
 def node_graph_match(h1, h2, w, normalize=False):
     """Cross-level matching features for every node of both graphs."""
     alpha, beta = cross_attention(h1, h2)
     att2 = attentive_graph_embedding(alpha, h2, normalize)  # summary of g2 per node of g1
     att1 = attentive_graph_embedding(beta, h1, normalize)
-    return (multi_perspective_match(h1, att2, w),
-            multi_perspective_match(h2, att1, w))
+    return ad.weighted_cosine(h1, att2, w), ad.weighted_cosine(h2, att1, w)
 
 
 def bilstm_aggregate(h, params, prefix, order):
@@ -228,7 +215,7 @@ def loss_mse(predictions, targets):
 
 
 class Model:
-    """Configured model instance: config + parameter store + adjacency cache."""
+    """Configured model instance: config + parameter store."""
 
     def __init__(self, config: ModelConfig, params=None, rng=None):
         self.config = config
@@ -237,19 +224,10 @@ class Model:
                 rng = np.random.default_rng(0)
             params = init_params(config, rng)
         self.params = params
-        self._adj_cache = {}
-
-    def _a_bar(self, g):
-        # keyed by object identity; Graph is immutable so this is safe
-        entry = self._adj_cache.get(id(g))
-        if entry is None or entry[0] is not g:
-            entry = (g, Tensor(normalized_adjacency(g)))
-            self._adj_cache[id(g)] = entry
-        return entry[1]
 
     def encode(self, g, training, rng):
-        x = Tensor(g.features)
-        return gcn_forward(x, self._a_bar(g), self.params, self.config, training, rng)
+        return gcn_forward(Tensor(g.features), Tensor(normalized_adjacency(g)),
+                           self.params, self.config, training, rng)
 
     def forward_pair(self, g1, g2, training=False, rng=None):
         """Similarity score for one pair of graphs; scalar Tensor."""
@@ -283,23 +261,44 @@ class Model:
 
 
 # ---------------------------------------------------------------------------
+# serialization shared by checkpoints and training state
+
+def encode_arrays(arrays):
+    """name -> array as JSON records of shape and base64 little-endian float64."""
+    return {k: {"shape": list(a.shape),
+                "data": base64.b64encode(np.ascontiguousarray(a, dtype="<f8").tobytes()).decode()}
+            for k, a in sorted(arrays.items())}
+
+
+def decode_arrays(records):
+    """Inverse of encode_arrays: name -> writable float64 array."""
+    return {k: np.frombuffer(base64.b64decode(rec["data"]), dtype="<f8")
+            .astype(np.float64).reshape(rec["shape"])
+            for k, rec in records.items()}
+
+
+def config_from_dict(d):
+    """ModelConfig from its asdict() form.
+
+    Files written while the node-graph branch aggregator was a setting carry
+    its one legal value under its own key; that value is accepted and dropped.
+    """
+    d = dict(d)
+    key = "ngmn_aggregator"
+    value = d.pop(key, "bilstm")
+    if value != "bilstm":
+        raise ConfigError(f"{key} supports only 'bilstm', got {value!r}")
+    return ModelConfig(**d)
+
+
+# ---------------------------------------------------------------------------
 # checkpoint format: one self-describing JSON file
-
-def _encode_array(a):
-    return {"shape": list(a.shape),
-            "data": base64.b64encode(np.ascontiguousarray(a, dtype="<f8").tobytes()).decode()}
-
-
-def _decode_array(rec):
-    a = np.frombuffer(base64.b64decode(rec["data"]), dtype="<f8").astype(np.float64)
-    return a.reshape(rec["shape"]).copy()
-
 
 def save_checkpoint(path, model: Model, extra=None):
     doc = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "config": asdict(model.config),
-        "params": {k: _encode_array(p.data) for k, p in sorted(model.params.items())},
+        "params": encode_arrays({k: p.data for k, p in model.params.items()}),
     }
     if extra:
         doc["extra"] = extra
@@ -308,11 +307,20 @@ def save_checkpoint(path, model: Model, extra=None):
 
 
 def load_checkpoint(path):
+    """Model and extra dict from a checkpoint; parameter names and shapes must
+    be exactly those the stored config allocates."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format: {doc.get('format_version')}")
-    config = ModelConfig(**doc["config"])
-    params = {k: Tensor(_decode_array(rec), requires_grad=True)
-              for k, rec in doc["params"].items()}
+    config = config_from_dict(doc["config"])
+    arrays = decode_arrays(doc["params"])
+    expected = init_params(config, np.random.default_rng(0))
+    for name in sorted(expected.keys() | arrays.keys()):
+        want = expected[name].shape if name in expected else "nothing"
+        got = arrays[name].shape if name in arrays else "nothing"
+        if want != got:
+            raise ConfigError(f"{path}: parameter {name!r} has shape {got}, "
+                              f"but the config allocates {want}")
+    params = {k: Tensor(a, requires_grad=True) for k, a in arrays.items()}
     return Model(config, params=params), doc.get("extra")

@@ -43,27 +43,3 @@ class Adam:
             vhat = v / bc2
             p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
             p.grad = None
-
-    def zero_grad(self):
-        for p in self.params.values():
-            p.grad = None
-
-    def state_dict(self):
-        return {
-            "step_count": self.step_count,
-            "lr": self.lr,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "eps": self.eps,
-            "m": {k: v.copy() for k, v in self.m.items()},
-            "v": {k: v.copy() for k, v in self.v.items()},
-        }
-
-    def load_state_dict(self, state):
-        self.step_count = state["step_count"]
-        self.lr = state["lr"]
-        self.beta1 = state["beta1"]
-        self.beta2 = state["beta2"]
-        self.eps = state["eps"]
-        self.m = {k: np.asarray(v, dtype=np.float64).copy() for k, v in state["m"].items()}
-        self.v = {k: np.asarray(v, dtype=np.float64).copy() for k, v in state["v"].items()}

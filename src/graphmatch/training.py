@@ -3,20 +3,23 @@
 import json
 import logging
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from . import model as model_mod
 from .autodiff import backward
 from .graphs import LabeledPair
 from .metrics import auc, mse_metric
-from .model import Model, loss_mse, save_checkpoint, load_checkpoint
+from .model import (Model, config_from_dict, decode_arrays, encode_arrays, loss_mse,
+                    save_checkpoint)
 from .optim import Adam
 
 log = logging.getLogger(__name__)
 
-TRAIN_STATE_VERSION = 1
+TRAIN_STATE_VERSION = 2
+# TrainConfig fields a resumed run must share with the saved one; the rest
+# (schedule length, validation cadence, output paths) may change on resume
+RESUME_FIELDS = ("task", "learning_rate", "batch_size", "batch_pairs", "seed", "grad_clip")
 
 
 class TrainingError(RuntimeError):
@@ -65,10 +68,16 @@ def sample_classification_pairs(groups, train_ids, rng):
     eligible_groups = {gid: [m for m in members if m in train_set]
                        for gid, members in groups.items()}
     eligible_groups = {g: m for g, m in eligible_groups.items() if m}
+    if len(eligible_groups) < 2:
+        raise TrainingError(f"classification needs training graphs in at least 2 groups, "
+                            f"found {len(eligible_groups)}")
+    group_of = {m: g for g, members in eligible_groups.items() for m in members}
     pairs = []
     skipped = 0
     for gid in train_ids:
-        own = next(g for g, m in eligible_groups.items() if gid in m)
+        own = group_of.get(gid)
+        if own is None:
+            raise TrainingError(f"training graph {gid!r} belongs to no group")
         mates = [m for m in eligible_groups[own] if m != gid]
         if not mates:
             skipped += 1
@@ -166,7 +175,7 @@ def train(model: Model, dataset, config: TrainConfig, resume_from=None):
 
     if resume_from is not None:
         start_step, best_val, records = _load_train_state(
-            resume_from, model, optimizer, rng)
+            resume_from, model, config, optimizer, rng)
 
     val_pairs = dataset.pairs_for_split("val")
 
@@ -184,15 +193,13 @@ def train(model: Model, dataset, config: TrainConfig, resume_from=None):
             if best_path:
                 save_checkpoint(best_path, model, extra={"step": step, "val_loss": val_loss})
         if state_path:
-            _save_train_state(state_path, model, optimizer, rng, step, best_val, records)
+            _save_train_state(state_path, model, config, optimizer, rng, step, best_val,
+                              records)
 
     if config.task == "classification":
-        groups = dataset.groups
-        if len(groups) < 2:
-            raise TrainingError("classification needs at least 2 groups")
         train_ids = list(dataset.split["train"])
         for epoch in range(start_step, config.epochs):
-            pairs = sample_classification_pairs(groups, train_ids, rng)
+            pairs = sample_classification_pairs(dataset.groups, train_ids, rng)
             _check_split_hygiene(dataset, pairs)
             order = rng.permutation(len(pairs) // 2)
             shuffled = []
@@ -226,20 +233,18 @@ def train(model: Model, dataset, config: TrainConfig, resume_from=None):
 # ---------------------------------------------------------------------------
 # resumable training state
 
-def _save_train_state(path, model, optimizer, rng, step, best_val, records):
+def _save_train_state(path, model, config, optimizer, rng, step, best_val, records):
     doc = {
         "version": TRAIN_STATE_VERSION,
         "step": step,
         "best_val_loss": None if not np.isfinite(best_val) else best_val,
         "records": records,
         "config": asdict(model.config),
-        "params": {k: model_mod._encode_array(p.data)
-                   for k, p in sorted(model.params.items())},
-        "adam": {
-            "step_count": optimizer.step_count,
-            "m": {k: model_mod._encode_array(v) for k, v in sorted(optimizer.m.items())},
-            "v": {k: model_mod._encode_array(v) for k, v in sorted(optimizer.v.items())},
-        },
+        "train_config": asdict(config),
+        "params": encode_arrays({k: p.data for k, p in model.params.items()}),
+        "adam": {"step_count": optimizer.step_count,
+                 "m": encode_arrays(optimizer.m),
+                 "v": encode_arrays(optimizer.v)},
         "rng_state": rng.bit_generator.state,
     }
     tmp = path + ".tmp"
@@ -248,17 +253,31 @@ def _save_train_state(path, model, optimizer, rng, step, best_val, records):
     os.replace(tmp, path)
 
 
-def _load_train_state(path, model, optimizer, rng):
+def _resume_config(model_config, train_config):
+    out = {f"model.{k}": v for k, v in asdict(model_config).items()}
+    out.update({k: train_config[k] for k in RESUME_FIELDS})
+    return out
+
+
+def _load_train_state(path, model, config, optimizer, rng):
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("version") != TRAIN_STATE_VERSION:
         raise TrainingError(f"unsupported train state version {doc.get('version')}")
+    saved = _resume_config(config_from_dict(doc["config"]), doc["train_config"])
+    current = _resume_config(model.config, asdict(config))
+    diff = [f"{k}: saved {saved[k]!r}, current {current[k]!r}"
+            for k in saved if saved[k] != current[k]]
+    if diff:
+        raise TrainingError(f"{path}: resumed run differs from the saved one in "
+                            + "; ".join(diff))
+    params = decode_arrays(doc["params"])
     for k, p in model.params.items():
-        p.data[...] = model_mod._decode_array(doc["params"][k])
+        p.data[...] = params[k]
         p.grad = None
     optimizer.step_count = doc["adam"]["step_count"]
-    optimizer.m = {k: model_mod._decode_array(v) for k, v in doc["adam"]["m"].items()}
-    optimizer.v = {k: model_mod._decode_array(v) for k, v in doc["adam"]["v"].items()}
+    optimizer.m = decode_arrays(doc["adam"]["m"])
+    optimizer.v = decode_arrays(doc["adam"]["v"])
     rng.bit_generator.state = doc["rng_state"]
     best = doc["best_val_loss"]
     return doc["step"], np.inf if best is None else best, list(doc["records"])

@@ -5,11 +5,10 @@ import os
 import numpy as np
 import pytest
 
-from graphmatch.data import (Dataset, DatasetError, convert_external_dataset,
-                             gen_clone_dataset, gen_ged_dataset, graph_group,
+from graphmatch.data import (Dataset, DatasetError, gen_clone_dataset, gen_ged_dataset,
                              load_dataset, load_dataset_dir, save_dataset)
 from graphmatch.ged import ged_bruteforce
-from graphmatch.graphs import LabeledPair, validate
+from graphmatch.graphs import LabeledPair, make_graph
 
 
 def small_ged_dataset(**kw):
@@ -88,7 +87,7 @@ def test_split_disjoint_and_complete():
 def test_generated_graphs_validate():
     ds = small_ged_dataset()
     for g in ds.graphs.values():
-        validate(g)
+        assert make_graph(g.id, g.features, g.edges, g.labels, g.group).edges == g.edges
 
 
 def test_ged_targets_in_unit_interval():
@@ -152,9 +151,19 @@ def test_clone_groups_and_split_by_group():
     assert len(groups) == 6
     for name in ("train", "val", "test"):
         for gid in ds.split[name]:
-            grp = graph_group(ds.graphs[gid])
+            grp = ds.graphs[gid].group
             # every member of this graph's group lives in the same split
             assert all(m in ds.split[name] for m in groups[grp])
+
+
+def test_groups_round_trip(tmp_path):
+    ds = small_clone_dataset()
+    save_dataset(ds, tmp_path)
+    back = load_dataset_dir(tmp_path, task="classification")
+    assert {g: x.group for g, x in back.graphs.items()} == \
+        {g: x.group for g, x in ds.graphs.items()}
+    assert back.groups == ds.groups
+    assert len(back.groups) == 6
 
 
 def test_clone_budget_zero_is_isomorphic_copy():
@@ -178,7 +187,7 @@ def test_clone_variants_connected():
 def test_clone_eval_pairs_labels():
     ds = small_clone_dataset()
     for p in ds.pairs:
-        same_group = graph_group(ds.graphs[p.g1]) == graph_group(ds.graphs[p.g2])
+        same_group = ds.graphs[p.g1].group == ds.graphs[p.g2].group
         assert p.target == (1.0 if same_group else -1.0)
         assert same_group == (p.target == 1.0)
 
@@ -195,7 +204,3 @@ def test_negative_budget_rejected():
     with pytest.raises(DatasetError):
         gen_clone_dataset(2, 2, -1)
 
-
-def test_converter_stub_refuses(tmp_path):
-    with pytest.raises(NotImplementedError):
-        convert_external_dataset(tmp_path, tmp_path)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from graphmatch.graphs import (GraphError, adjacency_matrix, make_graph,
-                               normalized_adjacency, validate)
+                               normalized_adjacency)
 
 from conftest import random_graph
 
@@ -57,7 +57,8 @@ def test_permutation_equivariance(rng):
 
 
 def test_valid_graph_passes():
-    validate(make_graph("a", np.zeros((1, 6)), []))
+    g = make_graph("a", np.zeros((1, 6)), [])
+    assert (g.num_nodes, g.edges, g.labels, g.group) == (1, (), None, None)
 
 
 def test_out_of_range_edge():

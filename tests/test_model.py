@@ -7,8 +7,7 @@ from graphmatch.graphs import make_graph, normalized_adjacency
 from graphmatch.model import (ConfigError, Model, ModelConfig, aggregate,
                               attentive_graph_embedding, cross_attention,
                               gcn_forward, load_checkpoint, loss_mse,
-                              multi_perspective_match, node_graph_match,
-                              predict, save_checkpoint)
+                              node_graph_match, predict, save_checkpoint)
 
 from conftest import random_graph, rel_err
 
@@ -112,28 +111,28 @@ def test_attentive_embedding_hand_case():
 def test_multi_perspective_identical_inputs(rng):
     x = Tensor(rng.normal(size=(2, 4)) + 3.0)
     w = Tensor(rng.uniform(0.5, 1.5, size=(5, 4)))
-    out = multi_perspective_match(x, x, w)
+    out = ad.weighted_cosine(x, x, w)
     assert np.allclose(out.data, 1.0)
 
 
 def test_multi_perspective_all_ones_reduces_to_cosine(rng):
     x1 = Tensor(rng.normal(size=(1, 4)))
     x2 = Tensor(rng.normal(size=(1, 4)))
-    out = multi_perspective_match(x1, x2, Tensor(np.ones((1, 4))))
+    out = ad.weighted_cosine(x1, x2, Tensor(np.ones((1, 4))))
     want = ad.cosine(x1, x2).item()
     assert abs(out.data[0, 0] - want) < 1e-12
 
 
 def test_multi_perspective_hand_value():
-    out = multi_perspective_match(Tensor([[1.0, 1.0]]), Tensor([[1.0, 0.0]]),
-                                  Tensor([[1.0, 2.0]]))
+    out = ad.weighted_cosine(Tensor([[1.0, 1.0]]), Tensor([[1.0, 0.0]]),
+                             Tensor([[1.0, 2.0]]))
     assert abs(out.data[0, 0] - 1.0 / np.sqrt(5.0)) < 1e-10
 
 
 def test_multi_perspective_range(rng):
-    out = multi_perspective_match(Tensor(rng.normal(size=(6, 5))),
-                                  Tensor(rng.normal(size=(6, 5))),
-                                  Tensor(rng.normal(size=(7, 5))))
+    out = ad.weighted_cosine(Tensor(rng.normal(size=(6, 5))),
+                             Tensor(rng.normal(size=(6, 5))),
+                             Tensor(rng.normal(size=(7, 5))))
     assert np.all(out.data <= 1.0 + 1e-12)
     assert np.all(out.data >= -1.0 - 1e-12)
 
@@ -387,4 +386,42 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
     doc["format_version"] = 99
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("change,message", [
+    (lambda params: params.pop("gcn.1.weight"),
+     r"parameter 'gcn.1.weight' has shape nothing, but the config allocates \(4, 4\)"),
+    (lambda params: params.update({"gcn.1.weight": params["mlp.3.bias"]}),
+     r"parameter 'gcn.1.weight' has shape \(1, 1\), but the config allocates \(4, 4\)"),
+    (lambda params: params.update({"extra.weight": params["mlp.3.bias"]}),
+     r"parameter 'extra.weight' has shape \(1, 1\), but the config allocates nothing"),
+])
+def test_checkpoint_parameters_checked_against_config(tmp_path, change, message):
+    import json
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, Model(tiny_config(), rng=np.random.default_rng(8)))
+    doc = json.loads(path.read_text())
+    change(doc["params"])
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=message) as err:
+        load_checkpoint(path)
+    assert str(path) in str(err.value)
+
+
+def test_checkpoint_with_legacy_aggregator_key(tmp_path, rng):
+    import json
+    m = Model(tiny_config(), rng=np.random.default_rng(8))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, m)
+    doc = json.loads(path.read_text())
+    doc["config"]["ngmn_aggregator"] = "bilstm"
+    path.write_text(json.dumps(doc))
+    loaded, _ = load_checkpoint(path)
+    assert loaded.config == m.config
+    g1, g2 = random_graph(rng, gid="a"), random_graph(rng, gid="b")
+    assert loaded.forward_pair(g1, g2).item() == m.forward_pair(g1, g2).item()
+    doc["config"]["ngmn_aggregator"] = "max"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match="ngmn_aggregator supports only 'bilstm', got 'max'"):
         load_checkpoint(path)

@@ -47,19 +47,6 @@ def test_converges_on_quadratic():
     assert abs(w.data[0] - 3.0) < 0.1
 
 
-def test_state_dict_round_trip():
-    w = Tensor([0.0], requires_grad=True)
-    opt = Adam({"w": w}, lr=0.1)
-    w.grad = np.array([1.0])
-    opt.step()
-    state = opt.state_dict()
-    opt2 = Adam({"w": w}, lr=0.1)
-    opt2.load_state_dict(state)
-    assert opt2.step_count == 1
-    assert np.array_equal(opt2.m["w"], opt.m["w"])
-    assert np.array_equal(opt2.v["w"], opt.v["w"])
-
-
 def test_negative_lr_rejected():
     with pytest.raises(ValueError):
         Adam({}, lr=-1.0)

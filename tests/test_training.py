@@ -60,6 +60,30 @@ def test_sampling_deterministic():
     assert p1 == p2
 
 
+def test_sampling_draw_order_pinned():
+    # the draws of the original O(groups)-scan sampler on this input
+    groups = {"a": ["a1", "a2", "a3"], "b": ["b1", "b2"], "c": ["c1", "c2"], "d": ["d1"]}
+    ids = ["b2", "a1", "c1", "d1", "a3", "b1", "c2", "a2"]
+    pairs = sample_classification_pairs(groups, ids, np.random.default_rng(3))
+    assert [(p.g1, p.g2) for p in pairs] == [
+        ("b2", "b1"), ("b2", "d1"), ("a1", "a2"), ("a1", "b1"), ("c1", "c2"),
+        ("c1", "a3"), ("a3", "a2"), ("a3", "c1"), ("b1", "b2"), ("b1", "a1"),
+        ("c2", "c1"), ("c2", "b2"), ("a2", "a1"), ("a2", "b1")]
+    assert [p.target for p in pairs] == [1.0, -1.0] * 7
+
+
+def test_sampling_ungrouped_graph_refused(rng):
+    groups = {"a": ["x", "y"], "b": ["z", "w"]}
+    with pytest.raises(TrainingError, match="'u' belongs to no group"):
+        sample_classification_pairs(groups, ["x", "y", "z", "w", "u"], rng)
+
+
+def test_sampling_needs_two_groups_with_train_members(rng):
+    groups = {"a": ["x", "y"], "b": ["z"]}
+    with pytest.raises(TrainingError, match="at least 2 groups, found 1"):
+        sample_classification_pairs(groups, ["x", "y"], rng)
+
+
 # ---------------------------------------------------------------------------
 # training loop
 
@@ -138,6 +162,37 @@ def test_resume_matches_uninterrupted(tmp_path, reg_dataset):
     resumed = train(model, reg_dataset, resume_cfg,
                     resume_from=os.path.join(tmp_path, "half", "train_state.json"))
     assert resumed.records == full.records
+
+
+def test_resume_refuses_changed_config(tmp_path, reg_dataset):
+    half_cfg = TrainConfig(task="regression", iterations=10, batch_size=4, seed=5,
+                           val_every=10, checkpoint_dir=str(tmp_path / "half"))
+    train(tiny_model(), reg_dataset, half_cfg)
+    state = os.path.join(tmp_path, "half", "train_state.json")
+    changed = TrainConfig(task="regression", iterations=20, batch_size=8, seed=6,
+                          learning_rate=1e-3, val_every=10)
+    with pytest.raises(TrainingError) as err:
+        train(tiny_model(), reg_dataset, changed, resume_from=state)
+    msg = str(err.value)
+    for want in ("learning_rate: saved 0.005, current 0.001", "batch_size: saved 4, current 8",
+                 "seed: saved 5, current 6"):
+        assert want in msg
+    assert "iterations" not in msg
+    with pytest.raises(TrainingError, match="model.gcn_dim: saved 6, current 8"):
+        train(tiny_model(gcn_dim=8), reg_dataset, half_cfg, resume_from=state)
+
+
+def test_resume_refuses_old_state_version(tmp_path, reg_dataset):
+    cfg = TrainConfig(task="regression", iterations=10, batch_size=4, seed=5,
+                      val_every=10, checkpoint_dir=str(tmp_path))
+    train(tiny_model(), reg_dataset, cfg)
+    path = tmp_path / "train_state.json"
+    doc = json.loads(path.read_text())
+    doc["version"] = 1
+    del doc["train_config"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(TrainingError, match="unsupported train state version 1"):
+        train(tiny_model(), reg_dataset, cfg, resume_from=str(path))
 
 
 def test_split_hygiene_enforced(reg_dataset):
