@@ -17,7 +17,7 @@ import time
 from . import __version__
 from .data import (gen_clone_dataset, gen_ged_dataset, load_dataset,
                    load_dataset_dir, save_dataset)
-from .ged import EditCostScheme, GedBudgetError, ged_exact
+from .ged import EditCostScheme, GedBudgetError, GedTimeoutError, ged_exact
 from .model import Model, config_from_dict, load_checkpoint, save_checkpoint
 from .report import evaluate_model, write_report
 from .training import TrainConfig, train
@@ -82,6 +82,9 @@ def cmd_ged(args):
     except GedBudgetError as e:
         print(f"refused: {e}", file=sys.stderr)
         return 2
+    except GedTimeoutError as e:
+        print(json.dumps({"timed_out": True, "best_lower_bound": e.best_bound}))
+        return 3
     print(json.dumps({"distance": res.distance,
                       "normalized_similarity": res.normalized_similarity,
                       "nodes_expanded": res.nodes_expanded}))

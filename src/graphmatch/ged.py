@@ -10,7 +10,6 @@ import heapq
 import itertools
 import math
 import time
-from collections import Counter
 from dataclasses import dataclass
 
 
@@ -58,46 +57,100 @@ def _labels(g):
     return (0,) * g.num_nodes
 
 
-def _adj_sets(g):
-    adj = [set() for _ in range(g.num_nodes)]
+def _adj_masks(g):
+    adj = [0] * g.num_nodes
     for u, v in g.edges:
-        adj[u].add(v)
-        adj[v].add(u)
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
     return adj
 
 
 def ged_exact(g1, g2, costs=None, node_budget=10, timeout=10.0):
     """Optimal edit distance by A* over prefix node mappings.
 
-    The heuristic combines a label-multiset lower bound on remaining node
-    costs with an edge-count difference bound; both are admissible, so the
-    first goal popped is optimal. Priority ties prefer deeper mappings.
+    A state maps g1 nodes ``0..depth-1`` onto distinct g2 nodes or onto
+    deletion; ``used`` is the int bitmask of the g2 nodes taken. Its cost ``g``
+    charges every node edit of the prefix and every edge between prefix nodes
+    or between used g2 nodes. Neighbourhoods are bitmasks, so mapping node i
+    onto a free g2 node j costs, with ``img`` the images of i's mapped prefix
+    neighbours, a substitution plus ``edge_delete`` for each prefix neighbour
+    whose edge is not kept (``back - |img & adj2[j]|``) and ``edge_insert`` for
+    each used neighbour of j with no edge to i (``|used & adj2[j]| -
+    |img & adj2[j]|``).
+
+    The heuristic depends only on ``(depth, used)`` and is memoized on it, the
+    g2 side statistics (free label counts, free-free and free-used edge
+    counts) on ``used``. Below full depth it adds two admissible bounds:
+
+    - nodes: every unmapped g1 node and free g2 node takes part in some node
+      edit, and at most the label-multiset intersection of the two sides can
+      be free substitutions, so ``max(n1, n2) - common`` edits remain, each
+      costing at least the cheapest node operation;
+    - edges: an uncharged g1 edge is internal (both ends unmapped) or crosses
+      to the prefix. A kept internal edge maps onto a g2 edge with both ends
+      free and a kept crossing edge onto one with one end free and one used,
+      so at least ``|I1 - I2| + |C1 - C2|`` edge edits remain, each costing at
+      least the cheapest edge operation.
+
+    At full depth the heuristic is the exact completion cost (insert every
+    free g2 node and every g2 edge touching one), so a popped goal's priority
+    is its total cost and, every other bound being admissible, the first goal
+    popped is optimal under any cost scheme. Priority ties prefer deeper
+    mappings, then earlier pushes.
     """
     costs = costs or EditCostScheme()
     n, m = g1.num_nodes, g2.num_nodes
     if max(n, m) > node_budget:
         raise GedBudgetError(f"graphs of size {n}/{m} exceed node budget {node_budget}")
     lab1, lab2 = _labels(g1), _labels(g2)
-    adj1, adj2 = _adj_sets(g1), _adj_sets(g2)
-
-    # g1 edges still uncharged at prefix depth i: those touching a node >= i
-    edges1_rem = [sum(1 for u, v in g1.edges if v >= i) for i in range(n + 1)]
-    edge2_masks = [(1 << x) | (1 << y) for x, y in g2.edges]
+    adj2 = _adj_masks(g2)
+    back1 = [[u for u, v in g1.edges if v == i] for i in range(n)]  # prefix neighbours
+    sub = [[costs.substitution(a, b) for b in lab2] for a in lab1]
     min_node_cost = min(costs.node_substitute, costs.node_delete, costs.node_insert)
     min_edge_cost = min(costs.edge_delete, costs.edge_insert)
 
-    # label tail multisets for the node lower bound
-    tail1 = [Counter(lab1[i:]) for i in range(n + 1)]
+    label_masks2 = {}
+    for j, lab in enumerate(lab2):
+        label_masks2[lab] = label_masks2.get(lab, 0) | 1 << j
+    # per depth: count of each g2 label among g1 nodes >= depth, and the
+    # uncharged g1 edges internal to those nodes / crossing to the prefix
+    tail1 = [[lab1[d:].count(lab) for lab in label_masks2] for d in range(n + 1)]
+    internal1 = [sum(1 for u, _ in g1.edges if u >= d) for d in range(n + 1)]
+    cross1 = [sum(1 for u, v in g1.edges if u < d <= v) for d in range(n + 1)]
+    label_masks2 = list(label_masks2.values())
+    full = (1 << m) - 1
 
-    def heuristic(depth, used_mask):
-        r1 = tail1[depth]
-        r2 = Counter(lab2[j] for j in range(m) if not used_mask & (1 << j))
-        n1, n2 = n - depth, m - bin(used_mask).count("1")
-        common = sum((r1 & r2).values())
-        node_lb = (max(n1, n2) - common) * min_node_cost
-        e1 = edges1_rem[depth]
-        e2 = sum(1 for mask in edge2_masks if mask & ~used_mask)
-        return node_lb + abs(e1 - e2) * min_edge_cost
+    free_memo = {}
+
+    def free_stats(used):
+        free = full & ~used
+        internal2 = cross2 = 0
+        for x in range(m):
+            if free >> x & 1:
+                internal2 += (adj2[x] & free).bit_count()
+                cross2 += (adj2[x] & used).bit_count()
+        return (free.bit_count(), [(mask & free).bit_count() for mask in label_masks2],
+                internal2 // 2, cross2)
+
+    h_memo = {}
+
+    def heuristic(depth, used):
+        key = used * (n + 1) + depth
+        h = h_memo.get(key)
+        if h is None:
+            stats = free_memo.get(used)
+            if stats is None:
+                stats = free_memo[used] = free_stats(used)
+            n2, free_counts, internal2, cross2 = stats
+            if depth == n:
+                h = n2 * costs.node_insert + (internal2 + cross2) * costs.edge_insert
+            else:
+                common = sum(map(min, tail1[depth], free_counts))
+                h = ((max(n - depth, n2) - common) * min_node_cost
+                     + (abs(internal1[depth] - internal2) + abs(cross1[depth] - cross2))
+                     * min_edge_cost)
+            h_memo[key] = h
+        return h
 
     DEL = -1
     counter = itertools.count()
@@ -109,42 +162,31 @@ def ged_exact(g1, g2, costs=None, node_budget=10, timeout=10.0):
         if time.monotonic() > deadline:
             raise GedTimeoutError(f)
         if depth == n:
-            # goal: insert every unused g2 node and every g2 edge touching one
-            extra = (m - bin(used).count("1")) * costs.node_insert
-            extra += sum(costs.edge_insert for mask in edge2_masks if mask & ~used)
-            total = g + extra
-            return GedResult(total, normalized_similarity(total, n, m), expanded)
+            return GedResult(f, normalized_similarity(f, n, m), expanded)
         expanded += 1
-        i = depth
+        i, nd = depth, depth + 1
+        img = 0
+        for u in back1[i]:
+            if mapping[u] != DEL:
+                img |= 1 << mapping[u]
+        back = len(back1[i])
+        sub_i = sub[i]
         # map node i onto each unused g2 node
         for j in range(m):
-            if used & (1 << j):
+            if used >> j & 1:
                 continue
-            step = costs.substitution(lab1[i], lab2[j])
-            for u in range(depth):
-                ju = mapping[u]
-                in1 = u in adj1[i]
-                if ju == DEL:
-                    if in1:
-                        step += costs.edge_delete
-                else:
-                    in2 = ju in adj2[j]
-                    if in1 and not in2:
-                        step += costs.edge_delete
-                    elif in2 and not in1:
-                        step += costs.edge_insert
-            nu = used | (1 << j)
+            both = (img & adj2[j]).bit_count()
+            step = (sub_i[j] + costs.edge_delete * (back - both)
+                    + costs.edge_insert * ((used & adj2[j]).bit_count() - both))
+            nu = used | 1 << j
             ng = g + step
-            h = heuristic(depth + 1, nu)
-            heapq.heappush(heap, (ng + h, -(depth + 1), next(counter),
-                                  ng, depth + 1, nu, mapping + (j,)))
+            heapq.heappush(heap, (ng + heuristic(nd, nu), -nd, next(counter),
+                                  ng, nd, nu, mapping + (j,)))
         # delete node i; its edges to already-processed nodes get charged now,
         # edges to later nodes when those are reached
-        step = costs.node_delete + sum(costs.edge_delete for u in adj1[i] if u < depth)
-        ng = g + step
-        h = heuristic(depth + 1, used)
-        heapq.heappush(heap, (ng + h, -(depth + 1), next(counter),
-                              ng, depth + 1, used, mapping + (DEL,)))
+        ng = g + costs.node_delete + costs.edge_delete * back
+        heapq.heappush(heap, (ng + heuristic(nd, used), -nd, next(counter),
+                              ng, nd, used, mapping + (DEL,)))
     raise RuntimeError("A* exhausted the queue without reaching a goal")
 
 

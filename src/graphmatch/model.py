@@ -10,7 +10,7 @@ Three modes share one parameter store:
 
 import base64
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
@@ -288,6 +288,11 @@ def config_from_dict(d):
     value = d.pop(key, "bilstm")
     if value != "bilstm":
         raise ConfigError(f"{key} supports only 'bilstm', got {value!r}")
+    valid = [f.name for f in fields(ModelConfig)]
+    unknown = sorted(set(d) - set(valid))
+    if unknown:
+        raise ConfigError(f"unknown model config key(s) {', '.join(unknown)}; "
+                          f"valid fields: {', '.join(valid)}")
     return ModelConfig(**d)
 
 
@@ -313,7 +318,10 @@ def load_checkpoint(path):
         doc = json.load(fh)
     if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format: {doc.get('format_version')}")
-    config = config_from_dict(doc["config"])
+    try:
+        config = config_from_dict(doc["config"])
+    except ConfigError as e:
+        raise ConfigError(f"{path}: {e}") from None
     arrays = decode_arrays(doc["params"])
     expected = init_params(config, np.random.default_rng(0))
     for name in sorted(expected.keys() | arrays.keys()):

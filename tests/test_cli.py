@@ -84,7 +84,16 @@ def test_ged_over_budget_refused(tmp_path):
     n = 12
     write_graph_file(big, "big", [[1.0]] * n, [[i, i + 1] for i in range(n - 1)])
     rc = main(["ged", str(big), str(big)])
-    assert rc != 0
+    assert rc == 2
+
+
+def test_ged_timeout_reports_lower_bound(triangle_path_files, capsys):
+    tri, pth = triangle_path_files
+    rc = main(["ged", tri, pth, "--timeout", "-1"])  # deadline already past
+    assert rc == 3  # distinct from the budget refusal's 2 and a plain error's 1
+    res = json.loads(capsys.readouterr().out)
+    assert res["timed_out"] is True
+    assert 0.0 <= res["best_lower_bound"] <= 1.0  # the exact distance is 1
 
 
 def test_ged_rejects_multi_graph_file(tmp_path, triangle_path_files):
@@ -167,3 +176,15 @@ def test_config_file_flags_override(tmp_path):
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert manifest["config"]["train"]["iterations"] == 10
     assert manifest["config"]["model"]["mode"] == "sgnn"
+
+
+def test_train_config_unknown_model_key(tmp_path, caplog):
+    ds = tmp_path / "ds"
+    main(["gen", "ged", "--graphs", "10", "--node-range", "4", "4",
+          "--seed", "9", "--out", str(ds)])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": {"mode": "sgnn", "gcn_width": 8}}))
+    rc = main(["train", "--dataset", str(ds), "--config", str(cfg),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "unknown model config key(s) gcn_width; valid fields: feature_dim," in caplog.text

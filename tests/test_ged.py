@@ -66,6 +66,48 @@ def test_oracle_equivalence_small(rng):
         assert ged_exact(g1, g2).distance == ged_bruteforce(g1, g2).distance
 
 
+def random_costs(rng):
+    """A cost scheme of dyadic values, so every edit-path sum is exact."""
+    return EditCostScheme(*(float(c) for c in rng.choice([0.25, 0.5, 1.0, 2.0, 3.0], size=5)))
+
+
+def swapped(costs):
+    """The scheme under which d(b, a) equals d(a, b) under `costs`."""
+    return EditCostScheme(node_insert=costs.node_delete, node_delete=costs.node_insert,
+                          edge_insert=costs.edge_delete, edge_delete=costs.edge_insert,
+                          node_substitute=costs.node_substitute)
+
+
+def permuted(g, rng):
+    perm = rng.permutation(g.num_nodes)
+    inv = np.argsort(perm)
+    return make_graph("p", np.asarray(g.features)[perm],
+                      [(int(inv[u]), int(inv[v])) for u, v in g.edges],
+                      None if g.labels is None else [g.labels[int(p)] for p in perm])
+
+
+def test_oracle_equivalence_random_costs():
+    rng = np.random.default_rng(2020)
+    for i in range(150):
+        costs = random_costs(rng)
+        g1 = random_graph(rng, n_min=1, n_max=5, n_labels=3, gid=f"a{i}")
+        g2 = random_graph(rng, n_min=1, n_max=5, n_labels=3, gid=f"b{i}")
+        assert ged_exact(g1, g2, costs).distance == ged_bruteforce(g1, g2, costs).distance, \
+            (i, costs)
+
+
+def test_exact_beyond_bruteforce_symmetric_and_permutation_free():
+    # 6-8 nodes is out of brute-force reach; an inadmissible bound shows as an
+    # asymmetric distance or a nonzero one to an isomorphic copy
+    rng = np.random.default_rng(7)
+    for i in range(12):
+        costs = EditCostScheme() if i % 2 else random_costs(rng)
+        g1 = random_graph(rng, n_min=6, n_max=8, n_labels=3, edge_prob=0.3, gid=f"a{i}")
+        g2 = random_graph(rng, n_min=6, n_max=8, n_labels=3, edge_prob=0.3, gid=f"b{i}")
+        assert ged_exact(g1, g2, costs).distance == ged_exact(g2, g1, swapped(costs)).distance
+        assert ged_exact(g1, permuted(g1, rng), costs).distance == 0.0
+
+
 def test_triangle_inequality(rng):
     for i in range(30):
         gs = [random_graph(rng, n_min=1, n_max=4, gid=f"g{i}{j}") for j in range(3)]
@@ -77,13 +119,7 @@ def test_triangle_inequality(rng):
 
 def test_isomorphic_permutation_zero(rng):
     g = random_graph(rng, n_min=3, n_max=4)
-    n = g.num_nodes
-    perm = rng.permutation(n)
-    inv = np.argsort(perm)
-    pg = make_graph("p", np.asarray(g.features)[perm],
-                    [(int(inv[u]), int(inv[v])) for u, v in g.edges],
-                    None if g.labels is None else [g.labels[int(p)] for p in perm])
-    assert ged_exact(g, pg).distance == 0.0
+    assert ged_exact(g, permuted(g, rng)).distance == 0.0
 
 
 def test_budget_refusal():

@@ -425,3 +425,16 @@ def test_checkpoint_with_legacy_aggregator_key(tmp_path, rng):
     path.write_text(json.dumps(doc))
     with pytest.raises(ConfigError, match="ngmn_aggregator supports only 'bilstm', got 'max'"):
         load_checkpoint(path)
+
+
+def test_checkpoint_with_unknown_config_key(tmp_path):
+    import json
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, Model(tiny_config(), rng=np.random.default_rng(8)))
+    doc = json.loads(path.read_text())
+    doc["config"]["gcn_width"] = 8
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=r"unknown model config key\(s\) gcn_width; "
+                                          r"valid fields: feature_dim, gcn_layers") as err:
+        load_checkpoint(path)
+    assert str(err.value).startswith(f"{path}: ")
