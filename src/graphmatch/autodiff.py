@@ -229,7 +229,8 @@ def concat(tensors, axis=0):
 
 
 def gather_rows(x, indices):
-    """Select rows x[indices]; backward scatter-adds into the source."""
+    """Select rows x[indices] for an index array of any shape; backward
+    scatter-adds into the source."""
     x = _as_tensor(x)
     idx = np.asarray(indices, dtype=np.intp)
     out = x.data[idx]
@@ -242,21 +243,41 @@ def gather_rows(x, indices):
     return _make(out, (x,), bw)
 
 
-def max_rows(x):
-    """Columnwise maximum of a 2-D tensor; gradient flows to the first argmax."""
+def max_rows(x, lengths=None):
+    """Columnwise maximum over the rows of each sequence; gradient flows to the
+    first argmax.
+
+    x is one sequence (T, k), giving (1, k), or S sequences padded to a common
+    length, time-major (T, S, k), with lengths (S,), giving (S, k); rows past a
+    sequence's length are ignored.
+    """
     x = _as_tensor(x)
-    if x.data.ndim != 2:
-        raise ShapeError(f"max_rows needs a 2-D tensor, got {x.shape}")
-    arg = np.argmax(x.data, axis=0)
-    cols = np.arange(x.data.shape[1])
-    out = x.data[arg, cols]
+    seq, lengths = _sequences(x, lengths, "max_rows")
+    valid = np.arange(seq.shape[0])[:, None] < lengths
+    arg = np.argmax(np.where(valid[..., None], seq, -np.inf), axis=0)[None]
+    out = np.take_along_axis(seq, arg, axis=0)[0]
 
     def bw(g):
-        gx = np.zeros_like(x.data)
-        gx[arg, cols] = g
-        return (gx,)
+        gx = np.zeros_like(seq)
+        np.put_along_axis(gx, arg, g[None], axis=0)
+        return (gx.reshape(x.data.shape),)
 
-    return _make(out.reshape(1, -1), (x,), lambda g: bw(g.reshape(-1)))
+    return _make(out, (x,), bw)
+
+
+def _sequences(x, lengths, op):
+    """x as time-major padded sequences (T, S, k) plus checked lengths (S,)."""
+    if x.data.ndim not in (2, 3):
+        raise ShapeError(f"{op} needs a (T, k) sequence or (T, S, k) sequences, got {x.shape}")
+    seq = x.data[:, None, :] if x.data.ndim == 2 else x.data
+    steps, count, _ = seq.shape
+    if lengths is None:
+        lengths = np.full(count, steps)
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if lengths.shape != (count,) or count == 0 or lengths.min() < 1 \
+            or lengths.max() > steps:
+        raise ShapeError(f"{op}: lengths {lengths.tolist()} do not fit sequences {x.shape}")
+    return seq, lengths
 
 
 def cosine(a, b):
@@ -415,31 +436,44 @@ def sum_axis(x, axis, keepdims=True):
     return _make(out, (x,), bw)
 
 
-def bilstm_last(x, wx_f, wh_f, b_f, wx_b, wh_b, b_b):
-    """Concatenated last hidden states of a forward and a backward LSTM pass
-    over the rows of x; (1, 2*hidden).
+def bilstm_last(x, wx_f, wh_f, b_f, wx_b, wh_b, b_b, lengths=None):
+    """Concatenated last hidden states of a forward and a backward LSTM pass.
 
-    One fused node for the whole bidirectional recurrence: both directions
-    share a single python loop over block-combined weights, the forward math
-    is plain numpy, and the backward pass is hand-written BPTT. This avoids
-    the per-timestep tape overhead of composing the recurrence out of
-    primitives. Per-direction gate layout in the fused weight matrices is
-    [input, forget, cell, output]; the cell gate is tanh, the rest sigmoid.
+    x is one sequence (T, k), giving (1, 2*hidden), or S sequences padded to a
+    common length, time-major (T, S, k), with lengths (S,), giving
+    (S, 2*hidden). Sequence s is x[:lengths[s], s]: its backward pass starts at
+    its own last row, and rows past its length are never read.
+
+    One fused node for the whole bidirectional recurrence over all sequences:
+    the sequences are sorted by decreasing length, so each timestep is one
+    (active, 2h) @ (2h, 8h) product over the sequences still running, and a
+    finished sequence's state is left as it was. The forward math is plain
+    numpy, and the backward pass is hand-written BPTT. Per-direction gate
+    layout in the fused weight matrices is [input, forget, cell, output]; the
+    cell gate is tanh, the rest sigmoid.
     """
     x = _as_tensor(x)
     params = tuple(_as_tensor(p) for p in (wx_f, wh_f, b_f, wx_b, wh_b, b_b))
     wx_f, wh_f, b_f, wx_b, wh_b, b_b = params
-    if x.data.ndim != 2:
-        raise ShapeError(f"bilstm_last needs a 2-D sequence, got {x.shape}")
+    seq, lengths = _sequences(x, lengths, "bilstm_last")
+    steps, count, k = seq.shape
     h = wh_f.data.shape[0]
-    k = x.data.shape[1]
     for wx, wh, b in ((wx_f, wh_f, b_f), (wx_b, wh_b, b_b)):
         if wx.data.shape != (k, 4 * h) or wh.data.shape != (h, 4 * h) \
                 or b.data.shape != (1, 4 * h):
             raise ShapeError(
                 f"bilstm_last weight shapes disagree: x {x.shape}, wx {wx.shape}, "
                 f"wh {wh.shape}, b {b.shape}")
-    steps = x.data.shape[0]
+
+    order = np.argsort(-lengths, kind="stable")
+    lens = lengths[order]
+    active = [int(np.count_nonzero(lens > t)) for t in range(steps)]
+    xs = seq[:, order]
+    cols = np.arange(count)
+    # row t of each sequence's reversed copy; padding maps to itself
+    t_col = np.arange(steps)[:, None]
+    rev = np.where(t_col < lens, lens - 1 - t_col, t_col)
+    xr = xs[rev, cols]
 
     # combined layout groups the two directions gate by gate so every
     # activation below works on one contiguous block:
@@ -452,57 +486,64 @@ def bilstm_last(x, wx_f, wh_f, b_f, wx_b, wh_b, b_b):
     wh_c = np.zeros((2 * h, 8 * h))
     wh_c[np.ix_(np.arange(h), idx_f)] = wh_f.data
     wh_c[np.ix_(np.arange(h, 2 * h), idx_b)] = wh_b.data
-    xproj = np.empty((steps, 8 * h))
-    xproj[:, idx_f] = x.data @ wx_f.data + b_f.data
-    xproj[:, idx_b] = x.data[::-1] @ wx_b.data + b_b.data
+    xproj = np.empty((steps, count, 8 * h))
+    xproj[..., idx_f] = xs @ wx_f.data + b_f.data
+    xproj[..., idx_b] = xr @ wx_b.data + b_b.data
 
-    sig = np.empty((steps, 6 * h))   # [i | f | o] blocks, both directions
-    gc = np.empty((steps, 2 * h))    # cell candidate
-    cs = np.empty((steps, 2 * h))    # cell state after each step
-    ss = np.empty((steps, 2 * h))    # hidden state entering each step
-    s = np.zeros(2 * h)
-    c = np.zeros(2 * h)
+    sig = np.zeros((steps, count, 6 * h))  # [i | f | o] blocks, both directions
+    gc = np.zeros((steps, count, 2 * h))   # cell candidate
+    cs = np.zeros((steps, count, 2 * h))   # cell state after each step
+    ss = np.zeros((steps, count, 2 * h))   # hidden state entering each step
+    s = np.zeros((count, 2 * h))
+    c = np.zeros((count, 2 * h))
     for t in range(steps):
-        ss[t] = s
-        z = s @ wh_c
-        z += xproj[t]
-        sg = sig[t]
-        sg[:] = _sigmoid(z[:6 * h])
-        g = gc[t]
-        g[:] = np.tanh(z[6 * h:])
-        c = sg[2 * h:4 * h] * c + sg[:2 * h] * g
-        cs[t] = c
-        s = sg[4 * h:6 * h] * np.tanh(c)
+        n = active[t]
+        ss[t, :n] = s[:n]
+        z = s[:n] @ wh_c
+        z += xproj[t, :n]
+        sg = sig[t, :n]
+        sg[:] = _sigmoid(z[:, :6 * h])
+        g = gc[t, :n]
+        g[:] = np.tanh(z[:, 6 * h:])
+        c[:n] = sg[:, 2 * h:4 * h] * c[:n] + sg[:, :2 * h] * g
+        cs[t, :n] = c[:n]
+        s[:n] = sg[:, 4 * h:] * np.tanh(c[:n])
+    out = np.empty_like(s)
+    out[order] = s
 
     def bw(grad):
-        ds = grad.reshape(2 * h).copy()
-        dc = np.zeros(2 * h)
-        dz_all = np.empty((steps, 8 * h))
+        ds = grad[order]
+        dc = np.zeros((count, 2 * h))
+        dz_all = np.zeros((steps, count, 8 * h))
         for t in range(steps - 1, -1, -1):
-            gi = sig[t, :2 * h]
-            gf = sig[t, 2 * h:4 * h]
-            go = sig[t, 4 * h:]
-            tc = np.tanh(cs[t])
-            dc = dc + ds * go * (1.0 - tc * tc)
-            c_prev = cs[t - 1] if t > 0 else 0.0
-            dz = dz_all[t]
-            dz[:2 * h] = dc * gc[t] * gi * (1.0 - gi)
-            dz[2 * h:4 * h] = dc * c_prev * gf * (1.0 - gf)
-            dz[4 * h:6 * h] = ds * tc * go * (1.0 - go)
-            dz[6 * h:] = dc * gi * (1.0 - gc[t] * gc[t])
-            ds = dz @ wh_c.T
-            dc = dc * gf
-        gwh_c = ss.T @ dz_all
-        dz_f = dz_all[:, idx_f]
-        dz_b = dz_all[:, idx_b]
-        gx = dz_f @ wx_f.data.T + (dz_b @ wx_b.data.T)[::-1]
-        return (gx,
-                x.data.T @ dz_f, gwh_c[np.ix_(np.arange(h), idx_f)],
+            n = active[t]
+            gi = sig[t, :n, :2 * h]
+            gf = sig[t, :n, 2 * h:4 * h]
+            go = sig[t, :n, 4 * h:]
+            tc = np.tanh(cs[t, :n])
+            dcn = dc[:n] + ds[:n] * go * (1.0 - tc * tc)
+            c_prev = cs[t - 1, :n] if t > 0 else 0.0
+            dz = dz_all[t, :n]
+            dz[:, :2 * h] = dcn * gc[t, :n] * gi * (1.0 - gi)
+            dz[:, 2 * h:4 * h] = dcn * c_prev * gf * (1.0 - gf)
+            dz[:, 4 * h:6 * h] = ds[:n] * tc * go * (1.0 - go)
+            dz[:, 6 * h:] = dcn * gi * (1.0 - gc[t, :n] * gc[t, :n])
+            ds[:n] = dz @ wh_c.T
+            dc[:n] = dcn * gf
+        gwh_c = ss.reshape(-1, 2 * h).T @ dz_all.reshape(-1, 8 * h)
+        dz_f = dz_all[..., idx_f].reshape(-1, 4 * h)
+        dz_b = dz_all[..., idx_b].reshape(-1, 4 * h)
+        gxs = (dz_f @ wx_f.data.T).reshape(steps, count, k)
+        gxs[rev, cols] += (dz_b @ wx_b.data.T).reshape(steps, count, k)
+        gx = np.empty_like(gxs)
+        gx[:, order] = gxs
+        return (gx.reshape(x.data.shape),
+                xs.reshape(-1, k).T @ dz_f, gwh_c[np.ix_(np.arange(h), idx_f)],
                 dz_f.sum(axis=0, keepdims=True),
-                x.data[::-1].T @ dz_b, gwh_c[np.ix_(np.arange(h, 2 * h), idx_b)],
+                xr.reshape(-1, k).T @ dz_b, gwh_c[np.ix_(np.arange(h, 2 * h), idx_b)],
                 dz_b.sum(axis=0, keepdims=True))
 
-    return _make(s.reshape(1, 2 * h), (x,) + params, bw)
+    return _make(out, (x,) + params, bw)
 
 
 def weighted_cosine(x1, x2, w):
@@ -541,6 +582,95 @@ def weighted_cosine(x1, x2, w):
         return gx1, gx2, 2.0 * w.data * gw2
 
     return _make(out, (x1, x2, w), bw)
+
+
+def block_matmul(blocks, x, where):
+    """Block-diagonal product: each graph's rows of x times its own block.
+
+    blocks: (G, n, n) constant array, graph g's matrix in its top-left corner;
+    x: (R, d) rows of all graphs stacked; where: (graph, position) index arrays
+    of every row of x. Memory grows with G * n * n, not with R * R.
+    """
+    x = _as_tensor(x)
+    gi, ni = where
+    if x.data.ndim != 2 or blocks.ndim != 3 or len(gi) != x.data.shape[0]:
+        raise ShapeError(f"block_matmul shapes disagree: blocks {blocks.shape}, x {x.shape}")
+
+    def apply(mats, rows):
+        padded = np.zeros(blocks.shape[:2] + rows.shape[1:])
+        padded[gi, ni] = rows
+        return (mats @ padded)[gi, ni]
+
+    return _make(apply(blocks, x.data), (x,),
+                 lambda g: (apply(blocks.transpose(0, 2, 1), g),))
+
+
+def cross_attention(x, rows1, rows2, normalize=False):
+    """Each node's attention-weighted summary of the other graph of its pair.
+
+    x: (R, d) node rows of every pair side; rows1: (B, n) the rows of each
+    pair's first graph, padded with -1; rows2: (B, m) likewise for the second
+    graph. Every row of x belongs to exactly one pair side. The attention
+    weight of node i on node j of the other graph is their cosine, under the
+    same EPS clamp and zero-gradient rule as ``cosine``; with normalize, a
+    softmax over the other graph's nodes. Returns (R, d): row i of a first
+    graph holds sum_j weight_ij x_j over its pair's second graph, and
+    conversely.
+    """
+    x = _as_tensor(x)
+    if x.data.ndim != 2 or rows1.shape[0] != rows2.shape[0]:
+        raise ShapeError(f"cross_attention shapes disagree: x {x.shape}, "
+                         f"rows {rows1.shape}, {rows2.shape}")
+    v1, v2 = rows1 >= 0, rows2 >= 0
+    r1, r2 = rows1[v1], rows2[v2]
+    a = np.where(v1[..., None], x.data[np.maximum(rows1, 0)], 0.0)  # (B, n, d)
+    b = np.where(v2[..., None], x.data[np.maximum(rows2, 0)], 0.0)  # (B, m, d)
+    na = np.sqrt(np.sum(a * a, axis=-1))
+    nb = np.sqrt(np.sum(b * b, axis=-1))
+    cna = np.maximum(na, EPS)[:, :, None]
+    cnb = np.maximum(nb, EPS)[:, None, :]
+    mask = v1[:, :, None] & v2[:, None, :]
+    # the product-and-sum of ``cosine`` rather than a matmul, so each weight
+    # rounds exactly as ``cosine`` rounds it
+    alpha = np.sum(a[:, :, None] * b[:, None], axis=-1) / (cna * cnb)  # 0 on padding
+    if normalize:
+        e = np.where(mask, np.exp(alpha), 0.0)
+        w12 = e / np.where(v1[:, :, None], e.sum(axis=2, keepdims=True), 1.0)
+        w21 = e / np.where(v2[:, None, :], e.sum(axis=1, keepdims=True), 1.0)
+    else:
+        w12 = w21 = alpha
+    w21t = np.ascontiguousarray(w21.transpose(0, 2, 1))  # same layout as w12 of the swapped pair
+    out = np.zeros_like(x.data)
+    out[r1] = (w12 @ b)[v1]
+    out[r2] = (w21t @ a)[v2]
+
+    def bw(g):
+        g2 = np.zeros(a.shape)
+        g2[v1] = g[r1]
+        g1 = np.zeros(b.shape)
+        g1[v2] = g[r2]
+        d12 = g2 @ b.transpose(0, 2, 1)  # d/d w12
+        d21 = a @ g1.transpose(0, 2, 1)  # d/d w21
+        ga = w21 @ g1
+        gb = w12.transpose(0, 2, 1) @ g2
+        if normalize:
+            dalpha = (w12 * (d12 - np.sum(d12 * w12, axis=2, keepdims=True))
+                      + w21 * (d21 - np.sum(d21 * w21, axis=1, keepdims=True)))
+        else:
+            dalpha = d12 + d21
+        valid = mask & (na >= EPS)[:, :, None] & (nb >= EPS)[:, None, :]
+        gv = np.where(valid, dalpha, 0.0)
+        ginv = gv / (cna * cnb)
+        galpha = gv * alpha
+        ga += ginv @ b - galpha.sum(axis=2)[..., None] * a / (cna * cna)
+        gb += ginv.transpose(0, 2, 1) @ a \
+            - galpha.sum(axis=1)[..., None] * b / (cnb * cnb).transpose(0, 2, 1)
+        gx = np.zeros_like(x.data)
+        gx[r1] = ga[v1]
+        gx[r2] = gb[v2]
+        return (gx,)
+
+    return _make(out, (x,), bw)
 
 
 def slice_cols(x, start, stop):

@@ -13,12 +13,13 @@ import logging
 import os
 import sys
 import time
+from dataclasses import fields
 
 from . import __version__
 from .data import (gen_clone_dataset, gen_ged_dataset, load_dataset,
                    load_dataset_dir, save_dataset)
 from .ged import EditCostScheme, GedBudgetError, GedTimeoutError, ged_exact
-from .model import Model, config_from_dict, load_checkpoint, save_checkpoint
+from .model import ConfigError, Model, config_from_dict, load_checkpoint, save_checkpoint
 from .report import evaluate_model, write_report
 from .training import TrainConfig, train
 
@@ -110,11 +111,20 @@ def cmd_train(args):
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             file_cfg = json.load(fh)
-    ds = load_dataset_dir(args.dataset, task=args.task or
-                          file_cfg.get("train", {}).get("task", "regression"))
-    feature_dim = next(iter(ds.graphs.values())).feature_dim
-    mcfg = _model_config_from(args, file_cfg, feature_dim)
     tkw = dict(file_cfg.get("train", {}))
+    valid = [f.name for f in fields(TrainConfig)]
+    unknown = sorted(set(tkw) - set(valid))
+    if unknown:
+        raise ConfigError(f"{args.config}: unknown key(s) {', '.join(unknown)} in the train "
+                          f"section; valid fields: {', '.join(valid)}")
+    ds = load_dataset_dir(args.dataset, task=args.task or tkw.get("task", "regression"))
+    feature_dim = next(iter(ds.graphs.values())).feature_dim
+    try:
+        mcfg = _model_config_from(args, file_cfg, feature_dim)
+    except ConfigError as e:
+        if not args.config:
+            raise
+        raise ConfigError(f"{args.config}: model section: {e}") from None
     tkw["task"] = mcfg.task
     for key in ("seed", "epochs", "iterations", "batch_size", "learning_rate"):
         val = getattr(args, key, None)

@@ -120,97 +120,95 @@ def init_params(config: ModelConfig, rng) -> dict:
 
 # ---------------------------------------------------------------------------
 # layers
+#
+# A batch is laid out as stacked rows: node rows of every graph one after the
+# other, and a sequence of nodes is an array of row indices. Ragged groups of
+# rows (the nodes of each pair side, the sequences an aggregator reads) are
+# handed to the fused ops as index arrays padded with -1.
 
-def gcn_forward(x, a_bar, params, config, training, rng):
-    """Stacked graph convolutions: relu(A (relu(A x W0) ...) Wt), with dropout
-    after each layer at train time. x and a_bar are constant tensors."""
-    h = x
-    a = a_bar
+def consecutive(sizes):
+    """Row-index arrays of consecutive groups of the given sizes."""
+    return np.split(np.arange(sum(sizes)), np.cumsum(sizes)[:-1])
+
+
+def padded(seqs):
+    """(len(seqs), longest) index array of the row sequences, padded with -1."""
+    out = np.full((len(seqs), max(len(q) for q in seqs)), -1, dtype=np.intp)
+    for i, q in enumerate(seqs):
+        out[i, :len(q)] = q
+    return out
+
+
+def gcn_forward(graphs, params, config, training, rng):
+    """Stacked graph convolutions relu(A (relu(A x W0) ...) Wt) over all graphs
+    at once, with dropout after each layer at train time; (sum of nodes, gcn_dim)
+    node rows in graph order."""
+    sizes = [g.num_nodes for g in graphs]
+    blocks = np.zeros((len(graphs), max(sizes), max(sizes)))
+    for k, g in enumerate(graphs):
+        blocks[k, :sizes[k], :sizes[k]] = normalized_adjacency(g)
+    where = (np.repeat(np.arange(len(graphs)), sizes),
+             np.concatenate([np.arange(n) for n in sizes]))
+    h = Tensor(np.concatenate([g.features for g in graphs]))
     for t in range(config.gcn_layers):
-        h = ad.relu((a @ h) @ params[f"gcn.{t}.weight"])
+        h = ad.relu(ad.block_matmul(blocks, h, where) @ params[f"gcn.{t}.weight"])
         h = ad.dropout(h, config.dropout, rng, training)
     return h
 
 
-def cross_attention(h1, h2):
-    """Pairwise cosine between all node embeddings of the two graphs.
+def node_graph_match(x, rows1, rows2, w, normalize=False):
+    """Cross-level matching features (R, P) of pair-node rows x (R, d): every
+    node against the attentive summary of the other graph of its pair, under
+    each perspective row of w. rows1/rows2 as in ``ad.cross_attention``."""
+    return ad.weighted_cosine(x, ad.cross_attention(x, rows1, rows2, normalize), w)
 
-    Returns (alpha, beta) with beta exactly the transpose of alpha.
+
+def aggregate(h, aggregator, params, prefix, seqs):
+    """One vector per row sequence of h; (len(seqs), L).
+
+    max/fcmax are order-free; bilstm reads each sequence in the order given.
     """
-    n, d = h1.shape
-    m, _ = h2.shape
-    alpha = ad.cosine(ad.reshape(h1, (n, 1, d)), ad.reshape(h2, (1, m, d)))
-    beta = ad.transpose(alpha)
-    return alpha, beta
-
-
-def attentive_graph_embedding(weights, h_other, normalize=False):
-    """Weighted sum of the other graph's node embeddings, one summary vector
-    per attending node. weights is (N, M), h_other is (M, d)."""
-    if normalize:
-        # softmax over the attended nodes
-        e = ad.exp(weights)
-        weights = ad.div(e, ad.sum_axis(e, axis=1, keepdims=True))
-    return weights @ h_other
-
-
-def node_graph_match(h1, h2, w, normalize=False):
-    """Cross-level matching features for every node of both graphs."""
-    alpha, beta = cross_attention(h1, h2)
-    att2 = attentive_graph_embedding(alpha, h2, normalize)  # summary of g2 per node of g1
-    att1 = attentive_graph_embedding(beta, h1, normalize)
-    return ad.weighted_cosine(h1, att2, w), ad.weighted_cosine(h2, att1, w)
-
-
-def bilstm_aggregate(h, params, prefix, order):
-    """Concatenate last hidden states of both directions over one row order."""
-    seq = ad.gather_rows(h, [int(i) for i in order])
-    return ad.bilstm_last(seq,
+    if aggregator == "fcmax":
+        h = (h @ params["fcmax.weight"]) + params["fcmax.bias"]
+    index = padded(seqs).T  # time-major
+    lengths = np.count_nonzero(index >= 0, axis=0)
+    x = ad.gather_rows(h, np.maximum(index, 0))  # padding is never read
+    if aggregator != "bilstm":
+        return ad.max_rows(x, lengths)
+    return ad.bilstm_last(x,
                           params[f"{prefix}.fw.wx"], params[f"{prefix}.fw.wh"],
                           params[f"{prefix}.fw.b"],
                           params[f"{prefix}.bw.wx"], params[f"{prefix}.bw.wh"],
-                          params[f"{prefix}.bw.b"])
-
-
-def aggregate(h, aggregator, params, prefix, training, rng):
-    """Collapse node embeddings (N, k) to one graph vector.
-
-    max/fcmax are permutation invariant; bilstm consumes a random permutation
-    at train time and index order at eval time.
-    """
-    if aggregator == "max":
-        return ad.max_rows(h)
-    if aggregator == "fcmax":
-        return ad.max_rows((h @ params["fcmax.weight"]) + params["fcmax.bias"])
-    n = h.shape[0]
-    order = rng.permutation(n) if training else np.arange(n)
-    return bilstm_aggregate(h, params, prefix, list(order))
+                          params[f"{prefix}.bw.b"], lengths=lengths)
 
 
 def predict(ha, hb, task, params, training):
-    """Similarity score from two graph vectors (each (1, L)).
+    """Similarity scores (B,) from the two graph vectors of each pair, (B, L) each.
 
     classification: plain cosine in [-1, 1].
     regression: sigmoid over a four-layer MLP on the concatenation, in (0, 1).
     """
     if task == "classification":
-        return ad.reshape(ad.cosine(ha, hb), ())
+        return ad.cosine(ha, hb)
     x = ad.concat([ha, hb], axis=1)
     for i in range(4):
         x = (x @ params[f"mlp.{i}.weight"]) + params[f"mlp.{i}.bias"]
         if i < 3:
             x = ad.relu(x)
-    return ad.reshape(ad.sigmoid(x), ())
+    return ad.reshape(ad.sigmoid(x), (-1,))
 
 
 def loss_mse(predictions, targets):
-    """Mean squared error over a batch of scalar prediction tensors."""
-    if len(predictions) == 0:
+    """Mean squared error of a (B,) prediction tensor, or of a list of scalar
+    prediction tensors, against B targets."""
+    if len(targets) == 0:
         raise ValueError("empty batch")
-    if len(predictions) != len(targets):
+    if isinstance(predictions, (list, tuple)):
+        predictions = ad.concat([ad.reshape(p, (1,)) for p in predictions], axis=0) \
+            if predictions else Tensor(np.empty(0))
+    if predictions.shape != (len(targets),):
         raise ValueError("batch length mismatch")
-    pred = ad.concat([ad.reshape(p, (1,)) for p in predictions], axis=0)
-    diff = pred - Tensor(np.asarray(targets, dtype=np.float64))
+    diff = predictions - Tensor(np.asarray(targets, dtype=np.float64))
     return (diff * diff).mean()
 
 
@@ -226,33 +224,78 @@ class Model:
         self.params = params
 
     def encode(self, g, training, rng):
-        return gcn_forward(Tensor(g.features), Tensor(normalized_adjacency(g)),
-                           self.params, self.config, training, rng)
+        """GCN node embeddings (N, gcn_dim) of one graph."""
+        return gcn_forward([g], self.params, self.config, training, rng)
 
     def forward_pair(self, g1, g2, training=False, rng=None):
         """Similarity score for one pair of graphs; scalar Tensor."""
+        return ad.reshape(self.forward_batch([(g1, g2)], training, rng), ())
+
+    def forward_batch(self, pairs, training=False, rng=None):
+        """Similarity scores (B,) for a list of (g1, g2) graph pairs.
+
+        At eval time each distinct graph object is encoded once however many
+        pairs it is in; at train time every occurrence is its own slot with its
+        own dropout mask. The bilstm aggregators read each graph occurrence in a
+        fresh random order at train time, drawn pair by pair (node-graph branch
+        g1, g2, then graph-level branch g1, g2), and in index order at eval.
+        """
         cfg = self.config
-        if g1.feature_dim != cfg.feature_dim or g2.feature_dim != cfg.feature_dim:
-            raise ConfigError(
-                f"feature width {g1.feature_dim}/{g2.feature_dim} does not match "
-                f"model feature_dim {cfg.feature_dim}")
+        if not pairs:
+            raise ValueError("empty batch")
+        flat = [g for pair in pairs for g in pair]
+        for g in flat:
+            if g.feature_dim != cfg.feature_dim:
+                raise ConfigError(f"graph {g.id!r} feature width {g.feature_dim} does not "
+                                  f"match model feature_dim {cfg.feature_dim}")
         if rng is None:
             rng = np.random.default_rng(0)
-        h1 = self.encode(g1, training, rng)
-        h2 = self.encode(g2, training, rng)
-        heads1, heads2 = [], []
-        if cfg.mode in ("ngmn", "mgmn"):
-            m1, m2 = node_graph_match(h1, h2, self.params["perspective.weight"],
-                                      cfg.normalize_attention)
-            heads1.append(aggregate(m1, "bilstm", self.params, "ngmn_lstm", training, rng))
-            heads2.append(aggregate(m2, "bilstm", self.params, "ngmn_lstm", training, rng))
-        if cfg.mode in ("sgnn", "mgmn"):
-            heads1.append(aggregate(h1, cfg.sgnn_aggregator, self.params,
-                                    "sgnn_lstm", training, rng))
-            heads2.append(aggregate(h2, cfg.sgnn_aggregator, self.params,
-                                    "sgnn_lstm", training, rng))
-        ha = heads1[0] if len(heads1) == 1 else ad.concat(heads1, axis=1)
-        hb = heads2[0] if len(heads2) == 1 else ad.concat(heads2, axis=1)
+        if training:
+            graphs, slot = flat, list(range(len(flat)))
+        else:
+            slot_of, graphs = {}, []
+            for g in flat:
+                if id(g) not in slot_of:
+                    slot_of[id(g)] = len(graphs)
+                    graphs.append(g)
+            slot = [slot_of[id(g)] for g in flat]
+        slots = np.array(slot).reshape(-1, 2)
+        h = gcn_forward(graphs, self.params, cfg, training, rng)
+        sizes = [g.num_nodes for g in graphs]
+        nodes = consecutive(sizes)  # rows of h per graph
+        use_ngmn = cfg.mode in ("ngmn", "mgmn")
+        use_sgnn = cfg.mode in ("sgnn", "mgmn")
+
+        def reading_order(k):
+            return rng.permutation(sizes[k]) if training else np.arange(sizes[k])
+
+        ngmn_orders, sgnn_seqs = [], list(nodes)
+        for pair in slots:
+            if use_ngmn:
+                ngmn_orders += [reading_order(k) for k in pair]
+            if use_sgnn and cfg.sgnn_aggregator == "bilstm" and training:
+                for k in pair:
+                    sgnn_seqs[k] = nodes[k][reading_order(k)]
+
+        count = len(pairs)
+        heads_a, heads_b = [], []
+        if use_ngmn:
+            # pair-node rows: pair 0's first graph, pair 0's second, pair 1's first, ...
+            sides = slots.reshape(-1)
+            x = ad.gather_rows(h, np.concatenate([nodes[k] for k in sides]))
+            rows = consecutive([sizes[k] for k in sides])
+            m = node_graph_match(x, padded(rows[0::2]), padded(rows[1::2]),
+                                 self.params["perspective.weight"], cfg.normalize_attention)
+            seqs = [r[o] for r, o in zip(rows, ngmn_orders)]
+            ng = aggregate(m, "bilstm", self.params, "ngmn_lstm", seqs[0::2] + seqs[1::2])
+            heads_a.append(ad.gather_rows(ng, np.arange(count)))
+            heads_b.append(ad.gather_rows(ng, np.arange(count, 2 * count)))
+        if use_sgnn:
+            sg = aggregate(h, cfg.sgnn_aggregator, self.params, "sgnn_lstm", sgnn_seqs)
+            heads_a.append(ad.gather_rows(sg, slots[:, 0]))
+            heads_b.append(ad.gather_rows(sg, slots[:, 1]))
+        ha = heads_a[0] if len(heads_a) == 1 else ad.concat(heads_a, axis=1)
+        hb = heads_b[0] if len(heads_b) == 1 else ad.concat(heads_b, axis=1)
         return predict(ha, hb, cfg.task, self.params, training)
 
     def zero_grad(self):

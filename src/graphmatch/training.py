@@ -102,14 +102,13 @@ def _clip_grads(params, max_norm):
             p.grad *= scale
 
 
+def _graph_pairs(dataset, pairs):
+    return [(dataset.graph(p.g1), dataset.graph(p.g2)) for p in pairs]
+
+
 def _batch_step(model, dataset, batch, optimizer, rng, grad_clip):
-    preds = []
-    targets = []
-    for pair in batch:
-        preds.append(model.forward_pair(dataset.graph(pair.g1), dataset.graph(pair.g2),
-                                        training=True, rng=rng))
-        targets.append(pair.target)
-    loss = loss_mse(preds, targets)
+    preds = model.forward_batch(_graph_pairs(dataset, batch), training=True, rng=rng)
+    loss = loss_mse(preds, [pair.target for pair in batch])
     value = loss.item()
     if not np.isfinite(value):
         norms = {k: float(np.linalg.norm(p.data)) for k, p in model.params.items()}
@@ -118,21 +117,28 @@ def _batch_step(model, dataset, batch, optimizer, rng, grad_clip):
             f"max parameter norm {max(norms.values()):.3g}")
     model.zero_grad()
     backward(loss)
+    for name, p in model.params.items():
+        if not np.isfinite(p.grad).all():
+            raise TrainingError(f"non-finite gradient of parameter {name!r} on batch "
+                                f"{[(q.g1, q.g2) for q in batch]}")
     if grad_clip is not None:
         _clip_grads(model.params, grad_clip)
     optimizer.step()
     return value
 
 
+# pairs per forward_batch call in evaluation: a slice encodes each distinct
+# graph once, and its whole tape is alive at once, so peak memory grows with it
+EVAL_SLICE = 32
+
+
 def evaluate_pairs(model, dataset, pairs):
     """Eval-mode predictions and targets for a list of pairs."""
     preds = np.empty(len(pairs))
-    targets = np.empty(len(pairs))
-    for i, pair in enumerate(pairs):
-        preds[i] = model.forward_pair(dataset.graph(pair.g1),
-                                      dataset.graph(pair.g2), training=False).item()
-        targets[i] = pair.target
-    return preds, targets
+    for s in range(0, len(pairs), EVAL_SLICE):
+        chunk = pairs[s:s + EVAL_SLICE]
+        preds[s:s + len(chunk)] = model.forward_batch(_graph_pairs(dataset, chunk)).data
+    return preds, np.array([p.target for p in pairs], dtype=np.float64)
 
 
 def _validation(model, dataset, val_pairs, task):

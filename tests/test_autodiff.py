@@ -247,3 +247,96 @@ def test_weighted_cosine_zero_vector_is_flat():
     assert np.allclose(x1.grad, 0.0)
     assert np.allclose(x2.grad, 0.0)
     assert np.allclose(w.grad, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# fused batch ops
+
+def lstm_params(rng, k, h):
+    return [Tensor(rng.normal(size=s) * 0.5, requires_grad=True)
+            for s in ((k, 4 * h), (h, 4 * h), (1, 4 * h)) * 2]
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_bilstm_last_sequences_gradients_fd(seed):
+    rng = np.random.default_rng(300 + seed)
+    steps, k, h = 4, 3, 2
+    lengths = [2, 4, 1, 4]  # unequal, including a single step
+    x = Tensor(rng.normal(size=(steps, len(lengths), k)), requires_grad=True)
+    params = lstm_params(rng, k, h)
+    mix = Tensor(rng.normal(size=(len(lengths), 2 * h)))
+    fd_check(lambda: (ad.bilstm_last(x, *params, lengths=lengths) * mix).sum(),
+             [x] + params)
+    # rows past a sequence's length get no gradient
+    for s, n in enumerate(lengths):
+        assert np.array_equal(x.grad[n:, s], np.zeros((steps - n, k)))
+
+
+def test_bilstm_last_sequences_match_single_calls():
+    rng = np.random.default_rng(5)
+    steps, k, h = 5, 3, 4
+    lengths = [3, 5, 1]
+    x = rng.normal(size=(steps, len(lengths), k))
+    params = lstm_params(rng, k, h)
+    out = ad.bilstm_last(Tensor(x), *params, lengths=lengths).data
+    for s, n in enumerate(lengths):
+        one = ad.bilstm_last(Tensor(x[:n, s]), *params).data
+        assert np.allclose(out[s], one[0], rtol=0, atol=1e-12)
+
+
+def test_bilstm_last_lengths_checked():
+    rng = np.random.default_rng(0)
+    params = lstm_params(rng, 3, 2)
+    x = Tensor(rng.normal(size=(4, 2, 3)))
+    for bad in ([4], [0, 2], [5, 1]):
+        with pytest.raises(ad.ShapeError, match="lengths"):
+            ad.bilstm_last(x, *params, lengths=bad)
+
+
+def test_max_rows_sequences_match_single_calls_and_fd():
+    rng = np.random.default_rng(6)
+    lengths = [1, 3, 2]
+    x = Tensor(rng.normal(size=(3, 3, 4)), requires_grad=True)
+    out = ad.max_rows(x, lengths).data
+    for s, n in enumerate(lengths):
+        assert np.array_equal(out[s], ad.max_rows(Tensor(x.data[:n, s])).data[0])
+    mix = Tensor(rng.normal(size=(3, 4)))
+    fd_check(lambda: (ad.max_rows(x, lengths) * mix).sum(), [x])
+
+
+def test_block_matmul_matches_dense_and_fd():
+    rng = np.random.default_rng(7)
+    sizes = [2, 1, 3]
+    blocks = np.zeros((3, 3, 3))
+    dense = np.zeros((6, 6))
+    start = 0
+    for g, n in enumerate(sizes):
+        blocks[g, :n, :n] = dense[start:start + n, start:start + n] = rng.normal(size=(n, n))
+        start += n
+    where = (np.repeat(np.arange(3), sizes), np.concatenate([np.arange(n) for n in sizes]))
+    x = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+    assert np.allclose(ad.block_matmul(blocks, x, where).data, dense @ x.data,
+                       rtol=0, atol=1e-12)
+    mix = Tensor(rng.normal(size=(6, 4)))
+    fd_check(lambda: (ad.block_matmul(blocks, x, where) * mix).sum(), [x])
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_cross_attention_gradients_fd(normalize):
+    rng = np.random.default_rng(8)
+    # pairs of 1 and 3 nodes, 2 and 1 nodes, 1 and 1 node, stacked in that order
+    x = Tensor(rng.normal(size=(9, 3)), requires_grad=True)
+    rows1 = np.array([[0, -1], [4, 5], [7, -1]])
+    rows2 = np.array([[1, 2, 3], [6, -1, -1], [8, -1, -1]])
+    mix = Tensor(rng.normal(size=(9, 3)))
+    fd_check(lambda: (ad.cross_attention(x, rows1, rows2, normalize) * mix).sum(), [x])
+
+
+def test_cross_attention_zero_node_is_flat():
+    # a zero node's cosines are 0 with zero gradient, as with ``cosine``: with
+    # nothing attended and nothing to attend, the whole pair is flat
+    x = Tensor(np.array([[0.0, 0.0], [1.0, 2.0], [3.0, -1.0]]), requires_grad=True)
+    out = ad.cross_attention(x, np.array([[0]]), np.array([[1, 2]]))
+    backward((out * Tensor(np.ones((3, 2)))).sum())
+    assert np.array_equal(out.data, np.zeros((3, 2)))
+    assert np.array_equal(x.grad, np.zeros((3, 2)))

@@ -188,3 +188,32 @@ def test_train_config_unknown_model_key(tmp_path, caplog):
                "--out", str(tmp_path / "out")])
     assert rc == 1
     assert "unknown model config key(s) gcn_width; valid fields: feature_dim," in caplog.text
+
+
+@pytest.fixture
+def tiny_dataset(tmp_path):
+    ds = tmp_path / "ds"
+    assert main(["gen", "ged", "--graphs", "10", "--node-range", "4", "4",
+                 "--seed", "9", "--out", str(ds)]) == 0
+    return ds
+
+
+def test_train_config_unknown_train_key(tiny_dataset, tmp_path, caplog):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"train": {"iterations": 2, "batch_sise": 4, "sed": 1}}))
+    rc = main(["train", "--dataset", str(tiny_dataset), "--config", str(cfg),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert (f"{cfg}: unknown key(s) batch_sise, sed in the train section; "
+            f"valid fields: task, learning_rate, epochs,") in caplog.text
+    assert "TypeError" not in caplog.text and "__init__" not in caplog.text
+    assert not (tmp_path / "out").exists()  # refused before any work
+
+
+def test_train_config_model_error_names_the_file(tiny_dataset, tmp_path, caplog):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": {"mode": "simgnn"}}))
+    rc = main(["train", "--dataset", str(tiny_dataset), "--config", str(cfg),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert f"{cfg}: model section: mode must be one of" in caplog.text

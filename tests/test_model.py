@@ -1,13 +1,16 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphmatch import autodiff as ad
 from graphmatch.autodiff import Tensor, backward, finite_difference_grad
 from graphmatch.graphs import make_graph, normalized_adjacency
 from graphmatch.model import (ConfigError, Model, ModelConfig, aggregate,
-                              attentive_graph_embedding, cross_attention,
-                              gcn_forward, load_checkpoint, loss_mse,
-                              node_graph_match, predict, save_checkpoint)
+                              load_checkpoint, loss_mse, node_graph_match, padded,
+                              predict, save_checkpoint)
 
 from conftest import random_graph, rel_err
 
@@ -73,39 +76,70 @@ def test_gcn_output_shape_finite(rng):
 # ---------------------------------------------------------------------------
 # matching layers
 
+def one_pair(x1, x2):
+    """Rows of one pair's two graphs stacked, with the side index arrays."""
+    n = len(x1)
+    x = Tensor(np.concatenate([np.asarray(x1, float), np.asarray(x2, float)]))
+    return x, padded([np.arange(n)]), padded([n + np.arange(len(x2))])
+
+
 def test_cross_attention_identity_diag(rng):
-    h = rng.normal(size=(4, 6))
-    h /= np.linalg.norm(h, axis=1, keepdims=True)
-    alpha, _ = cross_attention(Tensor(h), Tensor(h))
-    assert np.allclose(np.diag(alpha.data), 1.0)
+    # orthonormal rows attend only to themselves: the weights are the identity
+    h = np.linalg.qr(rng.normal(size=(6, 4)))[0].T
+    x, r1, r2 = one_pair(h, h)
+    out = ad.cross_attention(x, r1, r2)
+    assert np.allclose(out.data, np.concatenate([h, h]), atol=1e-12)
 
 
 def test_cross_attention_orthogonal_rows():
-    alpha, _ = cross_attention(Tensor([[1.0, 0.0]]), Tensor([[0.0, 2.0]]))
-    assert alpha.data[0, 0] == 0.0
+    x, r1, r2 = one_pair([[1.0, 0.0]], [[0.0, 2.0]])
+    assert np.array_equal(ad.cross_attention(x, r1, r2).data, np.zeros((2, 2)))
 
 
 def test_beta_is_exact_transpose(rng):
-    alpha, beta = cross_attention(Tensor(rng.normal(size=(3, 5))),
-                                  Tensor(rng.normal(size=(4, 5))))
-    assert np.array_equal(beta.data, alpha.data.T)
+    # the second graph's weights are the transpose of the first graph's
+    h1, h2 = rng.normal(size=(3, 5)), rng.normal(size=(4, 5))
+    alpha = ad.cosine(Tensor(h1[:, None]), Tensor(h2[None])).data
+    x, r1, r2 = one_pair(h1, h2)
+    out = ad.cross_attention(x, r1, r2).data
+    assert np.allclose(out[:3], alpha @ h2, atol=1e-12)
+    assert np.allclose(out[3:], alpha.T @ h1, atol=1e-12)
 
 
-def test_attentive_embedding_scaling():
-    out = attentive_graph_embedding(Tensor([[0.5]]), Tensor([[2.0, 4.0]]))
-    assert np.array_equal(out.data, [[1.0, 2.0]])
+def test_attentive_embedding_scaling(rng):
+    # cosine weights ignore the other graph's scale, so its summary scales with it
+    h1, h2 = rng.normal(size=(2, 3)), rng.normal(size=(3, 3))
+    base = ad.cross_attention(*one_pair(h1, h2)).data
+    scaled = ad.cross_attention(*one_pair(h1, 3.0 * h2)).data
+    assert np.allclose(scaled[:2], 3.0 * base[:2], atol=1e-12)
 
 
 def test_attentive_embedding_zero_weights():
-    out = attentive_graph_embedding(Tensor([[0.0, 0.0]]),
-                                    Tensor([[1.0, 2.0], [3.0, 4.0]]))
-    assert np.array_equal(out.data, [[0.0, 0.0]])
+    x, r1, r2 = one_pair([[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
+    assert np.array_equal(ad.cross_attention(x, r1, r2).data[0], [0.0, 0.0, 0.0])
 
 
 def test_attentive_embedding_hand_case():
-    out = attentive_graph_embedding(Tensor([[1.0, 1.0]]),
-                                    Tensor([[1.0, 0.0], [0.0, 1.0]]))
-    assert np.array_equal(out.data, [[1.0, 1.0]])
+    x, r1, r2 = one_pair([[1.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]])
+    c = 1.0 / np.sqrt(2.0)
+    assert np.allclose(ad.cross_attention(x, r1, r2).data, [[c, c], [c, c], [c, c]])
+    # softmax over two equal weights halves each
+    assert np.allclose(ad.cross_attention(x, r1, r2, normalize=True).data[0], [0.5, 0.5])
+
+
+def test_cross_attention_batch_equals_single_pairs(rng):
+    h = [rng.normal(size=(n, 3)) for n in (1, 4, 2, 1, 3)]
+    for normalize in (False, True):
+        x = Tensor(np.concatenate(h))
+        start = np.cumsum([0] + [len(q) for q in h])
+        rows = [start[i] + np.arange(len(q)) for i, q in enumerate(h)]
+        # pairs (0, 1) and (2, 3); graph 4 pairs with nothing and is left alone
+        both = ad.cross_attention(x, padded([rows[0], rows[2]]), padded([rows[1], rows[3]]),
+                                  normalize).data
+        for i, j in ((0, 1), (2, 3)):
+            one = ad.cross_attention(*one_pair(h[i], h[j]), normalize).data
+            assert np.allclose(both[np.concatenate([rows[i], rows[j]])], one, atol=1e-12)
+        assert np.array_equal(both[rows[4]], np.zeros((3, 3)))
 
 
 def test_multi_perspective_identical_inputs(rng):
@@ -138,37 +172,31 @@ def test_multi_perspective_range(rng):
 
 
 def test_node_graph_match_identical_one_node_graphs():
-    h = Tensor([[2.0, 3.0]])
+    x, r1, r2 = one_pair([[2.0, 3.0]], [[2.0, 3.0]])
     w = Tensor(np.abs(np.random.default_rng(0).normal(size=(4, 2))) + 0.1)
-    m1, m2 = node_graph_match(h, h, w)
+    m = node_graph_match(x, r1, r2, w)
     # attentive summary is a positive multiple of the node itself
-    assert np.allclose(m1.data, 1.0)
-    assert np.allclose(m2.data, 1.0)
+    assert np.allclose(m.data, 1.0)
 
 
 def test_node_graph_match_swap_symmetry(rng):
-    h1 = Tensor(rng.normal(size=(3, 4)))
-    h2 = Tensor(rng.normal(size=(5, 4)))
+    x, r1, r2 = one_pair(rng.normal(size=(3, 4)), rng.normal(size=(5, 4)))
     w = Tensor(rng.normal(size=(6, 4)))
-    m1, m2 = node_graph_match(h1, h2, w)
-    s2, s1 = node_graph_match(h2, h1, w)
-    assert np.array_equal(m1.data, s1.data)
-    assert np.array_equal(m2.data, s2.data)
+    assert np.array_equal(node_graph_match(x, r1, r2, w).data,
+                          node_graph_match(x, r2, r1, w).data)
 
 
 def test_node_graph_match_shapes(rng):
-    m1, m2 = node_graph_match(Tensor(rng.normal(size=(3, 4))),
-                              Tensor(rng.normal(size=(5, 4))),
-                              Tensor(rng.normal(size=(7, 4))))
-    assert m1.shape == (3, 7)
-    assert m2.shape == (5, 7)
+    x, r1, r2 = one_pair(rng.normal(size=(3, 4)), rng.normal(size=(5, 4)))
+    m = node_graph_match(x, r1, r2, Tensor(rng.normal(size=(7, 4))))
+    assert m.shape == (8, 7)
 
 
 # ---------------------------------------------------------------------------
 # aggregation
 
 def test_max_aggregator():
-    out = aggregate(Tensor([[1.0, 5.0], [3.0, 2.0]]), "max", {}, "", False, None)
+    out = aggregate(Tensor([[1.0, 5.0], [3.0, 2.0]]), "max", {}, "", [np.arange(2)])
     assert np.array_equal(out.data, [[3.0, 5.0]])
 
 
@@ -178,8 +206,8 @@ def test_max_and_fcmax_permutation_invariant(rng):
     params = {"fcmax.weight": Tensor(rng.normal(size=(4, 4))),
               "fcmax.bias": Tensor(rng.normal(size=(1, 4)))}
     for agg in ("max", "fcmax"):
-        a = aggregate(Tensor(h), agg, params, "", False, None)
-        b = aggregate(Tensor(h[perm]), agg, params, "", False, None)
+        a = aggregate(Tensor(h), agg, params, "", [np.arange(6)])
+        b = aggregate(Tensor(h[perm]), agg, params, "", [np.arange(6)])
         assert np.array_equal(a.data, b.data)
 
 
@@ -190,9 +218,25 @@ def test_bilstm_aggregator_shape(rng):
               Model(cfg, rng=np.random.default_rng(0)).params.items()
               if k.startswith("sgnn_lstm")}
     out = aggregate(Tensor(rng.normal(size=(4, 100))), "bilstm", params,
-                    "sgnn_lstm", True, rng)
+                    "sgnn_lstm", [rng.permutation(4)])
     assert out.shape == (1, 200)
     assert np.all(np.isfinite(out.data))
+
+
+def test_aggregate_sequences_match_one_at_a_time(rng):
+    cfg = ModelConfig(feature_dim=3, gcn_dim=4, perspectives=3, mode="sgnn",
+                      sgnn_aggregator="bilstm")
+    params = Model(cfg, rng=np.random.default_rng(0)).params
+    params.update({"fcmax.weight": Tensor(rng.normal(size=(4, 4))),
+                   "fcmax.bias": Tensor(rng.normal(size=(1, 4)))})
+    h = Tensor(rng.normal(size=(9, 4)))
+    seqs = [np.array([4, 2, 0]), np.array([7]), np.array([1, 8, 3, 5, 6])]
+    for agg in ("max", "fcmax", "bilstm"):
+        out = aggregate(h, agg, params, "sgnn_lstm", seqs).data
+        for i, q in enumerate(seqs):
+            one = aggregate(ad.gather_rows(h, q), agg, params, "sgnn_lstm",
+                            [np.arange(len(q))]).data
+            assert np.allclose(out[i], one[0], rtol=0, atol=1e-12), agg
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +404,103 @@ def test_normalize_attention_flag(rng):
     b = normed.forward_pair(g1, g2).item()
     assert a != b  # the flag changes the computation
     assert np.isfinite(b)
+
+
+# ---------------------------------------------------------------------------
+# batched forward against a loop of batches of one
+
+CONFIGS = [(mode, agg, task) for mode in ("sgnn", "ngmn", "mgmn")
+           for agg in ("max", "fcmax", "bilstm") for task in ("classification", "regression")]
+
+
+@st.composite
+def batches(draw):
+    """Random graphs of 1-6 nodes and a batch of pairs over them; graphs recur
+    across pairs and a whole pair may repeat."""
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=5))
+    graphs = [random_graph(rng, n_min=n, n_max=n, labeled=False, gid=f"g{i}")
+              for i, n in enumerate(sizes)]
+    index = st.integers(0, len(graphs) - 1)
+    pairs = draw(st.lists(st.tuples(index, index), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        pairs.append(pairs[0])
+    return [(graphs[i], graphs[j]) for i, j in pairs]
+
+
+@pytest.mark.parametrize("mode,agg,task", CONFIGS)
+@settings(max_examples=25, deadline=None)
+@given(pairs=batches(), normalize=st.booleans(), training=st.booleans(),
+       seed=st.integers(0, 1000))
+def test_forward_batch_equals_batches_of_one(mode, agg, task, pairs, normalize, training,
+                                             seed):
+    m = Model(tiny_config(mode=mode, sgnn_aggregator=agg, task=task, dropout=0.0,
+                          normalize_attention=normalize), rng=np.random.default_rng(seed))
+    targets = np.linspace(-0.5, 0.9, len(pairs))
+
+    def scores_and_grads(run):
+        m.zero_grad()
+        scores = run()
+        backward(loss_mse(scores, targets))
+        values = scores.data if isinstance(scores, Tensor) else [p.item() for p in scores]
+        return np.asarray(values), {k: p.grad.copy() for k, p in m.params.items()}
+
+    # at train time both draw the reading orders pair by pair from one stream
+    batch, batch_grads = scores_and_grads(lambda: m.forward_batch(
+        pairs, training=training, rng=np.random.default_rng(seed)))
+    loop_rng = np.random.default_rng(seed)
+    single, single_grads = scores_and_grads(lambda: [
+        m.forward_pair(g1, g2, training=training, rng=loop_rng) for g1, g2 in pairs])
+    assert np.max(np.abs(batch - single)) <= 1e-12
+    # relative to the parameter's largest gradient entry, and absolute (1e-12)
+    # below 1e-2: a gradient that is zero in exact arithmetic, such as that of
+    # cos(a, a) in a self-pair, is rounding noise of about ulp / |a| on both
+    # sides (1e-14 seen), which no relative bound can hold
+    for k, g in single_grads.items():
+        err = np.max(np.abs(batch_grads[k] - g))
+        assert err <= 1e-10 * max(np.max(np.abs(g)), 1e-2), k
+
+
+def test_checkpoints_of_the_per_pair_model_score_the_same(tmp_path):
+    """Checkpoints and scores written by the per-pair model (forward_pair
+    before forward_batch existed) for four configurations: eval scores, and
+    train-mode scores at dropout 0 from one generator seeded 7, which pin the
+    order the reading orders are drawn in."""
+    import json
+    ref = json.loads((Path(__file__).parent / "data" / "per_pair_reference.json").read_text())
+    graphs = [make_graph(g["id"], g["nodes"], g["edges"]) for g in ref["graphs"]]
+    pairs = [(graphs[i], graphs[j]) for i, j in ref["pairs"]]
+    for name, rec in ref["models"].items():
+        path = tmp_path / f"{name}.ckpt"
+        path.write_text(json.dumps(rec["checkpoint"]))
+        model, _ = load_checkpoint(path)
+        batch = model.forward_batch(pairs).data
+        single = [model.forward_pair(g1, g2).item() for g1, g2 in pairs]
+        assert np.max(np.abs(batch - rec["scores"])) <= 1e-12, name
+        assert np.max(np.abs(np.asarray(single) - rec["scores"])) <= 1e-12, name
+        model.config.dropout = 0.0
+        train = model.forward_batch(pairs, training=True, rng=np.random.default_rng(7)).data
+        assert np.max(np.abs(train - rec["train_scores_dropout0_seed7"])) <= 1e-12, name
+
+
+def test_eval_batch_encodes_each_graph_once(rng, monkeypatch):
+    import graphmatch.model as model_module
+    g1, g2, g3 = (random_graph(rng, gid=k) for k in "abc")
+    encoded = []
+    real = model_module.gcn_forward
+    monkeypatch.setattr(model_module, "gcn_forward",
+                        lambda graphs, *a: encoded.append(list(graphs)) or real(graphs, *a))
+    m = Model(tiny_config(), rng=np.random.default_rng(0))
+    m.forward_batch([(g1, g2), (g1, g3), (g3, g1)])
+    m.forward_batch([(g1, g2), (g1, g3)], training=True, rng=rng)
+    assert [[g.id for g in gs] for gs in encoded] == [["a", "b", "c"],
+                                                     ["a", "b", "a", "c"]]
+
+
+def test_forward_batch_rejects_empty_batch():
+    with pytest.raises(ValueError, match="empty batch"):
+        Model(tiny_config(), rng=np.random.default_rng(0)).forward_batch([])
 
 
 # ---------------------------------------------------------------------------

@@ -227,3 +227,34 @@ def test_classification_needs_groups(reg_dataset):
     cfg = TrainConfig(task="classification", epochs=1)
     with pytest.raises(TrainingError):
         train(model, reg_dataset, cfg)
+
+
+def test_non_finite_gradient_refused_before_the_update(reg_dataset, monkeypatch):
+    import graphmatch.training as training_module
+    real_backward = training_module.backward
+
+    def poisoning_backward(loss):
+        real_backward(loss)
+        model.params["gcn.1.weight"].grad[0, 0] = np.inf
+
+    monkeypatch.setattr(training_module, "backward", poisoning_backward)
+    model = tiny_model()
+    before = {k: p.data.copy() for k, p in model.params.items()}
+    cfg = TrainConfig(task="regression", iterations=3, batch_size=4, seed=1, val_every=3)
+    with pytest.raises(TrainingError, match=r"non-finite gradient of parameter "
+                                            r"'gcn.1.weight' on batch \[\('"):
+        train(model, reg_dataset, cfg)
+    for k, p in model.params.items():
+        assert np.array_equal(p.data, before[k]), k
+
+
+def test_evaluate_pairs_slices_match_single_pairs(reg_dataset, monkeypatch):
+    import graphmatch.training as training_module
+    monkeypatch.setattr(training_module, "EVAL_SLICE", 4)
+    model = tiny_model(sgnn_aggregator="bilstm")
+    pairs = reg_dataset.pairs_for_split("test")[:11]
+    preds, targets = training_module.evaluate_pairs(model, reg_dataset, pairs)
+    single = [model.forward_pair(reg_dataset.graph(p.g1), reg_dataset.graph(p.g2)).item()
+              for p in pairs]
+    assert np.max(np.abs(preds - single)) <= 1e-12
+    assert targets.tolist() == [p.target for p in pairs]
