@@ -444,104 +444,87 @@ def bilstm_last(x, wx_f, wh_f, b_f, wx_b, wh_b, b_b, lengths=None):
     (S, 2*hidden). Sequence s is x[:lengths[s], s]: its backward pass starts at
     its own last row, and rows past its length are never read.
 
-    One fused node for the whole bidirectional recurrence over all sequences:
-    the sequences are sorted by decreasing length, so each timestep is one
-    (active, 2h) @ (2h, 8h) product over the sequences still running, and a
-    finished sequence's state is left as it was. The forward math is plain
-    numpy, and the backward pass is hand-written BPTT. Per-direction gate
-    layout in the fused weight matrices is [input, forget, cell, output]; the
-    cell gate is tanh, the rest sigmoid.
+    One fused node for the whole bidirectional recurrence over all sequences.
+    The two directions are stacked on a leading axis: the backward pass reads
+    each sequence reversed, and the sequences are sorted by decreasing length,
+    so each timestep is one (2, active, h) @ (2, h, 4h) product over the
+    sequences still running, and a finished sequence's state is left as it
+    was. The forward math is plain numpy, and the backward pass is
+    hand-written BPTT. Gate columns are [input, forget, cell, output], as
+    stored; the cell gate is tanh, the rest sigmoid.
     """
     x = _as_tensor(x)
     params = tuple(_as_tensor(p) for p in (wx_f, wh_f, b_f, wx_b, wh_b, b_b))
-    wx_f, wh_f, b_f, wx_b, wh_b, b_b = params
     seq, lengths = _sequences(x, lengths, "bilstm_last")
     steps, count, k = seq.shape
-    h = wh_f.data.shape[0]
-    for wx, wh, b in ((wx_f, wh_f, b_f), (wx_b, wh_b, b_b)):
+    h = params[1].data.shape[0]
+    for wx, wh, b in (params[:3], params[3:]):
         if wx.data.shape != (k, 4 * h) or wh.data.shape != (h, 4 * h) \
                 or b.data.shape != (1, 4 * h):
             raise ShapeError(
                 f"bilstm_last weight shapes disagree: x {x.shape}, wx {wx.shape}, "
                 f"wh {wh.shape}, b {b.shape}")
+    wx, wh, b = (np.stack([f.data, r.data]) for f, r in zip(params[:3], params[3:]))
 
     order = np.argsort(-lengths, kind="stable")
     lens = lengths[order]
     active = [int(np.count_nonzero(lens > t)) for t in range(steps)]
-    xs = seq[:, order]
     cols = np.arange(count)
     # row t of each sequence's reversed copy; padding maps to itself
     t_col = np.arange(steps)[:, None]
     rev = np.where(t_col < lens, lens - 1 - t_col, t_col)
-    xr = xs[rev, cols]
+    xs = np.stack([seq[:, order], seq[rev, order]]).reshape(2, -1, k)
+    z_in = (xs @ wx + b).reshape(2, steps, count, 4 * h)
 
-    # combined layout groups the two directions gate by gate so every
-    # activation below works on one contiguous block:
-    #   [i_f i_b | f_f f_b | o_f o_b | c_f c_b], each block h wide
-    # column indices of each direction's [i f c o] gates in that layout:
-    idx_f = np.concatenate([np.arange(0, h), np.arange(2 * h, 3 * h),
-                            np.arange(6 * h, 7 * h), np.arange(4 * h, 5 * h)])
-    idx_b = idx_f + h
-
-    wh_c = np.zeros((2 * h, 8 * h))
-    wh_c[np.ix_(np.arange(h), idx_f)] = wh_f.data
-    wh_c[np.ix_(np.arange(h, 2 * h), idx_b)] = wh_b.data
-    xproj = np.empty((steps, count, 8 * h))
-    xproj[..., idx_f] = xs @ wx_f.data + b_f.data
-    xproj[..., idx_b] = xr @ wx_b.data + b_b.data
-
-    sig = np.zeros((steps, count, 6 * h))  # [i | f | o] blocks, both directions
-    gc = np.zeros((steps, count, 2 * h))   # cell candidate
-    cs = np.zeros((steps, count, 2 * h))   # cell state after each step
-    ss = np.zeros((steps, count, 2 * h))   # hidden state entering each step
-    s = np.zeros((count, 2 * h))
-    c = np.zeros((count, 2 * h))
+    gates = np.zeros((2, steps, count, 4 * h))  # gate activations
+    cs = np.zeros((2, steps, count, h))         # cell state after each step
+    ss = np.zeros((2, steps, count, h))         # hidden state entering each step
+    s = np.zeros((2, count, h))
+    c = np.zeros((2, count, h))
     for t in range(steps):
         n = active[t]
-        ss[t, :n] = s[:n]
-        z = s[:n] @ wh_c
-        z += xproj[t, :n]
-        sg = sig[t, :n]
-        sg[:] = _sigmoid(z[:, :6 * h])
-        g = gc[t, :n]
-        g[:] = np.tanh(z[:, 6 * h:])
-        c[:n] = sg[:, 2 * h:4 * h] * c[:n] + sg[:, :2 * h] * g
-        cs[t, :n] = c[:n]
-        s[:n] = sg[:, 4 * h:] * np.tanh(c[:n])
-    out = np.empty_like(s)
-    out[order] = s
+        ss[:, t, :n] = s[:, :n]
+        z = s[:, :n] @ wh
+        z += z_in[:, t, :n]
+        a = gates[:, t, :n]
+        a[..., :2 * h] = _sigmoid(z[..., :2 * h])
+        a[..., 2 * h:3 * h] = np.tanh(z[..., 2 * h:3 * h])
+        a[..., 3 * h:] = _sigmoid(z[..., 3 * h:])
+        c[:, :n] = a[..., h:2 * h] * c[:, :n] + a[..., :h] * a[..., 2 * h:3 * h]
+        cs[:, t, :n] = c[:, :n]
+        s[:, :n] = a[..., 3 * h:] * np.tanh(c[:, :n])
+    out = np.empty((count, 2 * h))
+    out[order] = np.concatenate([s[0], s[1]], axis=1)
 
     def bw(grad):
-        ds = grad[order]
-        dc = np.zeros((count, 2 * h))
-        dz_all = np.zeros((steps, count, 8 * h))
+        ds = np.stack([grad[order, :h], grad[order, h:]])
+        dc = np.zeros((2, count, h))
+        dz_all = np.zeros((2, steps, count, 4 * h))
+        wh_t = wh.transpose(0, 2, 1)
         for t in range(steps - 1, -1, -1):
             n = active[t]
-            gi = sig[t, :n, :2 * h]
-            gf = sig[t, :n, 2 * h:4 * h]
-            go = sig[t, :n, 4 * h:]
-            tc = np.tanh(cs[t, :n])
-            dcn = dc[:n] + ds[:n] * go * (1.0 - tc * tc)
-            c_prev = cs[t - 1, :n] if t > 0 else 0.0
-            dz = dz_all[t, :n]
-            dz[:, :2 * h] = dcn * gc[t, :n] * gi * (1.0 - gi)
-            dz[:, 2 * h:4 * h] = dcn * c_prev * gf * (1.0 - gf)
-            dz[:, 4 * h:6 * h] = ds[:n] * tc * go * (1.0 - go)
-            dz[:, 6 * h:] = dcn * gi * (1.0 - gc[t, :n] * gc[t, :n])
-            ds[:n] = dz @ wh_c.T
-            dc[:n] = dcn * gf
-        gwh_c = ss.reshape(-1, 2 * h).T @ dz_all.reshape(-1, 8 * h)
-        dz_f = dz_all[..., idx_f].reshape(-1, 4 * h)
-        dz_b = dz_all[..., idx_b].reshape(-1, 4 * h)
-        gxs = (dz_f @ wx_f.data.T).reshape(steps, count, k)
-        gxs[rev, cols] += (dz_b @ wx_b.data.T).reshape(steps, count, k)
+            a = gates[:, t, :n]
+            gi, gf, gc, go = (a[..., j * h:(j + 1) * h] for j in range(4))
+            tc = np.tanh(cs[:, t, :n])
+            dcn = dc[:, :n] + ds[:, :n] * go * (1.0 - tc * tc)
+            c_prev = cs[:, t - 1, :n] if t > 0 else 0.0
+            dz = dz_all[:, t, :n]
+            dz[..., :h] = dcn * gc * gi * (1.0 - gi)
+            dz[..., h:2 * h] = dcn * c_prev * gf * (1.0 - gf)
+            dz[..., 2 * h:3 * h] = dcn * gi * (1.0 - gc * gc)
+            dz[..., 3 * h:] = ds[:, :n] * tc * go * (1.0 - go)
+            ds[:, :n] = dz @ wh_t
+            dc[:, :n] = dcn * gf
+        dz_all = dz_all.reshape(2, -1, 4 * h)
+        gwx = xs.transpose(0, 2, 1) @ dz_all
+        gwh = ss.reshape(2, -1, h).transpose(0, 2, 1) @ dz_all
+        gb = dz_all.sum(axis=1, keepdims=True)
+        gxd = (dz_all @ wx.transpose(0, 2, 1)).reshape(2, steps, count, k)
+        gxs = gxd[0]
+        gxs[rev, cols] += gxd[1]
         gx = np.empty_like(gxs)
         gx[:, order] = gxs
-        return (gx.reshape(x.data.shape),
-                xs.reshape(-1, k).T @ dz_f, gwh_c[np.ix_(np.arange(h), idx_f)],
-                dz_f.sum(axis=0, keepdims=True),
-                xr.reshape(-1, k).T @ dz_b, gwh_c[np.ix_(np.arange(h, 2 * h), idx_b)],
-                dz_b.sum(axis=0, keepdims=True))
+        return (gx.reshape(x.data.shape), gwx[0], gwh[0], gb[0], gwx[1], gwh[1], gb[1])
 
     return _make(out, (x,) + params, bw)
 

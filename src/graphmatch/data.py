@@ -105,8 +105,8 @@ def load_dataset(graphs_path, pairs_path=None, split_path=None, task="regression
                                rec.get("group"))
             except (ValueError, KeyError, TypeError) as e:
                 raise DatasetError(f"{graphs_path}:{lineno}: {e}") from e
-            if rec["id"] in graphs:
-                raise DatasetError(f"{graphs_path}:{lineno}: duplicate id {rec['id']!r}")
+            if g.id in graphs:
+                raise DatasetError(f"{graphs_path}:{lineno}: duplicate id {g.id!r}")
             if width is None:
                 width = g.feature_dim
             elif g.feature_dim != width:
@@ -128,6 +128,9 @@ def load_dataset(graphs_path, pairs_path=None, split_path=None, task="regression
                     p = LabeledPair(str(rec["g1"]), str(rec["g2"]), float(rec["y"]))
                 except (ValueError, KeyError, TypeError) as e:
                     raise DatasetError(f"{pairs_path}:{lineno}: {e}") from e
+                if not np.isfinite(p.target):
+                    raise DatasetError(f"{pairs_path}:{lineno}: target y must be finite, "
+                                       f"got {p.target}")
                 for gid in (p.g1, p.g2):
                     if gid not in graphs:
                         raise DatasetError(
@@ -138,7 +141,10 @@ def load_dataset(graphs_path, pairs_path=None, split_path=None, task="regression
 
     if split_path is not None and os.path.exists(split_path):
         with open(split_path, encoding="utf-8") as fh:
-            split = {k: list(v) for k, v in json.load(fh).items()}
+            try:
+                split = {k: [str(gid) for gid in ids] for k, ids in json.load(fh).items()}
+            except (ValueError, TypeError, AttributeError) as e:
+                raise DatasetError(f"{split_path}: not an object of id lists: {e}") from e
         seen = set()
         for name, ids in split.items():
             for gid in ids:

@@ -1,6 +1,7 @@
 """Graph container and the preprocessing the GCN encoder consumes."""
 
 import logging
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,11 +44,17 @@ def make_graph(graph_id, features, edges, labels=None, group=None):
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[0] < 1:
         raise GraphError(f"graph {graph_id!r}: features must be a non-empty N x d matrix")
+    if not np.isfinite(feats).all():
+        raise GraphError(f"graph {graph_id!r}: features must be finite")
     n = feats.shape[0]
     seen = set()
     dupes = 0
     for e in edges:
-        u, v = int(e[0]), int(e[1])
+        try:
+            u, v = (operator.index(x) for x in e)
+        except (TypeError, ValueError):
+            raise GraphError(f"graph {graph_id!r}: edge {e!r} is not a pair of "
+                             f"integer node indices") from None
         if not (0 <= u < n and 0 <= v < n):
             raise GraphError(f"graph {graph_id!r}: edge ({u}, {v}) out of range for {n} nodes")
         if u == v:
@@ -59,7 +66,10 @@ def make_graph(graph_id, features, edges, labels=None, group=None):
     if dupes:
         log.warning("graph %r: dropped %d duplicate edge(s)", graph_id, dupes)
     if labels is not None:
-        labels = tuple(int(x) for x in labels)
+        try:
+            labels = tuple(operator.index(x) for x in labels)
+        except TypeError:
+            raise GraphError(f"graph {graph_id!r}: labels must be integers") from None
         if len(labels) != n:
             raise GraphError(f"graph {graph_id!r}: {len(labels)} labels for {n} nodes")
     feats.setflags(write=False)

@@ -71,9 +71,9 @@ def _glorot(rng, fan_in, fan_out, shape=None):
 
 
 def _lstm_params(rng, input_dim, hidden):
-    # fused gate layout: [input, forget, cell, output]; forget bias starts at 1
+    # gate columns [input, forget, cell, output], as ad.bilstm_last reads them
     b = np.zeros((1, 4 * hidden))
-    b[0, hidden:2 * hidden] = 1.0
+    b[0, hidden:2 * hidden] = 1.0  # forget bias starts at 1
     return {
         "wx": _glorot(rng, input_dim, 4 * hidden),
         "wh": _glorot(rng, hidden, 4 * hidden),

@@ -10,8 +10,8 @@ import numpy as np
 from .autodiff import backward
 from .graphs import LabeledPair
 from .metrics import auc, mse_metric
-from .model import (Model, config_from_dict, decode_arrays, encode_arrays, loss_mse,
-                    save_checkpoint)
+from .model import (TASKS, Model, config_from_dict, decode_arrays, encode_arrays,
+                    loss_mse, save_checkpoint)
 from .optim import Adam
 
 log = logging.getLogger(__name__)
@@ -41,12 +41,17 @@ class TrainConfig:
     grad_clip: float | None = None      # off unless rescuing a diverging run
 
     def __post_init__(self):
+        if self.task not in TASKS:
+            raise ValueError(f"task must be one of {TASKS}, got {self.task!r}")
         if self.learning_rate is None:
             self.learning_rate = 0.5e-3 if self.task == "classification" else 5e-3
-        if self.learning_rate < 0:
-            raise ValueError("learning rate must be >= 0")
-        if self.batch_pairs < 1 or self.batch_size < 1:
-            raise ValueError("batch sizes must be >= 1")
+        if not self.learning_rate >= 0:
+            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        for name in ("epochs", "batch_pairs", "iterations", "batch_size", "val_every"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.grad_clip is not None and not self.grad_clip > 0:
+            raise ValueError(f"grad_clip must be > 0 or None, got {self.grad_clip}")
 
 
 @dataclass

@@ -3,6 +3,7 @@ import pytest
 
 from graphmatch import autodiff as ad
 from graphmatch.autodiff import Tensor, backward, finite_difference_grad
+from graphmatch.model import _lstm_params
 
 from conftest import rel_err
 
@@ -282,6 +283,44 @@ def test_bilstm_last_sequences_match_single_calls():
     for s, n in enumerate(lengths):
         one = ad.bilstm_last(Tensor(x[:n, s]), *params).data
         assert np.allclose(out[s], one[0], rtol=0, atol=1e-12)
+
+
+def reference_lstm_last(x, wx, wh, b):
+    """Last hidden state of one LSTM direction over one sequence x (T, k),
+    one step at a time; gate columns [input, forget, cell, output]."""
+    h = wh.shape[0]
+    sig = lambda z: 1.0 / (1.0 + np.exp(-z))  # noqa: E731
+    s, c = np.zeros(h), np.zeros(h)
+    for row in x:
+        z = row @ wx + s @ wh + b[0]
+        i, f, g, o = sig(z[:h]), sig(z[h:2 * h]), np.tanh(z[2 * h:3 * h]), sig(z[3 * h:])
+        c = f * c + i * g
+        s = o * np.tanh(c)
+    return s
+
+
+def test_bilstm_last_matches_reference_lstm():
+    rng = np.random.default_rng(8)
+    steps, k, h = 5, 3, 4
+    lengths = [3, 5, 1, 2]
+    x = rng.normal(size=(steps, len(lengths), k))
+    # model initialisation, so the forget bias of 1 sits where the kernel reads it
+    params = [Tensor(p.data) for d in ("fw", "bw")
+              for p in _lstm_params(rng, k, h).values()]
+    # a nonzero bias in every gate as well
+    for p in params[2], params[5]:
+        p.data += rng.normal(size=p.data.shape)
+    out = ad.bilstm_last(Tensor(x), *params, lengths=lengths).data
+    fw, bw = ([p.data for p in params[:3]], [p.data for p in params[3:]])
+    for s, n in enumerate(lengths):
+        seq = x[:n, s]
+        assert np.allclose(out[s, :h], reference_lstm_last(seq, *fw), rtol=0, atol=1e-12)
+        assert np.allclose(out[s, h:], reference_lstm_last(seq[::-1], *bw),
+                           rtol=0, atol=1e-12)
+    params[4].data += 0.5
+    moved = ad.bilstm_last(Tensor(x), *params, lengths=lengths).data
+    assert np.array_equal(moved[:, :h], out[:, :h])
+    assert not np.allclose(moved[:, h:], out[:, h:])
 
 
 def test_bilstm_last_lengths_checked():

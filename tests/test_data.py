@@ -1,9 +1,14 @@
 import json
 import logging
+import math
 import os
+import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphmatch.data import (Dataset, DatasetError, gen_clone_dataset, gen_ged_dataset,
                              load_dataset, load_dataset_dir, save_dataset)
@@ -72,6 +77,106 @@ def test_inconsistent_feature_width_rejected(tmp_path):
                              "edges": []}) + "\n")
     with pytest.raises(DatasetError, match="feature width"):
         load_dataset_dir(tmp_path)
+
+
+def write_jsonl(path, records):
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+
+def test_numeric_duplicate_ids_rejected(tmp_path):
+    # "id": 5 twice is one graph id "5" twice, not two graphs
+    write_jsonl(tmp_path / "graphs.jsonl",
+                [{"id": 5, "nodes": [[1.0]], "edges": []}] * 2)
+    with pytest.raises(DatasetError, match=r"graphs.jsonl:2: duplicate id '5'"):
+        load_dataset(tmp_path / "graphs.jsonl")
+
+
+def test_numeric_split_ids_match_numeric_graph_ids(tmp_path):
+    write_jsonl(tmp_path / "graphs.jsonl",
+                [{"id": i, "nodes": [[1.0]], "edges": []} for i in (1, 2)])
+    write_jsonl(tmp_path / "pairs.jsonl", [{"g1": 1, "g2": 2, "y": 0.5}])
+    (tmp_path / "split.json").write_text(json.dumps({"train": [1], "val": [], "test": [2]}))
+    ds = load_dataset_dir(tmp_path)
+    assert ds.split == {"train": ["1"], "val": [], "test": ["2"]}
+    assert ds.pair_split(ds.pairs[0]) == "test"
+
+
+def test_non_finite_target_rejected(tmp_path):
+    write_jsonl(tmp_path / "graphs.jsonl",
+                [{"id": i, "nodes": [[1.0]], "edges": []} for i in "ab"])
+    write_jsonl(tmp_path / "pairs.jsonl", [{"g1": "a", "g2": "b", "y": 0.5},
+                                           {"g1": "a", "g2": "b", "y": float("nan")}])
+    with pytest.raises(DatasetError, match=r"pairs.jsonl:2: target y must be finite"):
+        load_dataset(tmp_path / "graphs.jsonl", tmp_path / "pairs.jsonl")
+
+
+VALID_GRAPHS = [
+    {"id": "a", "group": "x", "labels": [0, 1], "nodes": [[1.0, 0.0], [0.0, 1.0]],
+     "edges": [[0, 1]]},
+    {"id": "b", "group": "y", "labels": [1, 1, 0],
+     "nodes": [[0.0, 1.0], [0.5, 0.5], [1.0, 0.0]], "edges": [[0, 1], [2, 1]]},
+    {"id": "c", "nodes": [[2.0, -1.0]], "edges": []},
+]
+VALID_PAIRS = [{"g1": "a", "g2": "b", "y": 0.5}, {"g1": "b", "g2": "c", "y": -0.25}]
+
+
+def numeric_paths(value, path=()):
+    """Paths to every number (not bool) inside a JSON value."""
+    if isinstance(value, dict):
+        return [p for k, v in value.items() for p in numeric_paths(v, path + (k,))]
+    if isinstance(value, list):
+        return [p for i, v in enumerate(value) for p in numeric_paths(v, path + (i,))]
+    return [path] if isinstance(value, (int, float)) and not isinstance(value, bool) else []
+
+
+@st.composite
+def mutated_files(draw):
+    """The valid graph and pair records, one line of one file mutated."""
+    files = {"graphs": json.loads(json.dumps(VALID_GRAPHS)),
+             "pairs": json.loads(json.dumps(VALID_PAIRS))}
+    name = draw(st.sampled_from(sorted(files)))
+    lines = files[name]
+    i = draw(st.integers(0, len(lines) - 1))
+    rec = lines[i]
+    kind = draw(st.sampled_from(["drop", "truncate", "retype", "nan"]))
+    if kind == "drop":
+        del rec[draw(st.sampled_from(sorted(rec)))]
+    elif kind == "retype":
+        rec[draw(st.sampled_from(sorted(rec)))] = draw(st.sampled_from(
+            [None, True, 7, 2.5, "s", [], {}, [0], [[0]], [[0, 1.7]], [[True, "x"]]]))
+    elif kind == "nan":
+        *parent, last = draw(st.sampled_from(numeric_paths(rec)))
+        holder = rec
+        for key in parent:
+            holder = holder[key]
+        holder[last] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    text = {k: [json.dumps(r) for r in v] for k, v in files.items()}
+    if kind == "truncate":
+        text[name][i] = text[name][i][:draw(st.integers(0, len(text[name][i]) - 1))]
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(files=mutated_files())
+def test_mutated_record_loads_or_names_its_line(files):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, lines in files.items():
+            paths[name] = os.path.join(tmp, f"{name}.jsonl")
+            with open(paths[name], "w", encoding="utf-8") as fh:
+                fh.write("".join(line + "\n" for line in lines))
+        try:
+            ds = load_dataset(paths["graphs"], paths["pairs"])
+        except DatasetError as e:
+            cited = "|".join(re.escape(p) for p in paths.values())
+            assert re.match(rf"({cited}):\d+: ", str(e)), str(e)
+            return
+    for g in ds.graphs.values():
+        assert np.isfinite(g.features).all()
+        assert all(0 <= u < v < g.num_nodes for u, v in g.edges)
+    for p in ds.pairs:
+        assert math.isfinite(p.target)
+        assert p.g1 in ds.graphs and p.g2 in ds.graphs
 
 
 def test_split_disjoint_and_complete():

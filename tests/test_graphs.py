@@ -88,6 +88,20 @@ def test_label_length_checked():
         make_graph("a", np.zeros((3, 1)), [], labels=[1, 2])
 
 
+@pytest.mark.parametrize("feats, edges, labels", [
+    (np.zeros((2, 1)), [[0]], None),           # an edge needs two endpoints
+    (np.zeros((3, 1)), [[0, 1, 2]], None),
+    (np.zeros((2, 1)), [[0, 1.7]], None),      # not truncated to (0, 1)
+    (np.zeros((2, 1)), [1], None),
+    (np.zeros((2, 1)), [], [0, 1.5]),
+    (np.array([[0.0], [np.nan]]), [], None),
+    (np.array([[np.inf], [0.0]]), [], None),
+])
+def test_malformed_graph_rejected(feats, edges, labels):
+    with pytest.raises(GraphError, match="graph 'a'"):
+        make_graph("a", feats, edges, labels)
+
+
 def test_adjacency_matrix_symmetric():
     g = make_graph("a", np.zeros((3, 1)), [(0, 2)])
     a = adjacency_matrix(g)

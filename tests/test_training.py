@@ -229,6 +229,16 @@ def test_classification_needs_groups(reg_dataset):
         train(model, reg_dataset, cfg)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("task", "regresion"), ("val_every", 0), ("iterations", 0), ("epochs", 0),
+    ("epochs", -1), ("grad_clip", 0.0), ("grad_clip", -1.0), ("grad_clip", float("nan")),
+    ("learning_rate", -1e-3),
+])
+def test_train_config_refuses_values_it_cannot_run(field, value):
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(**{field: value})
+
+
 def test_non_finite_gradient_refused_before_the_update(reg_dataset, monkeypatch):
     import graphmatch.training as training_module
     real_backward = training_module.backward
