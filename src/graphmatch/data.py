@@ -15,6 +15,7 @@ ground-truth score matrix into the three files above.
 import json
 import logging
 import os
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -209,8 +210,14 @@ def gen_ged_dataset(n_graphs, node_range=(4, 9), edge_prob=0.25, n_labels=3,
     against train graphs (the retrieval layout used at evaluation time).
     """
     lo, hi = node_range
+    if not 1 <= lo <= hi:
+        raise DatasetError(f"node_range must satisfy 1 <= min <= max, got {node_range}")
     if hi > node_budget:
         raise DatasetError(f"node_range max {hi} exceeds ged budget {node_budget}")
+    if n_labels < 1:
+        raise DatasetError(f"n_labels must be >= 1, got {n_labels}")
+    if not 0.0 <= edge_prob <= 1.0:
+        raise DatasetError(f"edge_prob must be in [0, 1], got {edge_prob}")
     rng = np.random.default_rng(seed)
     graphs = {}
     for i in range(n_graphs):
@@ -244,9 +251,18 @@ def gen_ged_dataset(n_graphs, node_range=(4, 9), edge_prob=0.25, n_labels=3,
             cand_pairs.extend((gid, c) for c in cands)
 
     pairs = []
+    expanded, ms = [], []
     for g1, g2 in cand_pairs:
+        t0 = time.perf_counter()
         res = ged_exact(graphs[g1], graphs[g2], node_budget=node_budget, timeout=timeout)
+        ms.append(1e3 * (time.perf_counter() - t0))
+        expanded.append(res.nodes_expanded)
         pairs.append(LabeledPair(g1, g2, res.normalized_similarity))
+    if pairs:
+        p50, p90 = np.percentile(ms, [50, 90])
+        log.info("exact GED: %d pairs, %d nodes expanded (max %d per pair), "
+                 "ms per pair p50 %.2f p90 %.2f max %.2f",
+                 len(pairs), sum(expanded), max(expanded), p50, p90, max(ms))
     return Dataset(graphs=graphs, pairs=pairs, split=split, task="regression")
 
 

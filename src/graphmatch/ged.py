@@ -2,8 +2,8 @@
 
 Distance is the minimum total cost of node insertions/deletions/substitutions
 and edge insertions/deletions turning one graph into the other. The search
-maps nodes of the first graph in fixed index order onto nodes of the second
-graph or onto deletion; leftover second-graph nodes are insertions.
+maps nodes of the first graph, in order of descending degree, onto nodes of
+the second graph or onto deletion; leftover second-graph nodes are insertions.
 """
 
 import heapq
@@ -57,9 +57,9 @@ def _labels(g):
     return (0,) * g.num_nodes
 
 
-def _adj_masks(g):
-    adj = [0] * g.num_nodes
-    for u, v in g.edges:
+def _adj_masks(n, edges):
+    adj = [0] * n
+    for u, v in edges:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return adj
@@ -68,19 +68,24 @@ def _adj_masks(g):
 def ged_exact(g1, g2, costs=None, node_budget=10, timeout=10.0):
     """Optimal edit distance by A* over prefix node mappings.
 
-    A state maps g1 nodes ``0..depth-1`` onto distinct g2 nodes or onto
-    deletion; ``used`` is the int bitmask of the g2 nodes taken. Its cost ``g``
-    charges every node edit of the prefix and every edge between prefix nodes
-    or between used g2 nodes. Neighbourhoods are bitmasks, so mapping node i
-    onto a free g2 node j costs, with ``img`` the images of i's mapped prefix
-    neighbours, a substitution plus ``edge_delete`` for each prefix neighbour
-    whose edge is not kept (``back - |img & adj2[j]|``) and ``edge_insert`` for
-    each used neighbour of j with no edge to i (``|used & adj2[j]| -
-    |img & adj2[j]|``).
+    g1's nodes are mapped in order of descending degree, ties broken by index:
+    they are relabelled into that order once per call, and everything below
+    reads the relabelled labels and edges. Mapping high-degree nodes first
+    charges most edges early, so the bounds below tighten sooner.
 
-    The heuristic depends only on ``(depth, used)`` and is memoized on it, the
-    g2 side statistics (free label counts, free-free and free-used edge
-    counts) on ``used``. Below full depth it adds two admissible bounds:
+    A state maps the first ``depth`` nodes of that order onto distinct g2 nodes
+    or onto deletion; ``used`` is the int bitmask of the g2 nodes taken. Its
+    cost ``g`` charges every node edit of the prefix and every edge between
+    prefix nodes or between used g2 nodes. Neighbourhoods are bitmasks, so
+    mapping node i onto a free g2 node j costs, with ``img`` the images of i's
+    mapped prefix neighbours, a substitution plus ``edge_delete`` for each
+    prefix neighbour whose edge is not kept (``back - |img & adj2[j]|``) and
+    ``edge_insert`` for each used neighbour of j with no edge to i
+    (``|used & adj2[j]| - |img & adj2[j]|``).
+
+    The pushed heuristic depends only on ``(depth, used)`` and is memoized on
+    it, the g2 side statistics (free label counts, free-free and free-used
+    edge counts) on ``used``. Below full depth it adds two admissible bounds:
 
     - nodes: every unmapped g1 node and free g2 node takes part in some node
       edit, and at most the label-multiset intersection of the two sides can
@@ -92,6 +97,21 @@ def ged_exact(g1, g2, costs=None, node_budget=10, timeout=10.0):
       so at least ``|I1 - I2| + |C1 - C2|`` edge edits remain, each costing at
       least the cheapest edge operation.
 
+    The crossing term is tightened per image. Each uncharged crossing g1 edge
+    has exactly one prefix end p, and each free-used g2 edge exactly one used
+    end, the image of a single prefix node. A kept crossing edge at p maps
+    onto a free-used g2 edge at p's image, so with ``c1(p)`` the unmapped g1
+    neighbours of p and ``c2(p)`` the free g2 neighbours of its image (0 for a
+    deleted p), at least ``|c1(p) - c2(p)|`` edits touch the crossing edges at
+    p, and these edit sets are disjoint across p. So ``sum_p |c1(p) - c2(p)|``
+    is admissible and, by the triangle inequality, at least ``|C1 - C2|``.
+    It depends on the whole mapping, not on ``(depth, used)``, so it is applied
+    lazily: a non-goal state is pushed with the memoized key, and on its first
+    pop the gap ``(sum_p |c1(p) - c2(p)| - |C1 - C2|) * min_edge_cost`` is
+    computed; if it is positive the state is pushed again, marked refined, at
+    ``f + gap``. Only expansions count towards ``nodes_expanded``, and a
+    popped key, refined or not, is still a lower bound on the distance.
+
     At full depth the heuristic is the exact completion cost (insert every
     free g2 node and every g2 edge touching one), so a popped goal's priority
     is its total cost and, every other bound being admissible, the first goal
@@ -102,9 +122,14 @@ def ged_exact(g1, g2, costs=None, node_budget=10, timeout=10.0):
     n, m = g1.num_nodes, g2.num_nodes
     if max(n, m) > node_budget:
         raise GedBudgetError(f"graphs of size {n}/{m} exceed node budget {node_budget}")
+    degree = [adj.bit_count() for adj in _adj_masks(n, g1.edges)]
+    order = sorted(range(n), key=lambda v: (-degree[v], v))
+    pos = {v: k for k, v in enumerate(order)}
+    edges1 = [(min(pos[u], pos[v]), max(pos[u], pos[v])) for u, v in g1.edges]
     lab1, lab2 = _labels(g1), _labels(g2)
-    adj2 = _adj_masks(g2)
-    back1 = [[u for u, v in g1.edges if v == i] for i in range(n)]  # prefix neighbours
+    lab1 = tuple(lab1[v] for v in order)
+    adj1, adj2 = _adj_masks(n, edges1), _adj_masks(m, g2.edges)
+    back1 = [[u for u, v in edges1 if v == i] for i in range(n)]  # prefix neighbours
     sub = [[costs.substitution(a, b) for b in lab2] for a in lab1]
     min_node_cost = min(costs.node_substitute, costs.node_delete, costs.node_insert)
     min_edge_cost = min(costs.edge_delete, costs.edge_insert)
@@ -112,11 +137,13 @@ def ged_exact(g1, g2, costs=None, node_budget=10, timeout=10.0):
     label_masks2 = {}
     for j, lab in enumerate(lab2):
         label_masks2[lab] = label_masks2.get(lab, 0) | 1 << j
-    # per depth: count of each g2 label among g1 nodes >= depth, and the
-    # uncharged g1 edges internal to those nodes / crossing to the prefix
+    # per depth: count of each g2 label among g1 nodes >= depth, the uncharged
+    # g1 edges internal to those nodes / crossing to the prefix, and per prefix
+    # node p its crossing edges c1(p)
     tail1 = [[lab1[d:].count(lab) for lab in label_masks2] for d in range(n + 1)]
-    internal1 = [sum(1 for u, _ in g1.edges if u >= d) for d in range(n + 1)]
-    cross1 = [sum(1 for u, v in g1.edges if u < d <= v) for d in range(n + 1)]
+    internal1 = [sum(1 for u, _ in edges1 if u >= d) for d in range(n + 1)]
+    cross1 = [sum(1 for u, v in edges1 if u < d <= v) for d in range(n + 1)]
+    cross1_at = [[(adj1[p] >> d).bit_count() for p in range(d)] for d in range(n + 1)]
     label_masks2 = list(label_masks2.values())
     full = (1 << m) - 1
 
@@ -153,16 +180,33 @@ def ged_exact(g1, g2, costs=None, node_budget=10, timeout=10.0):
         return h
 
     DEL = -1
+
+    def crossing_gap(depth, used, mapping):
+        c1_total, c2_total = cross1[depth], free_memo[used][3]
+        if not (c1_total and c2_total):  # one side empty: both bounds agree
+            return 0
+        free = full & ~used
+        per_image = 0
+        for c1, j in zip(cross1_at[depth], mapping):
+            per_image += abs(c1 - (adj2[j] & free).bit_count()) if j != DEL else c1
+        return (per_image - abs(c1_total - c2_total)) * min_edge_cost
+
     counter = itertools.count()
-    heap = [(heuristic(0, 0), 0, next(counter), 0.0, 0, 0, ())]
+    heap = [(heuristic(0, 0), 0, next(counter), 0.0, 0, 0, (), False)]
     deadline = time.monotonic() + timeout
     expanded = 0
     while heap:
-        f, _negd, _, g, depth, used, mapping = heapq.heappop(heap)
+        f, negd, _, g, depth, used, mapping, refined = heapq.heappop(heap)
         if time.monotonic() > deadline:
             raise GedTimeoutError(f)
         if depth == n:
             return GedResult(f, normalized_similarity(f, n, m), expanded)
+        if not refined:
+            gap = crossing_gap(depth, used, mapping)
+            if gap > 0:
+                heapq.heappush(heap, (f + gap, negd, next(counter), g, depth, used, mapping,
+                                      True))
+                continue
         expanded += 1
         i, nd = depth, depth + 1
         img = 0
@@ -181,12 +225,12 @@ def ged_exact(g1, g2, costs=None, node_budget=10, timeout=10.0):
             nu = used | 1 << j
             ng = g + step
             heapq.heappush(heap, (ng + heuristic(nd, nu), -nd, next(counter),
-                                  ng, nd, nu, mapping + (j,)))
+                                  ng, nd, nu, mapping + (j,), False))
         # delete node i; its edges to already-processed nodes get charged now,
         # edges to later nodes when those are reached
         ng = g + costs.node_delete + costs.edge_delete * back
         heapq.heappush(heap, (ng + heuristic(nd, used), -nd, next(counter),
-                              ng, nd, used, mapping + (DEL,)))
+                              ng, nd, used, mapping + (DEL,), False))
     raise RuntimeError("A* exhausted the queue without reaching a goal")
 
 

@@ -42,8 +42,9 @@ class Graph:
 def make_graph(graph_id, features, edges, labels=None, group=None):
     """Build and validate a Graph, deduplicating undirected edges."""
     feats = np.asarray(features, dtype=np.float64)
-    if feats.ndim != 2 or feats.shape[0] < 1:
-        raise GraphError(f"graph {graph_id!r}: features must be a non-empty N x d matrix")
+    if feats.ndim != 2 or feats.shape[0] < 1 or feats.shape[1] < 1:
+        raise GraphError(f"graph {graph_id!r}: features must be an N x d matrix with "
+                         f"N, d >= 1, got shape {feats.shape}")
     if not np.isfinite(feats).all():
         raise GraphError(f"graph {graph_id!r}: features must be finite")
     n = feats.shape[0]

@@ -42,6 +42,8 @@ class ModelConfig:
     normalize_attention: bool = False
 
     def __post_init__(self):
+        if self.feature_dim < 1:
+            raise ConfigError(f"feature_dim must be >= 1, got {self.feature_dim}")
         if self.gcn_layers < 1 or self.gcn_dim < 1 or self.perspectives < 1:
             raise ConfigError("gcn_layers, gcn_dim and perspectives must be >= 1")
         if not 0.0 <= self.dropout < 1.0:

@@ -241,6 +241,34 @@ def test_node_range_over_budget_rejected():
         gen_ged_dataset(n_graphs=4, node_range=(4, 20))
 
 
+@pytest.mark.parametrize("kw, message", [
+    ({"node_range": (5, 3)}, r"node_range must satisfy 1 <= min <= max, got \(5, 3\)"),
+    ({"node_range": (0, 3)}, r"node_range must satisfy 1 <= min <= max, got \(0, 3\)"),
+    ({"n_labels": 0}, r"n_labels must be >= 1, got 0"),
+    ({"edge_prob": -0.5}, r"edge_prob must be in \[0, 1\], got -0.5"),
+    ({"edge_prob": 1.5}, r"edge_prob must be in \[0, 1\], got 1.5"),
+], ids=["node_range_reversed", "node_range_from_zero", "no_labels", "edge_prob_negative",
+        "edge_prob_above_one"])
+def test_ged_generator_parameters_checked(kw, message):
+    with pytest.raises(DatasetError, match=message):
+        gen_ged_dataset(n_graphs=4, **kw)
+
+
+def test_ged_generation_logs_its_cost(caplog):
+    with caplog.at_level(logging.INFO, logger="graphmatch.data"):
+        ds = small_ged_dataset()
+    lines = [r.getMessage() for r in caplog.records if r.name == "graphmatch.data"]
+    assert len(lines) == 1  # one line per corpus, not per pair
+    m = re.fullmatch(r"exact GED: (\d+) pairs, (\d+) nodes expanded \(max (\d+) per pair\), "
+                     r"ms per pair p50 ([\d.]+) p90 ([\d.]+) max ([\d.]+)", lines[0])
+    assert m, lines[0]
+    pairs, total, most = (int(x) for x in m.group(1, 2, 3))
+    p50, p90, slowest = (float(x) for x in m.group(4, 5, 6))
+    assert pairs == len(ds.pairs)
+    assert 0 < most <= total
+    assert p50 <= p90 <= slowest
+
+
 # ---------------------------------------------------------------------------
 # clone generator
 

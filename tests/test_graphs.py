@@ -96,6 +96,7 @@ def test_label_length_checked():
     (np.zeros((2, 1)), [], [0, 1.5]),
     (np.array([[0.0], [np.nan]]), [], None),
     (np.array([[np.inf], [0.0]]), [], None),
+    (np.zeros((2, 0)), [(0, 1)], None),         # zero-width features
 ])
 def test_malformed_graph_rejected(feats, edges, labels):
     with pytest.raises(GraphError, match="graph 'a'"):
