@@ -1,7 +1,5 @@
 import json
-import logging
 import os
-import re
 
 import numpy as np
 import pytest
@@ -40,14 +38,6 @@ def test_gen_is_deterministic(tmp_path):
         assert main(argv) == 0
     for name in ("graphs.jsonl", "pairs.jsonl", "split.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-
-
-def test_gen_ged_logs_search_cost(tmp_path, caplog):
-    with caplog.at_level(logging.INFO):
-        assert main(["gen", "ged", "--graphs", "10", "--node-range", "4", "5",
-                     "--seed", "1", "--out", str(tmp_path / "ds")]) == 0
-    assert re.search(r"exact GED: \d+ pairs, \d+ nodes expanded \(max \d+ per pair\), "
-                     r"ms per pair p50", caplog.text)
 
 
 def test_gen_ged_bad_node_range_refused(tmp_path, caplog):
