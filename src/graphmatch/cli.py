@@ -14,10 +14,11 @@ import os
 import sys
 import time
 from dataclasses import fields
+from functools import partial
 
 from . import __version__
-from .data import (gen_clone_dataset, gen_ged_dataset, load_dataset,
-                   load_dataset_dir, save_dataset)
+from .data import (check_clone_params, check_ged_params, gen_clone_dataset,
+                   gen_ged_dataset, load_dataset, load_dataset_dir, save_dataset)
 from .ged import EditCostScheme, GedBudgetError, GedTimeoutError, ged_exact
 from .model import ConfigError, Model, config_from_dict, load_checkpoint, save_checkpoint
 from .report import evaluate_model, write_report
@@ -60,14 +61,19 @@ def _load_single_graph(path):
 
 def cmd_gen(args):
     cfg = {k: v for k, v in vars(args).items() if k not in ("func", "out")}
-    write_manifest(args.out, f"gen {args.kind}", cfg, args.seed)
+    # checked before the manifest, so a refused run leaves no output directory
     if args.kind == "ged":
-        ds = gen_ged_dataset(args.graphs, node_range=tuple(args.node_range),
-                             edge_prob=args.edge_prob, seed=args.seed,
-                             max_train_pairs=args.max_train_pairs,
-                             eval_candidates=args.eval_candidates)
+        check_ged_params(args.graphs, tuple(args.node_range), args.edge_prob)
+        generate = partial(gen_ged_dataset, args.graphs, node_range=tuple(args.node_range),
+                           edge_prob=args.edge_prob, seed=args.seed,
+                           max_train_pairs=args.max_train_pairs,
+                           eval_candidates=args.eval_candidates)
     else:
-        ds = gen_clone_dataset(args.groups, args.variants, args.budget, seed=args.seed)
+        check_clone_params(args.groups, args.variants, args.budget)
+        generate = partial(gen_clone_dataset, args.groups, args.variants, args.budget,
+                           seed=args.seed)
+    write_manifest(args.out, f"gen {args.kind}", cfg, args.seed)
+    ds = generate()
     save_dataset(ds, args.out)
     print(f"wrote {len(ds.graphs)} graphs, {len(ds.pairs)} pairs to {args.out}",
           file=sys.stderr)
@@ -117,7 +123,7 @@ def cmd_train(args):
     if unknown:
         raise ConfigError(f"{args.config}: unknown key(s) {', '.join(unknown)} in the train "
                           f"section; valid fields: {', '.join(valid)}")
-    ds = load_dataset_dir(args.dataset, task=args.task or tkw.get("task", "regression"))
+    ds = load_dataset_dir(args.dataset)
     feature_dim = next(iter(ds.graphs.values())).feature_dim
     try:
         mcfg = _model_config_from(args, file_cfg, feature_dim)
@@ -149,7 +155,7 @@ def cmd_train(args):
 
 def cmd_eval(args):
     model, _ = load_checkpoint(args.checkpoint)
-    ds = load_dataset_dir(args.dataset, task=model.config.task)
+    ds = load_dataset_dir(args.dataset)
     os.makedirs(args.out, exist_ok=True)
     write_manifest(args.out, "eval", {"checkpoint": args.checkpoint}, 0,
                    [args.checkpoint])

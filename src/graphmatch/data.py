@@ -35,7 +35,6 @@ class Dataset:
     graphs: dict
     pairs: list
     split: dict
-    task: str = "regression"
     groups: dict = field(init=False)  # group id -> member graph ids (classification)
     _split_index: dict = field(init=False, repr=False)
 
@@ -91,7 +90,7 @@ def save_dataset(ds: Dataset, out_dir):
         json.dump({k: list(v) for k, v in ds.split.items()}, fh)
 
 
-def load_dataset(graphs_path, pairs_path=None, split_path=None, task="regression"):
+def load_dataset(graphs_path, pairs_path=None, split_path=None):
     """Load and validate a dataset; errors cite the offending line."""
     graphs = {}
     width = None
@@ -156,14 +155,13 @@ def load_dataset(graphs_path, pairs_path=None, split_path=None, task="regression
                 seen.add(gid)
     else:
         split = {"train": list(graphs), "val": [], "test": []}
-    return Dataset(graphs=graphs, pairs=pairs, split=split, task=task)
+    return Dataset(graphs=graphs, pairs=pairs, split=split)
 
 
-def load_dataset_dir(path, task="regression"):
+def load_dataset_dir(path):
     return load_dataset(os.path.join(path, "graphs.jsonl"),
                         os.path.join(path, "pairs.jsonl"),
-                        os.path.join(path, "split.json"),
-                        task=task)
+                        os.path.join(path, "split.json"))
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +198,21 @@ def _random_connected_edges(n, edge_prob, rng):
     return sorted(edges)
 
 
+def check_ged_params(n_graphs, node_range, edge_prob, n_labels=3, node_budget=10):
+    """Refuse gen_ged_dataset parameters it cannot build a loadable corpus from."""
+    lo, hi = node_range
+    if n_graphs < 1:
+        raise DatasetError(f"n_graphs must be >= 1, got {n_graphs}")
+    if not 1 <= lo <= hi:
+        raise DatasetError(f"node_range must satisfy 1 <= min <= max, got {node_range}")
+    if hi > node_budget:
+        raise DatasetError(f"node_range max {hi} exceeds ged budget {node_budget}")
+    if n_labels < 1:
+        raise DatasetError(f"n_labels must be >= 1, got {n_labels}")
+    if not 0.0 <= edge_prob <= 1.0:
+        raise DatasetError(f"edge_prob must be in [0, 1], got {edge_prob}")
+
+
 def gen_ged_dataset(n_graphs, node_range=(4, 9), edge_prob=0.25, n_labels=3,
                     seed=0, max_train_pairs=None, eval_candidates=None,
                     node_budget=10, timeout=30.0):
@@ -209,15 +222,8 @@ def gen_ged_dataset(n_graphs, node_range=(4, 9), edge_prob=0.25, n_labels=3,
     cover train x train (optionally subsampled), plus every val/test graph
     against train graphs (the retrieval layout used at evaluation time).
     """
+    check_ged_params(n_graphs, node_range, edge_prob, n_labels, node_budget)
     lo, hi = node_range
-    if not 1 <= lo <= hi:
-        raise DatasetError(f"node_range must satisfy 1 <= min <= max, got {node_range}")
-    if hi > node_budget:
-        raise DatasetError(f"node_range max {hi} exceeds ged budget {node_budget}")
-    if n_labels < 1:
-        raise DatasetError(f"n_labels must be >= 1, got {n_labels}")
-    if not 0.0 <= edge_prob <= 1.0:
-        raise DatasetError(f"edge_prob must be in [0, 1], got {edge_prob}")
     rng = np.random.default_rng(seed)
     graphs = {}
     for i in range(n_graphs):
@@ -263,7 +269,7 @@ def gen_ged_dataset(n_graphs, node_range=(4, 9), edge_prob=0.25, n_labels=3,
         log.info("exact GED: %d pairs, %d nodes expanded (max %d per pair), "
                  "ms per pair p50 %.2f p90 %.2f max %.2f",
                  len(pairs), sum(expanded), max(expanded), p50, p90, max(ms))
-    return Dataset(graphs=graphs, pairs=pairs, split=split, task="regression")
+    return Dataset(graphs=graphs, pairs=pairs, split=split)
 
 
 def _perturb(g_feats, g_edges, budget, rng, feature_dim):
@@ -300,6 +306,16 @@ def _perturb(g_feats, g_edges, budget, rng, feature_dim):
     return feats, sorted(edges)
 
 
+def check_clone_params(n_groups, variants_per_group, perturbation_budget):
+    """Refuse gen_clone_dataset parameters it cannot build a loadable corpus from."""
+    if n_groups < 1:
+        raise DatasetError(f"n_groups must be >= 1, got {n_groups}")
+    if variants_per_group < 1:
+        raise DatasetError(f"variants_per_group must be >= 1, got {variants_per_group}")
+    if perturbation_budget < 0:
+        raise DatasetError("perturbation budget must be >= 0")
+
+
 def gen_clone_dataset(n_groups, variants_per_group, perturbation_budget, seed=0,
                       node_range=(6, 10), edge_prob=0.2, feature_dim=6,
                       eval_pairs_per_graph=1):
@@ -310,8 +326,7 @@ def gen_clone_dataset(n_groups, variants_per_group, perturbation_budget, seed=0,
     holds fixed positive/negative evaluation pairs for val and test graphs;
     training pairs are resampled each epoch by the trainer.
     """
-    if perturbation_budget < 0:
-        raise DatasetError("perturbation budget must be >= 0")
+    check_clone_params(n_groups, variants_per_group, perturbation_budget)
     rng = np.random.default_rng(seed)
     lo, hi = node_range
     graphs = {}
@@ -359,5 +374,5 @@ def gen_clone_dataset(n_groups, variants_per_group, perturbation_budget, seed=0,
                         og = other_groups[int(rng.integers(0, len(other_groups)))]
                         neg = group_members[og][int(rng.integers(0, variants_per_group))]
                         pairs.append(LabeledPair(gid, neg, -1.0))
-    return Dataset(graphs=graphs, pairs=pairs, split=split, task="classification")
+    return Dataset(graphs=graphs, pairs=pairs, split=split)
 

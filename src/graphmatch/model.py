@@ -10,6 +10,7 @@ Three modes share one parameter store:
 
 import base64
 import json
+import os
 from dataclasses import dataclass, asdict, fields
 
 import numpy as np
@@ -345,6 +346,7 @@ def config_from_dict(d):
 # checkpoint format: one self-describing JSON file
 
 def save_checkpoint(path, model: Model, extra=None):
+    """Write config, parameters and a JSON-able extra dict; replaces path atomically."""
     doc = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "config": asdict(model.config),
@@ -352,28 +354,38 @@ def save_checkpoint(path, model: Model, extra=None):
     }
     if extra:
         doc["extra"] = extra
-    with open(path, "w", encoding="utf-8") as fh:
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
+    os.replace(tmp, path)
+
+
+def check_shapes(path, what, arrays, expected):
+    """Refuse arrays whose names and shapes are not exactly those of expected."""
+    for name in sorted(expected.keys() | arrays.keys()):
+        want = expected[name].shape if name in expected else "nothing"
+        got = arrays[name].shape if name in arrays else "nothing"
+        if want != got:
+            raise ConfigError(f"{path}: {what} {name!r} has shape {got}, "
+                              f"but the config allocates {want}")
 
 
 def load_checkpoint(path):
-    """Model and extra dict from a checkpoint; parameter names and shapes must
-    be exactly those the stored config allocates."""
+    """Model and extra dict from a checkpoint whose parameters are exactly those
+    its stored config allocates; every refusal is a ConfigError naming the file."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as e:
+            raise ConfigError(f"{path}: not a JSON checkpoint: {e}") from None
     if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-        raise ValueError(f"unsupported checkpoint format: {doc.get('format_version')}")
+        raise ConfigError(f"{path}: unsupported checkpoint format {doc.get('format_version')!r}"
+                          f"; this reader takes format {CHECKPOINT_FORMAT_VERSION}")
     try:
         config = config_from_dict(doc["config"])
     except ConfigError as e:
         raise ConfigError(f"{path}: {e}") from None
     arrays = decode_arrays(doc["params"])
-    expected = init_params(config, np.random.default_rng(0))
-    for name in sorted(expected.keys() | arrays.keys()):
-        want = expected[name].shape if name in expected else "nothing"
-        got = arrays[name].shape if name in arrays else "nothing"
-        if want != got:
-            raise ConfigError(f"{path}: parameter {name!r} has shape {got}, "
-                              f"but the config allocates {want}")
+    check_shapes(path, "parameter", arrays, init_params(config, np.random.default_rng(0)))
     params = {k: Tensor(a, requires_grad=True) for k, a in arrays.items()}
     return Model(config, params=params), doc.get("extra")

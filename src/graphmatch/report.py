@@ -23,7 +23,7 @@ def evaluate_model(model, dataset, split="test", ks=(10, 20)):
         raise ValueError(f"no pairs in split {split!r}")
     preds, targets = evaluate_pairs(model, dataset, pairs)
     out = {"split": split, "num_pairs": len(pairs)}
-    if dataset.task == "classification":
+    if model.config.task == "classification":
         labels = np.where(targets > 0, 1, -1)
         out["auc"] = auc(preds, labels)
         out["mse"] = mse_metric(preds, targets)

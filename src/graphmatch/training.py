@@ -3,20 +3,19 @@
 import json
 import logging
 import os
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
 from .autodiff import backward
 from .graphs import LabeledPair
 from .metrics import auc, mse_metric
-from .model import (TASKS, Model, config_from_dict, decode_arrays, encode_arrays,
-                    loss_mse, save_checkpoint)
+from .model import (TASKS, ConfigError, Model, check_shapes, decode_arrays, encode_arrays,
+                    load_checkpoint, loss_mse, save_checkpoint)
 from .optim import Adam
 
 log = logging.getLogger(__name__)
 
-TRAIN_STATE_VERSION = 2
 # TrainConfig fields a resumed run must share with the saved one; the rest
 # (schedule length, validation cadence, output paths) may change on resume
 RESUME_FIELDS = ("task", "learning_rate", "batch_size", "batch_pairs", "seed", "grad_clip")
@@ -170,9 +169,13 @@ def train(model: Model, dataset, config: TrainConfig, resume_from=None):
     """Run the task schedule, keeping the checkpoint with best validation loss.
 
     Emits one structured record per validation pass; with a checkpoint_dir,
-    writes best.ckpt plus a full training state file suitable for resuming an
-    interrupted run with an identical trajectory.
+    writes best.ckpt plus train_state.json, a checkpoint whose train_state
+    section resumes an interrupted run with an identical trajectory. The model
+    config owns the task; a config.task other than the model's is refused.
     """
+    if config.task != model.config.task:
+        raise TrainingError(f"train config task {config.task!r} differs from the "
+                            f"model's task {model.config.task!r}")
     rng = np.random.default_rng(config.seed)
     optimizer = Adam(model.params, lr=config.learning_rate)
     records = []
@@ -242,53 +245,63 @@ def train(model: Model, dataset, config: TrainConfig, resume_from=None):
 
 
 # ---------------------------------------------------------------------------
-# resumable training state
+# resumable training state: a checkpoint whose extra dict holds a train_state
+# section (schedule position, records, train config, Adam's moments, RNG)
 
 def _save_train_state(path, model, config, optimizer, rng, step, best_val, records):
-    doc = {
-        "version": TRAIN_STATE_VERSION,
+    save_checkpoint(path, model, extra={"train_state": {
         "step": step,
         "best_val_loss": None if not np.isfinite(best_val) else best_val,
         "records": records,
-        "config": asdict(model.config),
         "train_config": asdict(config),
-        "params": encode_arrays({k: p.data for k, p in model.params.items()}),
         "adam": {"step_count": optimizer.step_count,
                  "m": encode_arrays(optimizer.m),
                  "v": encode_arrays(optimizer.v)},
         "rng_state": rng.bit_generator.state,
-    }
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-    os.replace(tmp, path)
+    }})
 
 
 def _resume_config(model_config, train_config):
     out = {f"model.{k}": v for k, v in asdict(model_config).items()}
-    out.update({k: train_config[k] for k in RESUME_FIELDS})
+    out.update({k: getattr(train_config, k) for k in RESUME_FIELDS})
     return out
 
 
+def _stored_train_config(path, stored):
+    """TrainConfig from a train state's train_config, which holds every field."""
+    missing = [f.name for f in fields(TrainConfig) if f.name not in stored]
+    if missing:
+        raise ConfigError(f"{path}: stored train config lacks field(s) {', '.join(missing)}")
+    try:
+        return TrainConfig(**stored)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{path}: stored train config: {e}") from None
+
+
 def _load_train_state(path, model, config, optimizer, rng):
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("version") != TRAIN_STATE_VERSION:
-        raise TrainingError(f"unsupported train state version {doc.get('version')}")
-    saved = _resume_config(config_from_dict(doc["config"]), doc["train_config"])
-    current = _resume_config(model.config, asdict(config))
+    """Check a train state against this run, restore parameters, Adam's moments
+    and the generator from it, and return (step, best val loss, records)."""
+    saved_model, extra = load_checkpoint(path)
+    state = (extra or {}).get("train_state")
+    if state is None:
+        raise ConfigError(f"{path}: no train_state section; --resume takes the "
+                          f"train_state.json a run writes, not a model checkpoint")
+    moments = {k: decode_arrays(state["adam"][k]) for k in ("m", "v")}
+    for k, arrays in moments.items():
+        check_shapes(path, f"Adam moment {k} of", arrays, saved_model.params)
+    saved = _resume_config(saved_model.config,
+                           _stored_train_config(path, state["train_config"]))
+    current = _resume_config(model.config, config)
     diff = [f"{k}: saved {saved[k]!r}, current {current[k]!r}"
             for k in saved if saved[k] != current[k]]
     if diff:
         raise TrainingError(f"{path}: resumed run differs from the saved one in "
                             + "; ".join(diff))
-    params = decode_arrays(doc["params"])
     for k, p in model.params.items():
-        p.data[...] = params[k]
+        p.data[...] = saved_model.params[k].data
         p.grad = None
-    optimizer.step_count = doc["adam"]["step_count"]
-    optimizer.m = decode_arrays(doc["adam"]["m"])
-    optimizer.v = decode_arrays(doc["adam"]["v"])
-    rng.bit_generator.state = doc["rng_state"]
-    best = doc["best_val_loss"]
-    return doc["step"], np.inf if best is None else best, list(doc["records"])
+    optimizer.step_count = state["adam"]["step_count"]
+    optimizer.m, optimizer.v = moments["m"], moments["v"]
+    rng.bit_generator.state = state["rng_state"]
+    best = state["best_val_loss"]
+    return state["step"], np.inf if best is None else best, list(state["records"])

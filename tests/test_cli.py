@@ -45,6 +45,18 @@ def test_gen_ged_bad_node_range_refused(tmp_path, caplog):
                "--seed", "1", "--out", str(tmp_path / "ds")])
     assert rc == 1
     assert "node_range must satisfy 1 <= min <= max, got (5, 3)" in caplog.text
+    assert not (tmp_path / "ds").exists()  # refused before the manifest
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["ged", "--graphs", "0"], "n_graphs must be >= 1, got 0"),
+    (["clone", "--groups", "0"], "n_groups must be >= 1, got 0"),
+    (["clone", "--variants", "0"], "variants_per_group must be >= 1, got 0"),
+])
+def test_gen_empty_corpus_refused(tmp_path, caplog, argv, message):
+    assert main(["gen", *argv, "--out", str(tmp_path / "ds")]) == 1
+    assert message in caplog.text
+    assert not (tmp_path / "ds").exists()
 
 
 def test_gen_clone_files(tmp_path):
@@ -158,6 +170,31 @@ def test_score_identical_graphs_near_one(trained_run, tmp_path, capsys):
     assert rc == 0
     score = float(capsys.readouterr().out.strip())
     assert 0.0 <= score <= 1.0
+
+
+def test_score_accepts_the_train_state(trained_run, tmp_path, capsys):
+    _, out = trained_run
+    one_hot = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    write_graph_file(tmp_path / "a.jsonl", "a", one_hot, [[0, 1], [1, 2], [0, 2]])
+    write_graph_file(tmp_path / "b.jsonl", "b", one_hot, [[0, 1]])
+    scores = []
+    for ckpt in ("final.ckpt", "train_state.json"):
+        rc = main(["score", "--checkpoint", str(out / ckpt),
+                   str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")])
+        assert rc == 0
+        scores.append(capsys.readouterr().out)
+    assert scores[0] == scores[1]
+
+
+def test_resume_from_a_model_checkpoint_refused(trained_run, tmp_path, caplog):
+    ds, out = trained_run
+    rc = main(["train", "--dataset", str(ds), "--task", "regression",
+               "--mode", "mgmn", "--sgnn-agg", "max", "--gcn-layers", "2",
+               "--gcn-dim", "6", "--perspectives", "4",
+               "--iterations", "20", "--batch-size", "4", "--seed", "0",
+               "--resume", str(out / "best.ckpt"), "--out", str(tmp_path / "again")])
+    assert rc == 1
+    assert f"{out / 'best.ckpt'}: no train_state section" in caplog.text
 
 
 def test_missing_dataset_exits_nonzero(tmp_path):

@@ -247,11 +247,13 @@ def test_node_range_over_budget_rejected():
     ({"n_labels": 0}, r"n_labels must be >= 1, got 0"),
     ({"edge_prob": -0.5}, r"edge_prob must be in \[0, 1\], got -0.5"),
     ({"edge_prob": 1.5}, r"edge_prob must be in \[0, 1\], got 1.5"),
+    ({"n_graphs": 0}, r"n_graphs must be >= 1, got 0"),
+    ({"n_graphs": -3}, r"n_graphs must be >= 1, got -3"),
 ], ids=["node_range_reversed", "node_range_from_zero", "no_labels", "edge_prob_negative",
-        "edge_prob_above_one"])
+        "edge_prob_above_one", "no_graphs", "negative_graphs"])
 def test_ged_generator_parameters_checked(kw, message):
     with pytest.raises(DatasetError, match=message):
-        gen_ged_dataset(n_graphs=4, **kw)
+        gen_ged_dataset(**{"n_graphs": 4, **kw})
 
 
 def test_ged_generation_logs_its_cost(caplog):
@@ -278,6 +280,17 @@ def small_clone_dataset(**kw):
     return gen_clone_dataset(**args)
 
 
+@pytest.mark.parametrize("kw, message", [
+    ({"n_groups": 0}, r"n_groups must be >= 1, got 0"),
+    ({"variants_per_group": 0}, r"variants_per_group must be >= 1, got 0"),
+    ({"perturbation_budget": -1}, r"perturbation budget must be >= 0"),
+], ids=["no_groups", "no_variants", "negative_budget"])
+def test_clone_generator_parameters_checked(kw, message):
+    with pytest.raises(DatasetError, match=message):
+        gen_clone_dataset(**{"n_groups": 4, "variants_per_group": 2,
+                             "perturbation_budget": 1, **kw})
+
+
 def test_clone_groups_and_split_by_group():
     ds = small_clone_dataset()
     groups = ds.groups
@@ -292,7 +305,7 @@ def test_clone_groups_and_split_by_group():
 def test_groups_round_trip(tmp_path):
     ds = small_clone_dataset()
     save_dataset(ds, tmp_path)
-    back = load_dataset_dir(tmp_path, task="classification")
+    back = load_dataset_dir(tmp_path)
     assert {g: x.group for g, x in back.graphs.items()} == \
         {g: x.group for g, x in ds.graphs.items()}
     assert back.groups == ds.groups

@@ -1,11 +1,15 @@
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphmatch.data import gen_clone_dataset, gen_ged_dataset
-from graphmatch.model import Model, ModelConfig, load_checkpoint
+from graphmatch.model import (AGGREGATORS, MODES, TASKS, ConfigError, Model, ModelConfig,
+                              encode_arrays, load_checkpoint, save_checkpoint)
 from graphmatch.training import (TrainConfig, TrainingError,
                                  sample_classification_pairs, train)
 
@@ -102,8 +106,7 @@ def test_overfit_small_regression_set(reg_dataset):
     ds = reg_dataset
     pairs = ds.pairs_for_split("train")[:10]
     small = type(ds)(graphs=ds.graphs, pairs=pairs,
-                     split={"train": list(ds.graphs), "val": [], "test": []},
-                     task="regression")
+                     split={"train": list(ds.graphs), "val": [], "test": []})
     model = tiny_model(dropout=0.0, gcn_dim=12)
     cfg = TrainConfig(task="regression", learning_rate=0.01, iterations=500,
                       batch_size=10, seed=0, val_every=50)
@@ -182,17 +185,119 @@ def test_resume_refuses_changed_config(tmp_path, reg_dataset):
         train(tiny_model(gcn_dim=8), reg_dataset, half_cfg, resume_from=state)
 
 
+def _v2_layout(doc):
+    """A train state in the layout written before train states became
+    checkpoints: one top-level document with its own version."""
+    return {"version": 2, "config": doc["config"], "params": doc["params"],
+            **doc["extra"]["train_state"]}
+
+
 def test_resume_refuses_old_state_version(tmp_path, reg_dataset):
     cfg = TrainConfig(task="regression", iterations=10, batch_size=4, seed=5,
                       val_every=10, checkpoint_dir=str(tmp_path))
     train(tiny_model(), reg_dataset, cfg)
     path = tmp_path / "train_state.json"
-    doc = json.loads(path.read_text())
-    doc["version"] = 1
-    del doc["train_config"]
-    path.write_text(json.dumps(doc))
-    with pytest.raises(TrainingError, match="unsupported train state version 1"):
+    path.write_text(json.dumps(_v2_layout(json.loads(path.read_text()))))
+    with pytest.raises(ConfigError, match="unsupported checkpoint format None; this "
+                                          "reader takes format 1") as err:
         train(tiny_model(), reg_dataset, cfg, resume_from=str(path))
+    assert str(err.value).startswith(f"{path}: ")
+
+
+@pytest.fixture
+def no_training_step(monkeypatch):
+    import graphmatch.training as training_module
+
+    def step(*args):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(training_module, "_batch_step", step)
+
+
+@pytest.fixture(scope="module")
+def saved_run(tmp_path_factory, reg_dataset):
+    out = tmp_path_factory.mktemp("saved_run")
+    cfg = TrainConfig(task="regression", iterations=10, batch_size=4, seed=5,
+                      val_every=5, checkpoint_dir=str(out))
+    train(tiny_model(), reg_dataset, cfg)
+    return out, cfg
+
+
+def _row_record():
+    return encode_arrays({"w": np.ones((1, 6))})["w"]
+
+
+def _set(doc, keys, value):
+    *inner, last = keys
+    for k in inner:
+        doc = doc[k]
+    if value is None:
+        del doc[last]
+    else:
+        doc[last] = value
+
+
+@pytest.mark.parametrize("source, keys, value, message", [
+    ("train_state.json", ("params", "gcn.0.weight"), _row_record(),
+     r"parameter 'gcn.0.weight' has shape \(1, 6\), but the config allocates \(3, 6\)"),
+    ("train_state.json", ("params", "gcn.0.weight"), None,
+     r"parameter 'gcn.0.weight' has shape nothing, but the config allocates \(3, 6\)"),
+    ("train_state.json", ("extra", "train_state", "adam", "m", "gcn.0.weight"), _row_record(),
+     r"Adam moment m of 'gcn.0.weight' has shape \(1, 6\), but the config allocates \(3, 6\)"),
+    ("train_state.json", ("config", "gcn_width"), 8,
+     r"unknown model config key\(s\) gcn_width; valid fields: feature_dim"),
+    ("train_state.json", ("extra", "train_state", "train_config", "grad_clip"), None,
+     r"stored train config lacks field\(s\) grad_clip"),
+    ("best.ckpt", (), None, r"no train_state section; --resume takes the train_state.json"),
+    ("train_state.json", "v2", None, r"unsupported checkpoint format None"),
+], ids=["parameter_shape", "parameter_missing", "adam_moment_shape", "unknown_model_key",
+        "train_config_field_missing", "model_checkpoint", "v2_state"])
+def test_resume_refuses_unusable_state_before_any_step(saved_run, reg_dataset, tmp_path,
+                                                       no_training_step, source, keys, value,
+                                                       message):
+    run_dir, cfg = saved_run
+    doc = json.loads((run_dir / source).read_text())
+    if keys == "v2":
+        doc = _v2_layout(doc)
+    elif keys:
+        _set(doc, keys, value)
+    path = tmp_path / source
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=message) as err:
+        train(tiny_model(), reg_dataset, cfg, resume_from=str(path))
+    assert str(err.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("model_task, train_task", [("classification", "regression"),
+                                                    ("regression", "classification")])
+def test_train_refuses_a_task_other_than_the_models(reg_dataset, no_training_step,
+                                                     model_task, train_task):
+    cfg = TrainConfig(task=train_task, iterations=2, epochs=1, batch_size=4)
+    with pytest.raises(TrainingError, match=f"train config task '{train_task}' differs "
+                                            f"from the model's task '{model_task}'"):
+        train(tiny_model(task=model_task), reg_dataset, cfg)
+
+
+def test_clip_grads_scales_the_global_norm_down_to_max_norm():
+    from graphmatch.autodiff import Tensor
+    from graphmatch.training import _clip_grads
+    rng = np.random.default_rng(0)
+    params = {k: Tensor(np.zeros(shape), requires_grad=True)
+              for k, shape in (("a", (3, 4)), ("b", (5,)), ("c", (1, 1)))}
+    for p in params.values():
+        p.grad = rng.normal(size=p.data.shape)
+    before = {k: p.grad.copy() for k, p in params.items()}
+    norm = np.sqrt(sum(np.sum(g * g) for g in before.values()))
+
+    _clip_grads(params, 2 * norm)
+    for k, p in params.items():
+        assert np.array_equal(p.grad, before[k]), k
+
+    _clip_grads(params, norm / 4)
+    clipped = np.sqrt(sum(np.sum(p.grad * p.grad) for p in params.values()))
+    assert abs(clipped - norm / 4) <= 1e-12
+    for k, p in params.items():  # one positive scale for every tensor
+        assert np.max(np.abs(p.grad - before[k] / 4)) <= 1e-12, k
 
 
 def test_split_hygiene_enforced(reg_dataset):
@@ -202,7 +307,7 @@ def test_split_hygiene_enforced(reg_dataset):
     train_graph = ds.split["train"][0]
     bad = type(ds)(graphs=ds.graphs,
                    pairs=[LabeledPair(test_graph, train_graph, 0.5)],
-                   split=dict(ds.split), task="regression")
+                   split=dict(ds.split))
     # force the tainted pair into the training stream to show the trainer
     # still refuses to touch a held-out graph
     bad.pairs_for_split = lambda name: bad.pairs if name == "train" else []
@@ -268,3 +373,54 @@ def test_evaluate_pairs_slices_match_single_pairs(reg_dataset, monkeypatch):
               for p in pairs]
     assert np.max(np.abs(preds - single)) <= 1e-12
     assert targets.tolist() == [p.target for p in pairs]
+
+
+# ---------------------------------------------------------------------------
+# round trips over random configurations
+
+@st.composite
+def tiny_configs(draw):
+    task = draw(st.sampled_from(TASKS))
+    return ModelConfig(feature_dim=3 if task == "regression" else 6,
+                       gcn_layers=draw(st.integers(1, 2)), gcn_dim=draw(st.integers(1, 5)),
+                       perspectives=draw(st.integers(1, 4)),
+                       dropout=draw(st.sampled_from([0.0, 0.3])),
+                       mode=draw(st.sampled_from(MODES)), task=task,
+                       sgnn_aggregator=draw(st.sampled_from(AGGREGATORS)),
+                       normalize_attention=draw(st.booleans()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=tiny_configs(), seed=st.integers(0, 2 ** 16))
+def test_checkpoint_and_train_state_round_trip(reg_dataset, clf_dataset, config, seed):
+    """A checkpoint reloads to an equal config and bit-identical parameters,
+    and a run resumed from the train state written halfway reproduces the
+    uninterrupted run's records and final parameters bit-identically."""
+    def fresh(init_seed):
+        return Model(config, rng=np.random.default_rng(init_seed))
+
+    def run_config(length, out=None):
+        schedule = {"epochs": length} if config.task == "classification" else {
+            "iterations": 2 * length, "val_every": 2}
+        return TrainConfig(task=config.task, batch_size=4, batch_pairs=8, seed=seed,
+                           checkpoint_dir=out, **schedule)
+
+    ds = reg_dataset if config.task == "regression" else clf_dataset
+    with tempfile.TemporaryDirectory() as tmp:
+        model = fresh(seed)
+        path = os.path.join(tmp, "model.ckpt")
+        save_checkpoint(path, model)
+        loaded, _ = load_checkpoint(path)
+        assert loaded.config == config
+        assert loaded.params.keys() == model.params.keys()
+        for k, p in model.params.items():
+            assert np.array_equal(loaded.params[k].data, p.data), k
+
+        full = train(model, ds, run_config(2))
+        train(fresh(seed), ds, run_config(1, tmp))
+        resumed_model = fresh(seed + 1)  # parameters come from the state file
+        resumed = train(resumed_model, ds, run_config(2),
+                        resume_from=os.path.join(tmp, "train_state.json"))
+    assert resumed.records == full.records
+    for k, p in model.params.items():
+        assert np.array_equal(resumed_model.params[k].data, p.data), k
