@@ -16,13 +16,15 @@ import time
 from dataclasses import fields
 from functools import partial
 
+import numpy as np
+
 from . import __version__
 from .data import (check_clone_params, check_ged_params, gen_clone_dataset,
                    gen_ged_dataset, load_dataset, load_dataset_dir, save_dataset)
 from .ged import EditCostScheme, GedBudgetError, GedTimeoutError, ged_exact
 from .model import ConfigError, Model, config_from_dict, load_checkpoint, save_checkpoint
 from .report import evaluate_model, write_report
-from .training import TrainConfig, train
+from .training import TrainConfig, load_train_state, train
 
 log = logging.getLogger("graphmatch")
 
@@ -98,8 +100,30 @@ def cmd_ged(args):
     return 0
 
 
-def _model_config_from(args, file_cfg, feature_dim):
-    cfg = dict(file_cfg.get("model", {}))
+def _read_config(path):
+    """The model and train sections of a --config file, each a dict; every
+    refusal is a ConfigError naming the file."""
+    if path is None:
+        return {}, {}
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as e:
+            raise ConfigError(f"{path}: not JSON: {e}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: expected a JSON object with model and train sections, "
+                          f"got {type(doc).__name__}")
+    sections = []
+    for name in ("model", "train"):
+        section = doc.get(name, {})
+        if not isinstance(section, dict):
+            raise ConfigError(f"{path}: the {name} section must be a JSON object, "
+                              f"got {type(section).__name__}")
+        sections.append(dict(section))
+    return sections
+
+
+def _model_config_from(args, cfg, feature_dim):
     cfg["feature_dim"] = feature_dim
     for key, flag in (("mode", "mode"), ("task", "task"),
                       ("sgnn_aggregator", "sgnn_agg"),
@@ -113,11 +137,7 @@ def _model_config_from(args, file_cfg, feature_dim):
 
 
 def cmd_train(args):
-    file_cfg = {}
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
-    tkw = dict(file_cfg.get("train", {}))
+    model_section, tkw = _read_config(args.config)
     valid = [f.name for f in fields(TrainConfig)]
     unknown = sorted(set(tkw) - set(valid))
     if unknown:
@@ -126,12 +146,14 @@ def cmd_train(args):
     ds = load_dataset_dir(args.dataset)
     feature_dim = next(iter(ds.graphs.values())).feature_dim
     try:
-        mcfg = _model_config_from(args, file_cfg, feature_dim)
+        mcfg = _model_config_from(args, model_section, feature_dim)
     except ConfigError as e:
         if not args.config:
             raise
         raise ConfigError(f"{args.config}: model section: {e}") from None
-    tkw["task"] = mcfg.task
+    if tkw.setdefault("task", mcfg.task) != mcfg.task:
+        raise ConfigError(f"{args.config}: the train section's task {tkw['task']!r} differs "
+                          f"from the model's task {mcfg.task!r}")
     for key in ("seed", "epochs", "iterations", "batch_size", "learning_rate"):
         val = getattr(args, key, None)
         if val is not None:
@@ -139,13 +161,14 @@ def cmd_train(args):
     tkw["checkpoint_dir"] = args.out
     tkw.setdefault("log_path", os.path.join(args.out, "train_log.jsonl"))
     tcfg = TrainConfig(**tkw)
+    model = Model(mcfg, rng=np.random.default_rng(tcfg.seed))
+    # checked before the manifest, so a refused resume leaves no output directory
+    resume = None if args.resume is None else load_train_state(args.resume, model, tcfg)
     inputs = [os.path.join(args.dataset, f)
               for f in ("graphs.jsonl", "pairs.jsonl", "split.json")]
     write_manifest(args.out, "train", {"model": mcfg.__dict__, "train": tcfg.__dict__},
                    tcfg.seed, inputs)
-    import numpy as np
-    model = Model(mcfg, rng=np.random.default_rng(tcfg.seed))
-    report = train(model, ds, tcfg, resume_from=args.resume)
+    report = train(model, ds, tcfg, resume_from=resume)
     final = os.path.join(args.out, "final.ckpt")
     save_checkpoint(final, model)
     print(f"best val loss {report.best_val_loss:.6g}; "

@@ -215,6 +215,44 @@ def loss_mse(predictions, targets):
     return (diff * diff).mean()
 
 
+def graph_slots(pairs):
+    """The distinct graph objects of a list of pairs, matched by object and in
+    order of first appearance, and the (B, 2) slot indices of the pair sides."""
+    slot_of, graphs = {}, []
+    for pair in pairs:
+        for g in pair:
+            if id(g) not in slot_of:
+                slot_of[id(g)] = len(graphs)
+                graphs.append(g)
+    return graphs, np.array([[slot_of[id(g)] for g in pair] for pair in pairs],
+                            dtype=np.intp).reshape(-1, 2)
+
+
+@dataclass
+class Encoded:
+    """Per-graph stage output over a list of graph slots: GCN node rows h of
+    all slots stacked, the row indices of each slot, the graph-level vector of
+    each slot (None without the sgnn branch) and, at train time, each slot's
+    node-graph reading order (None: index order)."""
+    h: Tensor
+    nodes: list
+    sg: Tensor | None
+    orders: list | None = None
+
+    @classmethod
+    def stack(cls, parts):
+        """The values of eval-time outputs as one output without a tape, slots
+        in order. parts may be a generator: each part is released once read."""
+        h, sizes, sg = [], [], []
+        for part in parts:
+            h.append(part.h.data)
+            sizes += [len(r) for r in part.nodes]
+            if part.sg is not None:
+                sg.append(part.sg.data)
+        return cls(Tensor(np.concatenate(h)), consecutive(sizes),
+                   Tensor(np.concatenate(sg)) if sg else None)
+
+
 class Model:
     """Configured model instance: config + parameter store."""
 
@@ -235,68 +273,75 @@ class Model:
         return ad.reshape(self.forward_batch([(g1, g2)], training, rng), ())
 
     def forward_batch(self, pairs, training=False, rng=None):
-        """Similarity scores (B,) for a list of (g1, g2) graph pairs.
+        """Similarity scores (B,) for a list of (g1, g2) graph pairs: the
+        per-graph stage over the batch's graph slots, then the per-pair stage.
 
-        At eval time each distinct graph object is encoded once however many
-        pairs it is in; at train time every occurrence is its own slot with its
-        own dropout mask. The bilstm aggregators read each graph occurrence in a
-        fresh random order at train time, drawn pair by pair (node-graph branch
-        g1, g2, then graph-level branch g1, g2), and in index order at eval.
+        At eval time each distinct graph object is one slot however many pairs
+        it is in; at train time every occurrence is its own slot with its own
+        dropout mask and reading orders.
         """
-        cfg = self.config
         if not pairs:
             raise ValueError("empty batch")
-        flat = [g for pair in pairs for g in pair]
-        for g in flat:
-            if g.feature_dim != cfg.feature_dim:
-                raise ConfigError(f"graph {g.id!r} feature width {g.feature_dim} does not "
-                                  f"match model feature_dim {cfg.feature_dim}")
         if rng is None:
             rng = np.random.default_rng(0)
         if training:
-            graphs, slot = flat, list(range(len(flat)))
+            graphs = [g for pair in pairs for g in pair]
+            slots = np.arange(len(graphs)).reshape(-1, 2)
         else:
-            slot_of, graphs = {}, []
-            for g in flat:
-                if id(g) not in slot_of:
-                    slot_of[id(g)] = len(graphs)
-                    graphs.append(g)
-            slot = [slot_of[id(g)] for g in flat]
-        slots = np.array(slot).reshape(-1, 2)
+            graphs, slots = graph_slots(pairs)
+        return self.pair_stage(self.graph_stage(graphs, training, rng), slots, training)
+
+    def graph_stage(self, graphs, training=False, rng=None):
+        """Everything about each graph slot that no pair changes: GCN node rows,
+        the graph-level (sgnn) vector and, at train time, the reading orders.
+
+        At train time the slots are pair sides, two per pair, and the orders
+        are drawn pair by pair (node-graph branch g1, g2, then graph-level
+        branch g1, g2) after the dropout masks; at eval every bilstm reads
+        its nodes in index order.
+        """
+        cfg = self.config
+        for g in graphs:
+            if g.feature_dim != cfg.feature_dim:
+                raise ConfigError(f"graph {g.id!r} feature width {g.feature_dim} does not "
+                                  f"match model feature_dim {cfg.feature_dim}")
         h = gcn_forward(graphs, self.params, cfg, training, rng)
-        sizes = [g.num_nodes for g in graphs]
-        nodes = consecutive(sizes)  # rows of h per graph
-        use_ngmn = cfg.mode in ("ngmn", "mgmn")
+        nodes = consecutive([g.num_nodes for g in graphs])  # rows of h per slot
         use_sgnn = cfg.mode in ("sgnn", "mgmn")
+        orders, sgnn_seqs = [], list(nodes)
+        if training:
+            for pair in np.arange(len(graphs)).reshape(-1, 2):
+                if cfg.mode in ("ngmn", "mgmn"):
+                    orders += [rng.permutation(len(nodes[k])) for k in pair]
+                if use_sgnn and cfg.sgnn_aggregator == "bilstm":
+                    for k in pair:
+                        sgnn_seqs[k] = nodes[k][rng.permutation(len(nodes[k]))]
+        sg = aggregate(h, cfg.sgnn_aggregator, self.params, "sgnn_lstm", sgnn_seqs) \
+            if use_sgnn else None
+        return Encoded(h, nodes, sg, orders if training else None)
 
-        def reading_order(k):
-            return rng.permutation(sizes[k]) if training else np.arange(sizes[k])
-
-        ngmn_orders, sgnn_seqs = [], list(nodes)
-        for pair in slots:
-            if use_ngmn:
-                ngmn_orders += [reading_order(k) for k in pair]
-            if use_sgnn and cfg.sgnn_aggregator == "bilstm" and training:
-                for k in pair:
-                    sgnn_seqs[k] = nodes[k][reading_order(k)]
-
-        count = len(pairs)
+    def pair_stage(self, enc, slots, training=False):
+        """Scores (B,) of the pairs whose sides are the (B, 2) slot indices into
+        a graph_stage output: cross-level node-graph matching, its BiLSTM and
+        the prediction head."""
+        cfg = self.config
+        count = len(slots)
         heads_a, heads_b = [], []
-        if use_ngmn:
+        if cfg.mode in ("ngmn", "mgmn"):
             # pair-node rows: pair 0's first graph, pair 0's second, pair 1's first, ...
             sides = slots.reshape(-1)
-            x = ad.gather_rows(h, np.concatenate([nodes[k] for k in sides]))
-            rows = consecutive([sizes[k] for k in sides])
+            x = ad.gather_rows(enc.h, np.concatenate([enc.nodes[k] for k in sides]))
+            rows = consecutive([len(enc.nodes[k]) for k in sides])
             m = node_graph_match(x, padded(rows[0::2]), padded(rows[1::2]),
                                  self.params["perspective.weight"], cfg.normalize_attention)
-            seqs = [r[o] for r, o in zip(rows, ngmn_orders)]
-            ng = aggregate(m, "bilstm", self.params, "ngmn_lstm", seqs[0::2] + seqs[1::2])
+            if enc.orders is not None:
+                rows = [r[enc.orders[k]] for r, k in zip(rows, sides)]
+            ng = aggregate(m, "bilstm", self.params, "ngmn_lstm", rows[0::2] + rows[1::2])
             heads_a.append(ad.gather_rows(ng, np.arange(count)))
             heads_b.append(ad.gather_rows(ng, np.arange(count, 2 * count)))
-        if use_sgnn:
-            sg = aggregate(h, cfg.sgnn_aggregator, self.params, "sgnn_lstm", sgnn_seqs)
-            heads_a.append(ad.gather_rows(sg, slots[:, 0]))
-            heads_b.append(ad.gather_rows(sg, slots[:, 1]))
+        if enc.sg is not None:
+            heads_a.append(ad.gather_rows(enc.sg, slots[:, 0]))
+            heads_b.append(ad.gather_rows(enc.sg, slots[:, 1]))
         ha = heads_a[0] if len(heads_a) == 1 else ad.concat(heads_a, axis=1)
         hb = heads_b[0] if len(heads_b) == 1 else ad.concat(heads_b, axis=1)
         return predict(ha, hb, cfg.task, self.params, training)

@@ -10,8 +10,8 @@ import numpy as np
 from .autodiff import backward
 from .graphs import LabeledPair
 from .metrics import auc, mse_metric
-from .model import (TASKS, ConfigError, Model, check_shapes, decode_arrays, encode_arrays,
-                    load_checkpoint, loss_mse, save_checkpoint)
+from .model import (TASKS, ConfigError, Encoded, Model, check_shapes, decode_arrays,
+                    encode_arrays, graph_slots, load_checkpoint, loss_mse, save_checkpoint)
 from .optim import Adam
 
 log = logging.getLogger(__name__)
@@ -131,18 +131,25 @@ def _batch_step(model, dataset, batch, optimizer, rng, grad_clip):
     return value
 
 
-# pairs per forward_batch call in evaluation: a slice encodes each distinct
-# graph once, and its whole tape is alive at once, so peak memory grows with it
+# pairs per per-pair stage call in evaluation; the per-graph stage runs on at
+# most 2 * EVAL_SLICE distinct graphs at a time, the most one slice can hold.
+# Each call's whole tape is alive at once, so peak memory grows with it
 EVAL_SLICE = 32
 
 
 def evaluate_pairs(model, dataset, pairs):
-    """Eval-mode predictions and targets for a list of pairs."""
-    preds = np.empty(len(pairs))
-    for s in range(0, len(pairs), EVAL_SLICE):
-        chunk = pairs[s:s + EVAL_SLICE]
-        preds[s:s + len(chunk)] = model.forward_batch(_graph_pairs(dataset, chunk)).data
-    return preds, np.array([p.target for p in pairs], dtype=np.float64)
+    """Eval-mode predictions and targets for a list of pairs; each distinct
+    graph is encoded once per call, and only the values are kept."""
+    targets = np.array([p.target for p in pairs], dtype=np.float64)
+    if not pairs:
+        return np.empty(0), targets
+    graphs, slots = graph_slots(_graph_pairs(dataset, pairs))
+    step = 2 * EVAL_SLICE
+    enc = Encoded.stack(model.graph_stage(graphs[s:s + step])
+                        for s in range(0, len(graphs), step))
+    preds = [model.pair_stage(enc, slots[s:s + EVAL_SLICE]).data
+             for s in range(0, len(pairs), EVAL_SLICE)]
+    return np.concatenate(preds), targets
 
 
 def _validation(model, dataset, val_pairs, task):
@@ -170,26 +177,37 @@ def train(model: Model, dataset, config: TrainConfig, resume_from=None):
 
     Emits one structured record per validation pass; with a checkpoint_dir,
     writes best.ckpt plus train_state.json, a checkpoint whose train_state
-    section resumes an interrupted run with an identical trajectory. The model
-    config owns the task; a config.task other than the model's is refused.
+    section resumes an interrupted run with an identical trajectory.
+    resume_from is such a train state's path or what load_train_state read
+    from one; it is checked before anything is written. The model config
+    owns the task; a config.task other than the model's is refused.
     """
     if config.task != model.config.task:
         raise TrainingError(f"train config task {config.task!r} differs from the "
                             f"model's task {model.config.task!r}")
+    if resume_from is not None and not isinstance(resume_from, tuple):
+        resume_from = load_train_state(resume_from, model, config)
     rng = np.random.default_rng(config.seed)
     optimizer = Adam(model.params, lr=config.learning_rate)
     records = []
     best_val = np.inf
     start_step = 0
+    if resume_from is not None:
+        saved_model, moments, state = resume_from
+        for k, p in model.params.items():
+            p.data[...] = saved_model.params[k].data
+            p.grad = None
+        optimizer.step_count = state["adam"]["step_count"]
+        optimizer.m, optimizer.v = moments["m"], moments["v"]
+        rng.bit_generator.state = state["rng_state"]
+        start_step, records = state["step"], list(state["records"])
+        if state["best_val_loss"] is not None:
+            best_val = state["best_val_loss"]
     best_path = state_path = None
     if config.checkpoint_dir:
         os.makedirs(config.checkpoint_dir, exist_ok=True)
         best_path = os.path.join(config.checkpoint_dir, "best.ckpt")
         state_path = os.path.join(config.checkpoint_dir, "train_state.json")
-
-    if resume_from is not None:
-        start_step, best_val, records = _load_train_state(
-            resume_from, model, config, optimizer, rng)
 
     val_pairs = dataset.pairs_for_split("val")
 
@@ -278,9 +296,10 @@ def _stored_train_config(path, stored):
         raise ConfigError(f"{path}: stored train config: {e}") from None
 
 
-def _load_train_state(path, model, config, optimizer, rng):
-    """Check a train state against this run, restore parameters, Adam's moments
-    and the generator from it, and return (step, best val loss, records)."""
+def load_train_state(path, model, config):
+    """Read a train state and check it against this run's model and config;
+    every refusal names the file. Returns the saved model, Adam's decoded
+    moments and the train_state section."""
     saved_model, extra = load_checkpoint(path)
     state = (extra or {}).get("train_state")
     if state is None:
@@ -297,11 +316,4 @@ def _load_train_state(path, model, config, optimizer, rng):
     if diff:
         raise TrainingError(f"{path}: resumed run differs from the saved one in "
                             + "; ".join(diff))
-    for k, p in model.params.items():
-        p.data[...] = saved_model.params[k].data
-        p.grad = None
-    optimizer.step_count = state["adam"]["step_count"]
-    optimizer.m, optimizer.v = moments["m"], moments["v"]
-    rng.bit_generator.state = state["rng_state"]
-    best = state["best_val_loss"]
-    return state["step"], np.inf if best is None else best, list(state["records"])
+    return saved_model, moments, state

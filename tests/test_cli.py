@@ -195,6 +195,7 @@ def test_resume_from_a_model_checkpoint_refused(trained_run, tmp_path, caplog):
                "--resume", str(out / "best.ckpt"), "--out", str(tmp_path / "again")])
     assert rc == 1
     assert f"{out / 'best.ckpt'}: no train_state section" in caplog.text
+    assert not (tmp_path / "again").exists()  # refused before any output
 
 
 def test_missing_dataset_exits_nonzero(tmp_path):
@@ -261,3 +262,32 @@ def test_train_config_model_error_names_the_file(tiny_dataset, tmp_path, caplog)
                "--out", str(tmp_path / "out")])
     assert rc == 1
     assert f"{cfg}: model section: mode must be one of" in caplog.text
+
+
+def test_train_config_task_conflict_refused(tiny_dataset, tmp_path, caplog):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": {"task": "regression", "gcn_dim": 4, "perspectives": 2},
+                               "train": {"task": "classification", "iterations": 1,
+                                         "batch_size": 2}}))
+    rc = main(["train", "--dataset", str(tiny_dataset), "--config", str(cfg),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert (f"{cfg}: the train section's task 'classification' differs from the "
+            f"model's task 'regression'") in caplog.text
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text,message", [
+    ('{model: {}}', "not JSON: Expecting property name"),
+    ('[{"model": {}}]', "expected a JSON object with model and train sections, got list"),
+    ('{"train": [1, 2]}', "the train section must be a JSON object, got list"),
+    ('{"model": "sgnn"}', "the model section must be a JSON object, got str"),
+])
+def test_train_malformed_config_names_the_file(tiny_dataset, tmp_path, caplog, text, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    rc = main(["train", "--dataset", str(tiny_dataset), "--config", str(cfg),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert f"{cfg}: {message}" in caplog.text
+    assert not (tmp_path / "out").exists()

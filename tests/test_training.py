@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphmatch.data import gen_clone_dataset, gen_ged_dataset
+from graphmatch.graphs import LabeledPair
 from graphmatch.model import (AGGREGATORS, MODES, TASKS, ConfigError, Model, ModelConfig,
                               encode_arrays, load_checkpoint, save_checkpoint)
 from graphmatch.training import (TrainConfig, TrainingError,
@@ -364,15 +365,37 @@ def test_non_finite_gradient_refused_before_the_update(reg_dataset, monkeypatch)
 
 
 def test_evaluate_pairs_slices_match_single_pairs(reg_dataset, monkeypatch):
+    """Test queries against shared train candidates across slices, plus a
+    self-pair: each distinct graph is encoded once per call, by per-graph
+    stage calls of at most 2 * EVAL_SLICE graphs, and every prediction is
+    forward_pair's."""
+    import graphmatch.model as model_module
     import graphmatch.training as training_module
     monkeypatch.setattr(training_module, "EVAL_SLICE", 4)
     model = tiny_model(sgnn_aggregator="bilstm")
-    pairs = reg_dataset.pairs_for_split("test")[:11]
+    queries, candidates = reg_dataset.split["test"], reg_dataset.split["train"][:6]
+    pairs = [LabeledPair(q, c, 0.05 * i)
+             for i, (q, c) in enumerate((q, c) for q in queries for c in candidates)]
+    pairs.append(LabeledPair(queries[1], queries[1], 1.0))
+    adjacency, encoded = [], []
+    real_adjacency, real_gcn = model_module.normalized_adjacency, model_module.gcn_forward
+    monkeypatch.setattr(model_module, "normalized_adjacency",
+                        lambda g: adjacency.append(g.id) or real_adjacency(g))
+    monkeypatch.setattr(model_module, "gcn_forward",
+                        lambda graphs, *a: encoded.append(len(graphs)) or real_gcn(graphs, *a))
     preds, targets = training_module.evaluate_pairs(model, reg_dataset, pairs)
+    assert sorted(adjacency) == sorted(set(queries) | set(candidates))  # once each
+    assert encoded == [8, 1]  # 9 distinct graphs, at most 2 * EVAL_SLICE per call
     single = [model.forward_pair(reg_dataset.graph(p.g1), reg_dataset.graph(p.g2)).item()
               for p in pairs]
     assert np.max(np.abs(preds - single)) <= 1e-12
     assert targets.tolist() == [p.target for p in pairs]
+
+
+def test_evaluate_pairs_of_no_pairs(reg_dataset):
+    from graphmatch.training import evaluate_pairs
+    preds, targets = evaluate_pairs(tiny_model(), reg_dataset, [])
+    assert preds.shape == targets.shape == (0,)
 
 
 # ---------------------------------------------------------------------------
