@@ -242,7 +242,7 @@ class Encoded:
     @classmethod
     def stack(cls, parts):
         """The values of eval-time outputs as one output without a tape, slots
-        in order. parts may be a generator: each part is released once read."""
+        in order; from a generator, each part's tape is freed once the next is read."""
         h, sizes, sg = [], [], []
         for part in parts:
             h.append(part.h.data)
