@@ -22,7 +22,8 @@ from . import __version__
 from .data import (check_clone_params, check_ged_params, gen_clone_dataset,
                    gen_ged_dataset, load_dataset, load_dataset_dir, save_dataset)
 from .ged import EditCostScheme, GedBudgetError, GedTimeoutError, ged_exact
-from .model import ConfigError, Model, config_from_dict, load_checkpoint, save_checkpoint
+from .model import (ConfigError, Model, ModelConfig, config_from_dict, load_checkpoint,
+                    save_checkpoint)
 from .report import evaluate_model, write_report
 from .training import TrainConfig, load_train_state, train
 
@@ -101,10 +102,10 @@ def cmd_ged(args):
 
 
 def _read_config(path):
-    """The model and train sections of a --config file, each a dict; every
-    refusal is a ConfigError naming the file."""
+    """A --config file as {"model": dict, "train": dict}; every refusal is a
+    ConfigError naming the file."""
     if path is None:
-        return {}, {}
+        return {"model": {}, "train": {}}
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -113,54 +114,40 @@ def _read_config(path):
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: expected a JSON object with model and train sections, "
                           f"got {type(doc).__name__}")
-    sections = []
+    unknown = sorted(set(doc) - {"model", "train"})
+    if unknown:
+        raise ConfigError(f"{path}: unknown section(s) {', '.join(unknown)}; "
+                          f"valid sections: model, train")
     for name in ("model", "train"):
-        section = doc.get(name, {})
-        if not isinstance(section, dict):
+        if not isinstance(doc.setdefault(name, {}), dict):
             raise ConfigError(f"{path}: the {name} section must be a JSON object, "
-                              f"got {type(section).__name__}")
-        sections.append(dict(section))
-    return sections
+                              f"got {type(doc[name]).__name__}")
+    return doc
 
 
-def _model_config_from(args, cfg, feature_dim):
-    cfg["feature_dim"] = feature_dim
-    for key, flag in (("mode", "mode"), ("task", "task"),
-                      ("sgnn_aggregator", "sgnn_agg"),
-                      ("perspectives", "perspectives"),
-                      ("gcn_layers", "gcn_layers"),
-                      ("gcn_dim", "gcn_dim")):
-        val = getattr(args, flag, None)
-        if val is not None:
-            cfg[key] = val
-    return config_from_dict(cfg)
+def _section_config(cls, path, name, section):
+    try:
+        return config_from_dict(cls, section)
+    except ConfigError as e:
+        raise (ConfigError(f"{path}: {name} section: {e}") if path else e) from None
 
 
 def cmd_train(args):
-    model_section, tkw = _read_config(args.config)
-    valid = [f.name for f in fields(TrainConfig)]
-    unknown = sorted(set(tkw) - set(valid))
-    if unknown:
-        raise ConfigError(f"{args.config}: unknown key(s) {', '.join(unknown)} in the train "
-                          f"section; valid fields: {', '.join(valid)}")
+    sections = _read_config(args.config)
+    # each flag given overrides the same-named field in every section that has one
+    for name, cls in (("model", ModelConfig), ("train", TrainConfig)):
+        sections[name].update({f.name: getattr(args, f.name) for f in fields(cls)
+                               if getattr(args, f.name, None) is not None})
     ds = load_dataset_dir(args.dataset)
-    feature_dim = next(iter(ds.graphs.values())).feature_dim
-    try:
-        mcfg = _model_config_from(args, model_section, feature_dim)
-    except ConfigError as e:
-        if not args.config:
-            raise
-        raise ConfigError(f"{args.config}: model section: {e}") from None
+    sections["model"]["feature_dim"] = next(iter(ds.graphs.values())).feature_dim
+    mcfg = _section_config(ModelConfig, args.config, "model", sections["model"])
+    tkw = sections["train"]
     if tkw.setdefault("task", mcfg.task) != mcfg.task:
         raise ConfigError(f"{args.config}: the train section's task {tkw['task']!r} differs "
                           f"from the model's task {mcfg.task!r}")
-    for key in ("seed", "epochs", "iterations", "batch_size", "learning_rate"):
-        val = getattr(args, key, None)
-        if val is not None:
-            tkw[key] = val
     tkw["checkpoint_dir"] = args.out
     tkw.setdefault("log_path", os.path.join(args.out, "train_log.jsonl"))
-    tcfg = TrainConfig(**tkw)
+    tcfg = _section_config(TrainConfig, args.config, "train", tkw)
     model = Model(mcfg, rng=np.random.default_rng(tcfg.seed))
     # checked before the manifest, so a refused resume leaves no output directory
     resume = None if args.resume is None else load_train_state(args.resume, model, tcfg)
@@ -179,7 +166,6 @@ def cmd_train(args):
 def cmd_eval(args):
     model, _ = load_checkpoint(args.checkpoint)
     ds = load_dataset_dir(args.dataset)
-    os.makedirs(args.out, exist_ok=True)
     write_manifest(args.out, "eval", {"checkpoint": args.checkpoint}, 0,
                    [args.checkpoint])
     rep = evaluate_model(model, ds, split=args.split)
@@ -229,7 +215,7 @@ def build_parser():
     t.add_argument("--config", help="JSON file with model/train sections")
     t.add_argument("--task", choices=["classification", "regression"])
     t.add_argument("--mode", choices=["sgnn", "ngmn", "mgmn"])
-    t.add_argument("--sgnn-agg", choices=["max", "fcmax", "bilstm"])
+    t.add_argument("--sgnn-agg", dest="sgnn_aggregator", choices=["max", "fcmax", "bilstm"])
     t.add_argument("--perspectives", type=int)
     t.add_argument("--gcn-layers", type=int)
     t.add_argument("--gcn-dim", type=int)

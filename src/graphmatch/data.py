@@ -167,6 +167,12 @@ def load_dataset_dir(path):
 # ---------------------------------------------------------------------------
 # generators
 
+# GED corpora: label alphabet, most nodes the exact search takes, seconds per
+# pair; clone corpora: seed graph sizes, extra-edge probability, feature width
+GED_LABELS, GED_NODE_BUDGET, GED_TIMEOUT = 3, 10, 30.0
+CLONE_NODE_RANGE, CLONE_EDGE_PROB, CLONE_FEATURE_DIM = (6, 10), 0.2, 6
+
+
 def _connected(n, edges):
     adj = [[] for _ in range(n)]
     for u, v in edges:
@@ -198,38 +204,35 @@ def _random_connected_edges(n, edge_prob, rng):
     return sorted(edges)
 
 
-def check_ged_params(n_graphs, node_range, edge_prob, n_labels=3, node_budget=10):
+def check_ged_params(n_graphs, node_range, edge_prob):
     """Refuse gen_ged_dataset parameters it cannot build a loadable corpus from."""
     lo, hi = node_range
     if n_graphs < 1:
         raise DatasetError(f"n_graphs must be >= 1, got {n_graphs}")
     if not 1 <= lo <= hi:
         raise DatasetError(f"node_range must satisfy 1 <= min <= max, got {node_range}")
-    if hi > node_budget:
-        raise DatasetError(f"node_range max {hi} exceeds ged budget {node_budget}")
-    if n_labels < 1:
-        raise DatasetError(f"n_labels must be >= 1, got {n_labels}")
+    if hi > GED_NODE_BUDGET:
+        raise DatasetError(f"node_range max {hi} exceeds ged budget {GED_NODE_BUDGET}")
     if not 0.0 <= edge_prob <= 1.0:
         raise DatasetError(f"edge_prob must be in [0, 1], got {edge_prob}")
 
 
-def gen_ged_dataset(n_graphs, node_range=(4, 9), edge_prob=0.25, n_labels=3,
-                    seed=0, max_train_pairs=None, eval_candidates=None,
-                    node_budget=10, timeout=30.0):
+def gen_ged_dataset(n_graphs, node_range=(4, 9), edge_prob=0.25, seed=0,
+                    max_train_pairs=None, eval_candidates=None):
     """Random connected labeled graphs with exact normalized GED targets.
 
     Node features are one-hot label encodings. Graphs split 60/20/20; pairs
     cover train x train (optionally subsampled), plus every val/test graph
     against train graphs (the retrieval layout used at evaluation time).
     """
-    check_ged_params(n_graphs, node_range, edge_prob, n_labels, node_budget)
+    check_ged_params(n_graphs, node_range, edge_prob)
     lo, hi = node_range
     rng = np.random.default_rng(seed)
     graphs = {}
     for i in range(n_graphs):
         n = int(rng.integers(lo, hi + 1))
-        labels = [int(x) for x in rng.integers(0, n_labels, size=n)]
-        feats = np.eye(n_labels)[labels]
+        labels = [int(x) for x in rng.integers(0, GED_LABELS, size=n)]
+        feats = np.eye(GED_LABELS)[labels]
         edges = _random_connected_edges(n, edge_prob, rng)
         g = make_graph(f"g{i:04d}", feats, edges, labels)
         graphs[g.id] = g
@@ -260,7 +263,7 @@ def gen_ged_dataset(n_graphs, node_range=(4, 9), edge_prob=0.25, n_labels=3,
     expanded, ms = [], []
     for g1, g2 in cand_pairs:
         t0 = time.perf_counter()
-        res = ged_exact(graphs[g1], graphs[g2], node_budget=node_budget, timeout=timeout)
+        res = ged_exact(graphs[g1], graphs[g2], node_budget=GED_NODE_BUDGET, timeout=GED_TIMEOUT)
         ms.append(1e3 * (time.perf_counter() - t0))
         expanded.append(res.nodes_expanded)
         pairs.append(LabeledPair(g1, g2, res.normalized_similarity))
@@ -272,7 +275,7 @@ def gen_ged_dataset(n_graphs, node_range=(4, 9), edge_prob=0.25, n_labels=3,
     return Dataset(graphs=graphs, pairs=pairs, split=split)
 
 
-def _perturb(g_feats, g_edges, budget, rng, feature_dim):
+def _perturb(g_feats, g_edges, budget, rng):
     """Apply up to `budget` random edits, keeping the graph connected."""
     feats = [list(row) for row in g_feats]
     edges = set(g_edges)
@@ -295,12 +298,12 @@ def _perturb(g_feats, g_edges, budget, rng, feature_dim):
                 continue
             if op == "node_insert":
                 anchor = int(rng.integers(0, n))
-                feats.append([float(x) for x in rng.integers(0, 10, size=feature_dim)])
+                feats.append([float(x) for x in rng.integers(0, 10, size=CLONE_FEATURE_DIM)])
                 edges.add((anchor, n))
                 break
             if op == "feature_noise":
                 node = int(rng.integers(0, n))
-                col = int(rng.integers(0, feature_dim))
+                col = int(rng.integers(0, CLONE_FEATURE_DIM))
                 feats[node][col] = float(max(0.0, feats[node][col] + rng.normal(0, 1)))
                 break
     return feats, sorted(edges)
@@ -316,9 +319,7 @@ def check_clone_params(n_groups, variants_per_group, perturbation_budget):
         raise DatasetError("perturbation budget must be >= 0")
 
 
-def gen_clone_dataset(n_groups, variants_per_group, perturbation_budget, seed=0,
-                      node_range=(6, 10), edge_prob=0.2, feature_dim=6,
-                      eval_pairs_per_graph=1):
+def gen_clone_dataset(n_groups, variants_per_group, perturbation_budget, seed=0):
     """Groups of structural clones for the pair classification task.
 
     Each group is one seed graph plus variants within an edit budget of it.
@@ -328,19 +329,20 @@ def gen_clone_dataset(n_groups, variants_per_group, perturbation_budget, seed=0,
     """
     check_clone_params(n_groups, variants_per_group, perturbation_budget)
     rng = np.random.default_rng(seed)
-    lo, hi = node_range
+    lo, hi = CLONE_NODE_RANGE
     graphs = {}
     group_members = {}
     for gi in range(n_groups):
         n = int(rng.integers(lo, hi + 1))
-        feats = [[float(x) for x in rng.integers(0, 10, size=feature_dim)] for _ in range(n)]
-        edges = _random_connected_edges(n, edge_prob, rng)
+        feats = [[float(x) for x in rng.integers(0, 10, size=CLONE_FEATURE_DIM)]
+                 for _ in range(n)]
+        edges = _random_connected_edges(n, CLONE_EDGE_PROB, rng)
         members = []
         for vi in range(variants_per_group):
             if vi == 0:
                 vfeats, vedges = feats, edges
             else:
-                vfeats, vedges = _perturb(feats, edges, perturbation_budget, rng, feature_dim)
+                vfeats, vedges = _perturb(feats, edges, perturbation_budget, rng)
             gid = f"f{gi:04d}v{vi}"
             g = make_graph(gid, vfeats, vedges, group=f"f{gi:04d}")
             graphs[gid] = g
@@ -364,15 +366,14 @@ def gen_clone_dataset(n_groups, variants_per_group, perturbation_budget, seed=0,
         for grp in grps:
             members = group_members[grp]
             for gid in members:
-                for _ in range(eval_pairs_per_graph):
-                    others = [x for x in members if x != gid]
-                    if others:
-                        pos = others[int(rng.integers(0, len(others)))]
-                        pairs.append(LabeledPair(gid, pos, 1.0))
-                    other_groups = [x for x in grps if x != grp]
-                    if other_groups:
-                        og = other_groups[int(rng.integers(0, len(other_groups)))]
-                        neg = group_members[og][int(rng.integers(0, variants_per_group))]
-                        pairs.append(LabeledPair(gid, neg, -1.0))
+                others = [x for x in members if x != gid]
+                if others:
+                    pos = others[int(rng.integers(0, len(others)))]
+                    pairs.append(LabeledPair(gid, pos, 1.0))
+                other_groups = [x for x in grps if x != grp]
+                if other_groups:
+                    og = other_groups[int(rng.integers(0, len(other_groups)))]
+                    neg = group_members[og][int(rng.integers(0, variants_per_group))]
+                    pairs.append(LabeledPair(gid, neg, -1.0))
     return Dataset(graphs=graphs, pairs=pairs, split=split)
 

@@ -11,7 +11,7 @@ Three modes share one parameter store:
 import base64
 import json
 import os
-from dataclasses import dataclass, asdict, fields
+from dataclasses import MISSING, dataclass, asdict, fields
 
 import numpy as np
 
@@ -368,23 +368,30 @@ def decode_arrays(records):
             for k, rec in records.items()}
 
 
-def config_from_dict(d):
-    """ModelConfig from its asdict() form.
-
-    Files written while the node-graph branch aggregator was a setting carry
-    its one legal value under its own key; that value is accepted and dropped.
-    """
+def config_from_dict(cls, d):
+    """A ModelConfig or TrainConfig from a dict of its fields; an unknown key, a
+    missing required field or a value the class refuses is a ConfigError. A
+    model config's ngmn_aggregator, a setting once, may hold its one legal value,
+    which is dropped."""
+    kind = cls.__name__.removesuffix("Config").lower()
     d = dict(d)
-    key = "ngmn_aggregator"
-    value = d.pop(key, "bilstm")
-    if value != "bilstm":
-        raise ConfigError(f"{key} supports only 'bilstm', got {value!r}")
-    valid = [f.name for f in fields(ModelConfig)]
+    legacy = d.pop("ngmn_aggregator", "bilstm") if cls is ModelConfig else "bilstm"
+    if legacy != "bilstm":
+        raise ConfigError(f"ngmn_aggregator supports only 'bilstm', got {legacy!r}")
+    valid = [f.name for f in fields(cls)]
     unknown = sorted(set(d) - set(valid))
     if unknown:
-        raise ConfigError(f"unknown model config key(s) {', '.join(unknown)}; "
+        raise ConfigError(f"unknown {kind} config key(s) {', '.join(unknown)}; "
                           f"valid fields: {', '.join(valid)}")
-    return ModelConfig(**d)
+    missing = [f.name for f in fields(cls) if f.name not in d and f.default is MISSING]
+    if missing:
+        raise ConfigError(f"{kind} config lacks field(s) {', '.join(missing)}")
+    try:
+        return cls(**d)
+    except TypeError as e:
+        raise ConfigError(f"{kind} config value of the wrong type: {e}") from None
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -423,11 +430,16 @@ def load_checkpoint(path):
             doc = json.load(fh)
         except ValueError as e:
             raise ConfigError(f"{path}: not a JSON checkpoint: {e}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: expected a JSON object, got {type(doc).__name__}")
     if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise ConfigError(f"{path}: unsupported checkpoint format {doc.get('format_version')!r}"
                           f"; this reader takes format {CHECKPOINT_FORMAT_VERSION}")
+    for key in ("config", "params"):
+        if not isinstance(doc.get(key), dict):
+            raise ConfigError(f"{path}: the {key} section is missing or not an object")
     try:
-        config = config_from_dict(doc["config"])
+        config = config_from_dict(ModelConfig, doc["config"])
     except ConfigError as e:
         raise ConfigError(f"{path}: {e}") from None
     arrays = decode_arrays(doc["params"])

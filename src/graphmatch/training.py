@@ -10,15 +10,16 @@ import numpy as np
 from .autodiff import backward
 from .graphs import LabeledPair
 from .metrics import auc, mse_metric
-from .model import (TASKS, ConfigError, Encoded, Model, check_shapes, decode_arrays,
-                    encode_arrays, graph_slots, load_checkpoint, loss_mse, save_checkpoint)
+from .model import (TASKS, ConfigError, Encoded, Model, check_shapes, config_from_dict,
+                    decode_arrays, encode_arrays, graph_slots, load_checkpoint, loss_mse,
+                    save_checkpoint)
 from .optim import Adam
 
 log = logging.getLogger(__name__)
 
 # TrainConfig fields a resumed run must share with the saved one; the rest
 # (schedule length, validation cadence, output paths) may change on resume
-RESUME_FIELDS = ("task", "learning_rate", "batch_size", "batch_pairs", "seed", "grad_clip")
+RESUME_FIELDS = ("task", "learning_rate", "batch_size", "seed", "grad_clip")
 
 
 class TrainingError(RuntimeError):
@@ -30,9 +31,8 @@ class TrainConfig:
     task: str = "regression"
     learning_rate: float | None = None  # default depends on task
     epochs: int = 100                   # classification schedule
-    batch_pairs: int = 10               # 5 positive + 5 negative
     iterations: int = 10000             # regression schedule
-    batch_size: int = 128
+    batch_size: int | None = None       # pairs per step; default depends on task
     seed: int = 0
     val_every: int = 100                # iterations between validations (regression)
     checkpoint_dir: str | None = None
@@ -44,9 +44,11 @@ class TrainConfig:
             raise ValueError(f"task must be one of {TASKS}, got {self.task!r}")
         if self.learning_rate is None:
             self.learning_rate = 0.5e-3 if self.task == "classification" else 5e-3
+        if self.batch_size is None:  # classification: 5 positive + 5 negative
+            self.batch_size = 10 if self.task == "classification" else 128
         if not self.learning_rate >= 0:
             raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        for name in ("epochs", "batch_pairs", "iterations", "batch_size", "val_every"):
+        for name in ("epochs", "iterations", "batch_size", "val_every"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.grad_clip is not None and not self.grad_clip > 0:
@@ -237,11 +239,9 @@ def train(model: Model, dataset, config: TrainConfig, resume_from=None):
             shuffled = []
             for k in order:
                 shuffled.extend(pairs[2 * int(k):2 * int(k) + 2])
-            losses = []
-            for s in range(0, len(shuffled), config.batch_pairs):
-                batch = shuffled[s:s + config.batch_pairs]
-                losses.append(_batch_step(model, dataset, batch, optimizer,
-                                          rng, config.grad_clip))
+            losses = [_batch_step(model, dataset, shuffled[s:s + config.batch_size],
+                                  optimizer, rng, config.grad_clip)
+                      for s in range(0, len(shuffled), config.batch_size)]
             validate_and_record(epoch + 1, float(np.mean(losses)) if losses else None)
     else:
         train_pairs = dataset.pairs_for_split("train")
@@ -285,17 +285,6 @@ def _resume_config(model_config, train_config):
     return out
 
 
-def _stored_train_config(path, stored):
-    """TrainConfig from a train state's train_config, which holds every field."""
-    missing = [f.name for f in fields(TrainConfig) if f.name not in stored]
-    if missing:
-        raise ConfigError(f"{path}: stored train config lacks field(s) {', '.join(missing)}")
-    try:
-        return TrainConfig(**stored)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"{path}: stored train config: {e}") from None
-
-
 def load_train_state(path, model, config):
     """Read a train state and check it against this run's model and config;
     every refusal names the file. Returns the saved model, Adam's decoded
@@ -308,8 +297,19 @@ def load_train_state(path, model, config):
     moments = {k: decode_arrays(state["adam"][k]) for k in ("m", "v")}
     for k, arrays in moments.items():
         check_shapes(path, f"Adam moment {k} of", arrays, saved_model.params)
-    saved = _resume_config(saved_model.config,
-                           _stored_train_config(path, state["train_config"]))
+    stored = dict(state["train_config"])
+    # older states keep the classification batch in batch_pairs
+    batch_pairs = stored.pop("batch_pairs", None)
+    if batch_pairs is not None and stored.get("task") == "classification":
+        stored["batch_size"] = batch_pairs
+    missing = [f.name for f in fields(TrainConfig) if f.name not in stored]
+    if missing:
+        raise ConfigError(f"{path}: stored train config lacks field(s) {', '.join(missing)}")
+    try:
+        stored_config = config_from_dict(TrainConfig, stored)
+    except ConfigError as e:
+        raise ConfigError(f"{path}: stored train config: {e}") from None
+    saved = _resume_config(saved_model.config, stored_config)
     current = _resume_config(model.config, config)
     diff = [f"{k}: saved {saved[k]!r}, current {current[k]!r}"
             for k in saved if saved[k] != current[k]]

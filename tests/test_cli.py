@@ -249,7 +249,7 @@ def test_train_config_unknown_train_key(tiny_dataset, tmp_path, caplog):
     rc = main(["train", "--dataset", str(tiny_dataset), "--config", str(cfg),
                "--out", str(tmp_path / "out")])
     assert rc == 1
-    assert (f"{cfg}: unknown key(s) batch_sise, sed in the train section; "
+    assert (f"{cfg}: train section: unknown train config key(s) batch_sise, sed; "
             f"valid fields: task, learning_rate, epochs,") in caplog.text
     assert "TypeError" not in caplog.text and "__init__" not in caplog.text
     assert not (tmp_path / "out").exists()  # refused before any work
@@ -282,6 +282,10 @@ def test_train_config_task_conflict_refused(tiny_dataset, tmp_path, caplog):
     ('[{"model": {}}]', "expected a JSON object with model and train sections, got list"),
     ('{"train": [1, 2]}', "the train section must be a JSON object, got list"),
     ('{"model": "sgnn"}', "the model section must be a JSON object, got str"),
+    ('{"modle": {}}', "unknown section(s) modle; valid sections: model, train"),
+    ('{"train": {"batch_size": 0}}', "train section: batch_size must be >= 1, got 0"),
+    ('{"train": {"iterations": "5"}}',
+     "train section: train config value of the wrong type: '<' not supported"),
 ])
 def test_train_malformed_config_names_the_file(tiny_dataset, tmp_path, caplog, text, message):
     cfg = tmp_path / "cfg.json"
@@ -289,5 +293,45 @@ def test_train_malformed_config_names_the_file(tiny_dataset, tmp_path, caplog, t
     rc = main(["train", "--dataset", str(tiny_dataset), "--config", str(cfg),
                "--out", str(tmp_path / "out")])
     assert rc == 1
-    assert f"{cfg}: {message}" in caplog.text
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors and errors[-1].startswith(f"{cfg}: {message}")
     assert not (tmp_path / "out").exists()
+
+
+def test_classification_batch_size_flag(tmp_path, monkeypatch):
+    import graphmatch.training as training_module
+    ds, out = tmp_path / "ds", tmp_path / "out"
+    assert main(["gen", "clone", "--groups", "6", "--variants", "3", "--budget", "1",
+                 "--seed", "3", "--out", str(ds)]) == 0
+    sizes = []
+    real_step = training_module._batch_step
+    monkeypatch.setattr(training_module, "_batch_step",
+                        lambda model, dataset, batch, *a: sizes.append(len(batch))
+                        or real_step(model, dataset, batch, *a))
+    rc = main(["train", "--dataset", str(ds), "--task", "classification",
+               "--sgnn-agg", "max", "--gcn-layers", "2", "--gcn-dim", "6",
+               "--perspectives", "4", "--batch-size", "4", "--epochs", "1",
+               "--out", str(out)])
+    assert rc == 0
+    assert len(sizes) > 2 and set(sizes[:-1]) == {4} and 1 <= sizes[-1] <= 4
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["config"]["train"]["batch_size"] == 4
+
+
+def test_every_train_flag_sets_a_config_field():
+    """Flags reach the configs by field name, so a flag whose dest names no
+    field of either config would be dropped without a word."""
+    import argparse
+    from dataclasses import fields
+
+    from graphmatch.cli import build_parser
+    from graphmatch.model import ModelConfig
+    from graphmatch.training import TrainConfig
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    names = {f.name for cls in (ModelConfig, TrainConfig) for f in fields(cls)}
+    for action in subparsers.choices["train"]._actions:
+        if isinstance(action, argparse._HelpAction) or action.dest in (
+                "dataset", "config", "resume", "out"):
+            continue
+        assert action.dest in names, action.option_strings

@@ -244,12 +244,11 @@ def test_node_range_over_budget_rejected():
 @pytest.mark.parametrize("kw, message", [
     ({"node_range": (5, 3)}, r"node_range must satisfy 1 <= min <= max, got \(5, 3\)"),
     ({"node_range": (0, 3)}, r"node_range must satisfy 1 <= min <= max, got \(0, 3\)"),
-    ({"n_labels": 0}, r"n_labels must be >= 1, got 0"),
     ({"edge_prob": -0.5}, r"edge_prob must be in \[0, 1\], got -0.5"),
     ({"edge_prob": 1.5}, r"edge_prob must be in \[0, 1\], got 1.5"),
     ({"n_graphs": 0}, r"n_graphs must be >= 1, got 0"),
     ({"n_graphs": -3}, r"n_graphs must be >= 1, got -3"),
-], ids=["node_range_reversed", "node_range_from_zero", "no_labels", "edge_prob_negative",
+], ids=["node_range_reversed", "node_range_from_zero", "edge_prob_negative",
         "edge_prob_above_one", "no_graphs", "negative_graphs"])
 def test_ged_generator_parameters_checked(kw, message):
     with pytest.raises(DatasetError, match=message):

@@ -533,23 +533,31 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
 
 
 @pytest.mark.parametrize("change,message", [
-    (lambda params: params.pop("gcn.1.weight"),
+    (lambda doc: doc["params"].pop("gcn.1.weight"),
      r"parameter 'gcn.1.weight' has shape nothing, but the config allocates \(4, 4\)"),
-    (lambda params: params.update({"gcn.1.weight": params["mlp.3.bias"]}),
+    (lambda doc: doc["params"].update({"gcn.1.weight": doc["params"]["mlp.3.bias"]}),
      r"parameter 'gcn.1.weight' has shape \(1, 1\), but the config allocates \(4, 4\)"),
-    (lambda params: params.update({"extra.weight": params["mlp.3.bias"]}),
+    (lambda doc: doc["params"].update({"extra.weight": doc["params"]["mlp.3.bias"]}),
      r"parameter 'extra.weight' has shape \(1, 1\), but the config allocates nothing"),
+    (lambda doc: doc["config"].pop("feature_dim"), r"model config lacks field\(s\) feature_dim"),
+    (lambda doc: doc.pop("config"), r"the config section is missing or not an object"),
+    (lambda doc: doc.pop("params"), r"the params section is missing or not an object"),
+    (lambda doc: doc["config"].update({"gcn_dim": "4"}),
+     r"model config value of the wrong type: '<' not supported"),
+    (lambda doc: [doc], r"expected a JSON object, got list"),
 ])
 def test_checkpoint_parameters_checked_against_config(tmp_path, change, message):
+    """Every malformed checkpoint document is a ConfigError naming the file;
+    a change that returns a list replaces the whole document."""
     import json
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, Model(tiny_config(), rng=np.random.default_rng(8)))
     doc = json.loads(path.read_text())
-    change(doc["params"])
-    path.write_text(json.dumps(doc))
+    replaced = change(doc)
+    path.write_text(json.dumps(replaced if isinstance(replaced, list) else doc))
     with pytest.raises(ConfigError, match=message) as err:
         load_checkpoint(path)
-    assert str(path) in str(err.value)
+    assert str(err.value).startswith(f"{path}: ")
 
 
 def test_checkpoint_with_legacy_aggregator_key(tmp_path, rng):

@@ -205,6 +205,48 @@ def test_resume_refuses_old_state_version(tmp_path, reg_dataset):
     assert str(err.value).startswith(f"{path}: ")
 
 
+def _batch_pairs_layout(doc):
+    """A train state whose train config keeps the classification batch in
+    batch_pairs next to an unused batch_size, as states were written while
+    the two schedules had separate batch fields; a state written that way
+    is returned as it is."""
+    stored = doc["extra"]["train_state"]["train_config"]
+    if "batch_pairs" not in stored:
+        if stored["task"] == "classification":
+            stored["batch_pairs"], stored["batch_size"] = stored["batch_size"], 128
+        else:
+            stored["batch_pairs"] = 10
+    return doc
+
+
+@pytest.mark.parametrize("task", TASKS)
+def test_resume_from_a_batch_pairs_layout_state(tmp_path, reg_dataset, clf_dataset, task):
+    """A train state of that layout resumes bit-identically: a stored
+    batch_pairs is the classification batch size and is dropped for
+    regression."""
+    classification = task == "classification"
+    ds = clf_dataset if classification else reg_dataset
+
+    def run(length, out=None):
+        schedule = ({"epochs": length} if classification
+                    else {"iterations": 4 * length, "val_every": 4})
+        model = tiny_model(task=task, feature_dim=6 if classification else 3)
+        return model, TrainConfig(task=task, batch_size=4, seed=5, checkpoint_dir=out,
+                                  **schedule)
+
+    full_model, full_cfg = run(2)
+    full = train(full_model, ds, full_cfg)
+    half_model, half_cfg = run(1, str(tmp_path))
+    train(half_model, ds, half_cfg)
+    path = tmp_path / "train_state.json"
+    path.write_text(json.dumps(_batch_pairs_layout(json.loads(path.read_text()))))
+    model, cfg = run(2)
+    resumed = train(model, ds, cfg, resume_from=str(path))
+    assert resumed.records == full.records
+    for k, p in full_model.params.items():
+        assert np.array_equal(model.params[k].data, p.data), k
+
+
 @pytest.fixture
 def no_training_step(monkeypatch):
     import graphmatch.training as training_module
@@ -320,7 +362,7 @@ def test_split_hygiene_enforced(reg_dataset):
 
 def test_classification_training_runs(clf_dataset):
     model = tiny_model(task="classification", feature_dim=6)
-    cfg = TrainConfig(task="classification", epochs=2, batch_pairs=10, seed=0)
+    cfg = TrainConfig(task="classification", epochs=2, batch_size=10, seed=0)
     report = train(model, clf_dataset, cfg)
     assert len(report.records) == 2
     rec = report.records[-1]
@@ -425,7 +467,7 @@ def test_checkpoint_and_train_state_round_trip(reg_dataset, clf_dataset, config,
     def run_config(length, out=None):
         schedule = {"epochs": length} if config.task == "classification" else {
             "iterations": 2 * length, "val_every": 2}
-        return TrainConfig(task=config.task, batch_size=4, batch_pairs=8, seed=seed,
+        return TrainConfig(task=config.task, batch_size=4, seed=seed,
                            checkpoint_dir=out, **schedule)
 
     ds = reg_dataset if config.task == "regression" else clf_dataset
