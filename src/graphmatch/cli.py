@@ -132,14 +132,26 @@ def _section_config(cls, path, name, section):
         raise (ConfigError(f"{path}: {name} section: {e}") if path else e) from None
 
 
+def _flag_values(args, cls, base):
+    """The flags given for cls's fields, each checked alone on top of base, so
+    a refused value names its flag and not the --config file."""
+    given = {f.name: getattr(args, f.name) for f in fields(cls)
+             if getattr(args, f.name, None) is not None}
+    for name, value in given.items():
+        try:
+            config_from_dict(cls, {**base, name: value})
+        except ConfigError as e:
+            raise ConfigError(f"{args.flag_names[name]}: {e}") from None
+    return given
+
+
 def cmd_train(args):
     sections = _read_config(args.config)
-    # each flag given overrides the same-named field in every section that has one
-    for name, cls in (("model", ModelConfig), ("train", TrainConfig)):
-        sections[name].update({f.name: getattr(args, f.name) for f in fields(cls)
-                               if getattr(args, f.name, None) is not None})
     ds = load_dataset_dir(args.dataset)
-    sections["model"]["feature_dim"] = next(iter(ds.graphs.values())).feature_dim
+    width = {"feature_dim": next(iter(ds.graphs.values())).feature_dim}
+    # each flag given overrides the same-named field in every section that has one
+    sections["model"].update(_flag_values(args, ModelConfig, width), **width)
+    sections["train"].update(_flag_values(args, TrainConfig, {}))
     mcfg = _section_config(ModelConfig, args.config, "model", sections["model"])
     tkw = sections["train"]
     if tkw.setdefault("task", mcfg.task) != mcfg.task:
@@ -158,8 +170,9 @@ def cmd_train(args):
     report = train(model, ds, tcfg, resume_from=resume)
     final = os.path.join(args.out, "final.ckpt")
     save_checkpoint(final, model)
-    print(f"best val loss {report.best_val_loss:.6g}; "
-          f"best checkpoint {report.best_checkpoint}", file=sys.stderr)
+    best = (f"best checkpoint {report.best_checkpoint}" if report.best_checkpoint
+            else "no best checkpoint was written")
+    print(f"best val loss {report.best_val_loss:.6g}; {best}", file=sys.stderr)
     return 0
 
 
@@ -226,7 +239,8 @@ def build_parser():
     t.add_argument("--seed", type=int)
     t.add_argument("--resume", help="train_state.json to continue from")
     t.add_argument("--out", required=True)
-    t.set_defaults(func=cmd_train)
+    t.set_defaults(func=cmd_train, flag_names={a.dest: a.option_strings[0]
+                                               for a in t._actions if a.option_strings})
 
     e = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     e.add_argument("--checkpoint", required=True)

@@ -91,7 +91,8 @@ def save_dataset(ds: Dataset, out_dir):
 
 
 def load_dataset(graphs_path, pairs_path=None, split_path=None):
-    """Load and validate a dataset; errors cite the offending line."""
+    """Load and validate a dataset; errors cite the offending line. A path
+    given must exist; without a split file every graph is a train graph."""
     graphs = {}
     width = None
     with open(graphs_path, encoding="utf-8") as fh:
@@ -117,7 +118,7 @@ def load_dataset(graphs_path, pairs_path=None, split_path=None):
         raise DatasetError(f"{graphs_path}: no graphs")
 
     pairs = []
-    if pairs_path is not None and os.path.exists(pairs_path):
+    if pairs_path is not None:
         with open(pairs_path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.strip()
@@ -139,7 +140,7 @@ def load_dataset(graphs_path, pairs_path=None, split_path=None):
         if not pairs:
             log.warning("%s: empty pairs file", pairs_path)
 
-    if split_path is not None and os.path.exists(split_path):
+    if split_path is not None:
         with open(split_path, encoding="utf-8") as fh:
             try:
                 split = {k: [str(gid) for gid in ids] for k, ids in json.load(fh).items()}

@@ -185,7 +185,7 @@ def aggregate(h, aggregator, params, prefix, seqs):
                           params[f"{prefix}.bw.b"], lengths=lengths)
 
 
-def predict(ha, hb, task, params, training):
+def predict(ha, hb, task, params):
     """Similarity scores (B,) from the two graph vectors of each pair, (B, L) each.
 
     classification: plain cosine in [-1, 1].
@@ -289,7 +289,7 @@ class Model:
             slots = np.arange(len(graphs)).reshape(-1, 2)
         else:
             graphs, slots = graph_slots(pairs)
-        return self.pair_stage(self.graph_stage(graphs, training, rng), slots, training)
+        return self.pair_stage(self.graph_stage(graphs, training, rng), slots)
 
     def graph_stage(self, graphs, training=False, rng=None):
         """Everything about each graph slot that no pair changes: GCN node rows,
@@ -320,7 +320,7 @@ class Model:
             if use_sgnn else None
         return Encoded(h, nodes, sg, orders if training else None)
 
-    def pair_stage(self, enc, slots, training=False):
+    def pair_stage(self, enc, slots):
         """Scores (B,) of the pairs whose sides are the (B, 2) slot indices into
         a graph_stage output: cross-level node-graph matching, its BiLSTM and
         the prediction head."""
@@ -344,7 +344,7 @@ class Model:
             heads_b.append(ad.gather_rows(enc.sg, slots[:, 1]))
         ha = heads_a[0] if len(heads_a) == 1 else ad.concat(heads_a, axis=1)
         hb = heads_b[0] if len(heads_b) == 1 else ad.concat(heads_b, axis=1)
-        return predict(ha, hb, cfg.task, self.params, training)
+        return predict(ha, hb, cfg.task, self.params)
 
     def zero_grad(self):
         for p in self.params.values():

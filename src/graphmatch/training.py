@@ -59,8 +59,7 @@ class TrainConfig:
 class TrainReport:
     records: list
     best_val_loss: float
-    best_checkpoint: str | None
-    state_path: str | None
+    best_checkpoint: str | None  # None unless this run wrote best.ckpt
 
 
 def sample_classification_pairs(groups, train_ids, rng):
@@ -154,19 +153,6 @@ def evaluate_pairs(model, dataset, pairs):
     return np.concatenate(preds), targets
 
 
-def _validation(model, dataset, val_pairs, task):
-    if not val_pairs:
-        return None, None
-    preds, targets = evaluate_pairs(model, dataset, val_pairs)
-    val_loss = mse_metric(preds, targets)
-    metric = None
-    if task == "classification":
-        labels = np.where(targets > 0, 1, -1)
-        if (labels == 1).any() and (labels == -1).any():
-            metric = auc(preds, labels)
-    return val_loss, metric
-
-
 def _check_split_hygiene(dataset, pairs):
     held_out = set(dataset.split.get("test", ())) | set(dataset.split.get("val", ()))
     for p in pairs:
@@ -174,15 +160,45 @@ def _check_split_hygiene(dataset, pairs):
             raise TrainingError(f"held-out graph in training pair ({p.g1}, {p.g2})")
 
 
+def _rounds(dataset, config, rng, start):
+    """The task's schedule from step start on, one validation round at a time:
+    yields (record step, batches). A classification round is one epoch of
+    freshly sampled pairs, shuffled as (positive, negative) twins; a regression
+    round runs to the next multiple of val_every, or to iterations, on batches
+    drawn with replacement. Each regression batch is drawn just before its
+    step, so rng is consumed in one order however the rounds fall."""
+    if config.task == "classification":
+        train_ids = list(dataset.split["train"])
+        for epoch in range(start, config.epochs):
+            pairs = sample_classification_pairs(dataset.groups, train_ids, rng)
+            _check_split_hygiene(dataset, pairs)
+            pairs = [p for k in rng.permutation(len(pairs) // 2) for p in pairs[2 * k:2 * k + 2]]
+            yield epoch + 1, [pairs[s:s + config.batch_size]
+                              for s in range(0, len(pairs), config.batch_size)]
+        return
+    train_pairs = dataset.pairs_for_split("train")
+    if not train_pairs:
+        raise TrainingError("no training pairs")
+    _check_split_hygiene(dataset, train_pairs)
+    step = start
+    while step < config.iterations:
+        end = min((step // config.val_every + 1) * config.val_every, config.iterations)
+        yield end, ([train_pairs[int(i)]
+                     for i in rng.integers(0, len(train_pairs), size=config.batch_size)]
+                    for _ in range(step, end))
+        step = end
+
+
 def train(model: Model, dataset, config: TrainConfig, resume_from=None):
     """Run the task schedule, keeping the checkpoint with best validation loss.
 
-    Emits one structured record per validation pass; with a checkpoint_dir,
-    writes best.ckpt plus train_state.json, a checkpoint whose train_state
-    section resumes an interrupted run with an identical trajectory.
-    resume_from is such a train state's path or what load_train_state read
-    from one; it is checked before anything is written. The model config
-    owns the task; a config.task other than the model's is refused.
+    Emits one structured record per validation round; with a checkpoint_dir,
+    writes best.ckpt whenever validation improves, plus train_state.json, a
+    checkpoint whose train_state section resumes an interrupted run with an
+    identical trajectory. resume_from is such a train state's path or what
+    load_train_state read from one; it is checked before anything is
+    written. The model config owns the task; a config.task other than the
+    model's is refused.
     """
     if config.task != model.config.task:
         raise TrainingError(f"train config task {config.task!r} differs from the "
@@ -205,61 +221,34 @@ def train(model: Model, dataset, config: TrainConfig, resume_from=None):
         start_step, records = state["step"], list(state["records"])
         if state["best_val_loss"] is not None:
             best_val = state["best_val_loss"]
-    best_path = state_path = None
     if config.checkpoint_dir:
         os.makedirs(config.checkpoint_dir, exist_ok=True)
-        best_path = os.path.join(config.checkpoint_dir, "best.ckpt")
-        state_path = os.path.join(config.checkpoint_dir, "train_state.json")
-
+    best_checkpoint = None
     val_pairs = dataset.pairs_for_split("val")
-
-    def validate_and_record(step, train_loss):
-        nonlocal best_val
-        val_loss, metric = _validation(model, dataset, val_pairs, config.task)
-        rec = {"step": step, "train_loss": train_loss,
-               "val_loss": val_loss, "metric": metric}
+    for step, batches in _rounds(dataset, config, rng, start_step):
+        losses = [_batch_step(model, dataset, batch, optimizer, rng, config.grad_clip)
+                  for batch in batches]
+        rec = {"step": step, "train_loss": float(np.mean(losses)) if losses else None,
+               "val_loss": None, "metric": None}
+        if val_pairs:
+            preds, targets = evaluate_pairs(model, dataset, val_pairs)
+            rec["val_loss"] = mse_metric(preds, targets)
+            if config.task == "classification" and 0 < np.sum(targets > 0) < len(targets):
+                rec["metric"] = auc(preds, np.where(targets > 0, 1, -1))
         records.append(rec)
         if config.log_path:
             with open(config.log_path, "a", encoding="utf-8") as fh:
                 fh.write(json.dumps(rec) + "\n")
-        if val_loss is not None and val_loss < best_val:
-            best_val = val_loss
-            if best_path:
-                save_checkpoint(best_path, model, extra={"step": step, "val_loss": val_loss})
-        if state_path:
-            _save_train_state(state_path, model, config, optimizer, rng, step, best_val,
-                              records)
-
-    if config.task == "classification":
-        train_ids = list(dataset.split["train"])
-        for epoch in range(start_step, config.epochs):
-            pairs = sample_classification_pairs(dataset.groups, train_ids, rng)
-            _check_split_hygiene(dataset, pairs)
-            order = rng.permutation(len(pairs) // 2)
-            shuffled = []
-            for k in order:
-                shuffled.extend(pairs[2 * int(k):2 * int(k) + 2])
-            losses = [_batch_step(model, dataset, shuffled[s:s + config.batch_size],
-                                  optimizer, rng, config.grad_clip)
-                      for s in range(0, len(shuffled), config.batch_size)]
-            validate_and_record(epoch + 1, float(np.mean(losses)) if losses else None)
-    else:
-        train_pairs = dataset.pairs_for_split("train")
-        if not train_pairs:
-            raise TrainingError("no training pairs")
-        _check_split_hygiene(dataset, train_pairs)
-        recent = []
-        for it in range(start_step, config.iterations):
-            idx = rng.integers(0, len(train_pairs), size=config.batch_size)
-            batch = [train_pairs[int(i)] for i in idx]
-            recent.append(_batch_step(model, dataset, batch, optimizer,
-                                      rng, config.grad_clip))
-            if (it + 1) % config.val_every == 0 or it + 1 == config.iterations:
-                validate_and_record(it + 1, float(np.mean(recent)))
-                recent = []
-
+        if rec["val_loss"] is not None and rec["val_loss"] < best_val:
+            best_val = rec["val_loss"]
+            if config.checkpoint_dir:
+                best_checkpoint = os.path.join(config.checkpoint_dir, "best.ckpt")
+                save_checkpoint(best_checkpoint, model, extra={"step": step, "val_loss": best_val})
+        if config.checkpoint_dir:
+            _save_train_state(os.path.join(config.checkpoint_dir, "train_state.json"), model,
+                              config, optimizer, rng, step, best_val, records)
     return TrainReport(records=records, best_val_loss=float(best_val),
-                       best_checkpoint=best_path, state_path=state_path)
+                       best_checkpoint=best_checkpoint)
 
 
 # ---------------------------------------------------------------------------
@@ -285,15 +274,42 @@ def _resume_config(model_config, train_config):
     return out
 
 
+def _loads_into_a_generator(rng_state):
+    try:
+        np.random.default_rng().bit_generator.state = rng_state
+    except (TypeError, ValueError, KeyError):
+        return False
+    return True
+
+
+# train_state field -> (what a resumable value is, its check)
+STATE_FIELDS = {
+    "step": ("an int >= 0", lambda v: type(v) is int and v >= 0),
+    "best_val_loss": ("a finite number or null",
+                      lambda v: v is None or type(v) in (int, float) and np.isfinite(v)),
+    "records": ("a list", lambda v: isinstance(v, list)),
+    "train_config": ("an object", lambda v: isinstance(v, dict)),
+    "adam": ("an object with an int step_count >= 0 and objects m and v",
+             lambda v: isinstance(v, dict) and type(v.get("step_count")) is int
+             and v["step_count"] >= 0 and all(isinstance(v.get(k), dict) for k in "mv")),
+    "rng_state": ("the state of a numpy default_rng generator", _loads_into_a_generator),
+}
+
+
 def load_train_state(path, model, config):
     """Read a train state and check it against this run's model and config;
     every refusal names the file. Returns the saved model, Adam's decoded
     moments and the train_state section."""
     saved_model, extra = load_checkpoint(path)
-    state = (extra or {}).get("train_state")
-    if state is None:
+    state = extra.get("train_state") if isinstance(extra, dict) else None
+    if not isinstance(state, dict):
         raise ConfigError(f"{path}: no train_state section; --resume takes the "
                           f"train_state.json a run writes, not a model checkpoint")
+    for name, (want, usable) in STATE_FIELDS.items():
+        if name not in state:
+            raise ConfigError(f"{path}: train_state lacks field {name!r}")
+        if not usable(state[name]):
+            raise ConfigError(f"{path}: train_state field {name!r} is not {want}")
     moments = {k: decode_arrays(state["adam"][k]) for k in ("m", "v")}
     for k, arrays in moments.items():
         check_shapes(path, f"Adam moment {k} of", arrays, saved_model.params)

@@ -124,6 +124,12 @@ def test_ged_rejects_multi_graph_file(tmp_path, triangle_path_files):
     assert main(["ged", str(multi), tri]) == 1
 
 
+# the settings of trained_run's model and schedule, as train flags
+TINY_RUN = ["--task", "regression", "--mode", "mgmn", "--sgnn-agg", "max", "--gcn-layers", "2",
+            "--gcn-dim", "6", "--perspectives", "4", "--iterations", "20", "--batch-size", "4",
+            "--seed", "0"]
+
+
 @pytest.fixture(scope="module")
 def trained_run(tmp_path_factory):
     root = tmp_path_factory.mktemp("run")
@@ -131,11 +137,7 @@ def trained_run(tmp_path_factory):
     out = root / "out"
     main(["gen", "ged", "--graphs", "12", "--node-range", "4", "5",
           "--seed", "5", "--out", str(ds)])
-    rc = main(["train", "--dataset", str(ds), "--task", "regression",
-               "--mode", "mgmn", "--sgnn-agg", "max", "--gcn-layers", "2",
-               "--gcn-dim", "6", "--perspectives", "4",
-               "--iterations", "20", "--batch-size", "4", "--seed", "0",
-               "--out", str(out)])
+    rc = main(["train", "--dataset", str(ds), *TINY_RUN, "--out", str(out)])
     assert rc == 0
     return ds, out
 
@@ -188,13 +190,23 @@ def test_score_accepts_the_train_state(trained_run, tmp_path, capsys):
 
 def test_resume_from_a_model_checkpoint_refused(trained_run, tmp_path, caplog):
     ds, out = trained_run
-    rc = main(["train", "--dataset", str(ds), "--task", "regression",
-               "--mode", "mgmn", "--sgnn-agg", "max", "--gcn-layers", "2",
-               "--gcn-dim", "6", "--perspectives", "4",
-               "--iterations", "20", "--batch-size", "4", "--seed", "0",
+    rc = main(["train", "--dataset", str(ds), *TINY_RUN,
                "--resume", str(out / "best.ckpt"), "--out", str(tmp_path / "again")])
     assert rc == 1
     assert f"{out / 'best.ckpt'}: no train_state section" in caplog.text
+    assert not (tmp_path / "again").exists()  # refused before any output
+
+
+def test_resume_from_an_incomplete_state_refused(trained_run, tmp_path, caplog):
+    ds, out = trained_run
+    doc = json.loads((out / "train_state.json").read_text())
+    del doc["extra"]["train_state"]["records"]
+    state = tmp_path / "train_state.json"
+    state.write_text(json.dumps(doc))
+    rc = main(["train", "--dataset", str(ds), *TINY_RUN,
+               "--resume", str(state), "--out", str(tmp_path / "again")])
+    assert rc == 1
+    assert f"{state}: train_state lacks field 'records'" in caplog.text
     assert not (tmp_path / "again").exists()  # refused before any output
 
 
@@ -275,6 +287,56 @@ def test_train_config_task_conflict_refused(tiny_dataset, tmp_path, caplog):
     assert (f"{cfg}: the train section's task 'classification' differs from the "
             f"model's task 'regression'") in caplog.text
     assert not (tmp_path / "out").exists()
+
+
+def test_train_refused_flag_value_names_the_flag(tiny_dataset, tmp_path, caplog):
+    cfg = tmp_path / "cfg.json"
+
+    def refusal(doc, *flags):
+        cfg.write_text(json.dumps(doc))
+        rc = main(["train", "--dataset", str(tiny_dataset), "--config", str(cfg), *flags,
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert not (tmp_path / "out").exists()
+        return [r.getMessage() for r in caplog.records if r.levelname == "ERROR"][-1]
+
+    assert (refusal({"train": {"iterations": 2}}, "--batch-size", "0")
+            == "--batch-size: batch_size must be >= 1, got 0")
+    assert (refusal({"model": {"gcn_dim": 4}}, "--perspectives", "0")
+            == "--perspectives: gcn_layers, gcn_dim and perspectives must be >= 1")
+    # a bad value that is in the file is still blamed on the file
+    assert refusal({"train": {"batch_size": 0}}, "--iterations", "2").startswith(
+        f"{cfg}: train section: batch_size must be >= 1, got 0")
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("missing", ["pairs.jsonl", "split.json"])
+def test_dataset_without_all_its_files_refused(trained_run, tmp_path, caplog, command,
+                                               missing):
+    ds, out = trained_run
+    partial = tmp_path / "ds"
+    partial.mkdir()
+    for name in ("graphs.jsonl", "pairs.jsonl", "split.json"):
+        if name != missing:
+            (partial / name).write_bytes((ds / name).read_bytes())
+    args = (["--iterations", "2"] if command == "train"
+            else ["--checkpoint", str(out / "final.ckpt")])
+    rc = main([command, "--dataset", str(partial), *args, "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert str(partial / missing) in caplog.text
+    assert not (tmp_path / "out").exists()  # refused before the manifest
+
+
+def test_train_without_validation_writes_no_best_checkpoint(tiny_dataset, tmp_path, capsys):
+    split = json.loads((tiny_dataset / "split.json").read_text())
+    split["test"] += split.pop("val")
+    (tiny_dataset / "split.json").write_text(json.dumps(split))
+    out = tmp_path / "out"
+    rc = main(["train", "--dataset", str(tiny_dataset), "--gcn-dim", "4", "--perspectives",
+               "2", "--iterations", "2", "--batch-size", "2", "--out", str(out)])
+    assert rc == 0
+    assert "best val loss inf; no best checkpoint was written" in capsys.readouterr().err
+    assert not (out / "best.ckpt").exists() and (out / "final.ckpt").exists()
 
 
 @pytest.mark.parametrize("text,message", [

@@ -49,6 +49,16 @@ def test_empty_pairs_warns(tmp_path, caplog):
     assert any("empty pairs" in r.message for r in caplog.records)
 
 
+@pytest.mark.parametrize("name", ["pairs.jsonl", "split.json"])
+def test_dataset_directory_needs_all_three_files(tmp_path, name):
+    """Without split.json every graph would silently become a train graph,
+    held-out ones included; without pairs.jsonl there would be nothing to train on."""
+    save_dataset(small_ged_dataset(), tmp_path)
+    (tmp_path / name).unlink()
+    with pytest.raises(FileNotFoundError, match=re.escape(str(tmp_path / name))):
+        load_dataset_dir(tmp_path)
+
+
 def test_dangling_pair_id_rejected(tmp_path):
     ds = small_ged_dataset()
     save_dataset(ds, tmp_path)

@@ -246,12 +246,12 @@ def test_aggregate_sequences_match_one_at_a_time(rng):
 
 def test_predict_classification_identical():
     h = Tensor([[1.0, -2.0, 0.5]])
-    assert abs(predict(h, h, "classification", {}, False).item() - 1.0) < 1e-12
+    assert abs(predict(h, h, "classification", {}).item() - 1.0) < 1e-12
 
 
 def test_predict_classification_opposite():
     h = Tensor([[1.0, -2.0, 0.5]])
-    got = predict(h, -1.0 * h, "classification", {}, False).item()
+    got = predict(h, -1.0 * h, "classification", {}).item()
     assert abs(got + 1.0) < 1e-12
 
 
@@ -264,7 +264,7 @@ def test_predict_regression_zero_weights():
         params[f"mlp.{i}.bias"] = Tensor(np.zeros((1, nxt)))
         width = nxt
     got = predict(Tensor([[1.0, 2.0, 3.0]]), Tensor([[0.0, 1.0, 0.0]]),
-                  "regression", params, False).item()
+                  "regression", params).item()
     assert got == 0.5
 
 

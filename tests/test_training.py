@@ -168,6 +168,24 @@ def test_resume_matches_uninterrupted(tmp_path, reg_dataset):
     assert resumed.records == full.records
 
 
+def test_resume_with_a_changed_val_every(tmp_path, reg_dataset):
+    """A resumed regression run validates at the new cadence's multiples from
+    where the saved run stopped, and reaches the uninterrupted parameters."""
+    def run(iterations, val_every, out=None):
+        return TrainConfig(task="regression", iterations=iterations, batch_size=4, seed=5,
+                           val_every=val_every, checkpoint_dir=out)
+
+    full_model = tiny_model()
+    train(full_model, reg_dataset, run(20, 10))
+    train(tiny_model(), reg_dataset, run(10, 10, str(tmp_path)))
+    model = tiny_model()
+    resumed = train(model, reg_dataset, run(20, 4),
+                    resume_from=str(tmp_path / "train_state.json"))
+    assert [r["step"] for r in resumed.records] == [10, 12, 16, 20]
+    for k, p in full_model.params.items():
+        assert np.array_equal(model.params[k].data, p.data), k
+
+
 def test_resume_refuses_changed_config(tmp_path, reg_dataset):
     half_cfg = TrainConfig(task="regression", iterations=10, batch_size=4, seed=5,
                            val_every=10, checkpoint_dir=str(tmp_path / "half"))
@@ -293,8 +311,19 @@ def _set(doc, keys, value):
      r"stored train config lacks field\(s\) grad_clip"),
     ("best.ckpt", (), None, r"no train_state section; --resume takes the train_state.json"),
     ("train_state.json", "v2", None, r"unsupported checkpoint format None"),
+    *[("train_state.json", ("extra", "train_state", name), None,
+       rf"train_state lacks field '{name}'")
+      for name in ("adam", "step", "records", "rng_state", "best_val_loss")],
+    ("train_state.json", ("extra", "train_state", "step"), -1,
+     r"train_state field 'step' is not an int >= 0"),
+    ("train_state.json", ("extra", "train_state", "adam", "step_count"), "3",
+     r"train_state field 'adam' is not an object with an int step_count >= 0"),
+    ("train_state.json", ("extra", "train_state", "rng_state", "bit_generator"), "MT19937",
+     r"train_state field 'rng_state' is not the state of a numpy default_rng generator"),
 ], ids=["parameter_shape", "parameter_missing", "adam_moment_shape", "unknown_model_key",
-        "train_config_field_missing", "model_checkpoint", "v2_state"])
+        "train_config_field_missing", "model_checkpoint", "v2_state", "adam_missing",
+        "step_missing", "records_missing", "rng_state_missing", "best_val_loss_missing",
+        "step_negative", "adam_step_count_not_int", "rng_state_other_generator"])
 def test_resume_refuses_unusable_state_before_any_step(saved_run, reg_dataset, tmp_path,
                                                        no_training_step, source, keys, value,
                                                        message):
@@ -368,6 +397,27 @@ def test_classification_training_runs(clf_dataset):
     rec = report.records[-1]
     assert rec["val_loss"] is not None
     assert 0.0 <= rec["metric"] <= 1.0
+
+
+def test_classification_epochs_without_pairs_still_record(no_training_step):
+    """Singleton groups give no positive pair, so an epoch samples nothing and
+    runs no step, but each epoch still ends with a record."""
+    ds = gen_clone_dataset(10, 1, 1, seed=3)
+    cfg = TrainConfig(task="classification", epochs=2, seed=0)
+    report = train(tiny_model(task="classification", feature_dim=6), ds, cfg)
+    assert [(r["step"], r["train_loss"]) for r in report.records] == [(1, None), (2, None)]
+
+
+def test_no_best_checkpoint_without_validation(tmp_path, reg_dataset):
+    ds = type(reg_dataset)(graphs=reg_dataset.graphs, pairs=reg_dataset.pairs,
+                           split={**reg_dataset.split, "val": [],
+                                  "test": reg_dataset.split["test"] + reg_dataset.split["val"]})
+    cfg = TrainConfig(task="regression", iterations=4, batch_size=4, val_every=2,
+                      checkpoint_dir=str(tmp_path))
+    report = train(tiny_model(), ds, cfg)
+    assert [r["val_loss"] for r in report.records] == [None, None]
+    assert report.best_checkpoint is None and report.best_val_loss == np.inf
+    assert sorted(os.listdir(tmp_path)) == ["train_state.json"]
 
 
 def test_classification_needs_groups(reg_dataset):
