@@ -66,13 +66,13 @@ def cmd_gen(args):
     cfg = {k: v for k, v in vars(args).items() if k not in ("func", "out")}
     # checked before the manifest, so a refused run leaves no output directory
     if args.kind == "ged":
-        check_ged_params(args.graphs, tuple(args.node_range), args.edge_prob)
+        check_ged_params(args.graphs, tuple(args.node_range), args.edge_prob, args.seed)
         generate = partial(gen_ged_dataset, args.graphs, node_range=tuple(args.node_range),
                            edge_prob=args.edge_prob, seed=args.seed,
                            max_train_pairs=args.max_train_pairs,
                            eval_candidates=args.eval_candidates)
     else:
-        check_clone_params(args.groups, args.variants, args.budget)
+        check_clone_params(args.groups, args.variants, args.budget, args.seed)
         generate = partial(gen_clone_dataset, args.groups, args.variants, args.budget,
                            seed=args.seed)
     write_manifest(args.out, f"gen {args.kind}", cfg, args.seed)

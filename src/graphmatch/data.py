@@ -205,9 +205,11 @@ def _random_connected_edges(n, edge_prob, rng):
     return sorted(edges)
 
 
-def check_ged_params(n_graphs, node_range, edge_prob):
+def check_ged_params(n_graphs, node_range, edge_prob, seed):
     """Refuse gen_ged_dataset parameters it cannot build a loadable corpus from."""
     lo, hi = node_range
+    if seed < 0:
+        raise DatasetError(f"seed must be >= 0, got {seed}")
     if n_graphs < 1:
         raise DatasetError(f"n_graphs must be >= 1, got {n_graphs}")
     if not 1 <= lo <= hi:
@@ -226,7 +228,7 @@ def gen_ged_dataset(n_graphs, node_range=(4, 9), edge_prob=0.25, seed=0,
     cover train x train (optionally subsampled), plus every val/test graph
     against train graphs (the retrieval layout used at evaluation time).
     """
-    check_ged_params(n_graphs, node_range, edge_prob)
+    check_ged_params(n_graphs, node_range, edge_prob, seed)
     lo, hi = node_range
     rng = np.random.default_rng(seed)
     graphs = {}
@@ -310,8 +312,10 @@ def _perturb(g_feats, g_edges, budget, rng):
     return feats, sorted(edges)
 
 
-def check_clone_params(n_groups, variants_per_group, perturbation_budget):
+def check_clone_params(n_groups, variants_per_group, perturbation_budget, seed):
     """Refuse gen_clone_dataset parameters it cannot build a loadable corpus from."""
+    if seed < 0:
+        raise DatasetError(f"seed must be >= 0, got {seed}")
     if n_groups < 1:
         raise DatasetError(f"n_groups must be >= 1, got {n_groups}")
     if variants_per_group < 1:
@@ -328,7 +332,7 @@ def gen_clone_dataset(n_groups, variants_per_group, perturbation_budget, seed=0)
     holds fixed positive/negative evaluation pairs for val and test graphs;
     training pairs are resampled each epoch by the trainer.
     """
-    check_clone_params(n_groups, variants_per_group, perturbation_budget)
+    check_clone_params(n_groups, variants_per_group, perturbation_budget, seed)
     rng = np.random.default_rng(seed)
     lo, hi = CLONE_NODE_RANGE
     graphs = {}

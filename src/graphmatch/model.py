@@ -10,6 +10,7 @@ Three modes share one parameter store:
 
 import base64
 import json
+import math
 import os
 from dataclasses import MISSING, dataclass, asdict, fields
 
@@ -361,11 +362,30 @@ def encode_arrays(arrays):
             for k, a in sorted(arrays.items())}
 
 
-def decode_arrays(records):
-    """Inverse of encode_arrays: name -> writable float64 array."""
-    return {k: np.frombuffer(base64.b64decode(rec["data"]), dtype="<f8")
-            .astype(np.float64).reshape(rec["shape"])
-            for k, rec in records.items()}
+def decode_arrays(path, what, records):
+    """Inverse of encode_arrays: name -> writable float64 array. A record that
+    is not an object with a shape of ints >= 0 and base64 data of exactly that
+    many float64 values is a ConfigError naming path, what and the record."""
+    arrays = {}
+    for name, rec in records.items():
+        where = f"{path}: {what} {name!r}"
+        if not isinstance(rec, dict):
+            raise ConfigError(f"{where} is not an object")
+        shape = rec.get("shape")
+        if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+            raise ConfigError(f"{where} has shape {shape!r}, not a list of ints >= 0")
+        if "data" not in rec:
+            raise ConfigError(f"{where} lacks field 'data'")
+        try:
+            raw = base64.b64decode(rec["data"], validate=True)
+        except (TypeError, ValueError):
+            raise ConfigError(f"{where}: data is not base64") from None
+        size = math.prod(shape)
+        if len(raw) != 8 * size:
+            raise ConfigError(f"{where}: data holds {len(raw)} bytes, but shape {shape} "
+                              f"needs {size} float64 values")
+        arrays[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    return arrays
 
 
 def config_from_dict(cls, d):
@@ -442,7 +462,7 @@ def load_checkpoint(path):
         config = config_from_dict(ModelConfig, doc["config"])
     except ConfigError as e:
         raise ConfigError(f"{path}: {e}") from None
-    arrays = decode_arrays(doc["params"])
+    arrays = decode_arrays(path, "parameter", doc["params"])
     check_shapes(path, "parameter", arrays, init_params(config, np.random.default_rng(0)))
     params = {k: Tensor(a, requires_grad=True) for k, a in arrays.items()}
     return Model(config, params=params), doc.get("extra")

@@ -48,6 +48,8 @@ class TrainConfig:
             self.batch_size = 10 if self.task == "classification" else 128
         if not self.learning_rate >= 0:
             raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("epochs", "iterations", "batch_size", "val_every"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -310,9 +312,11 @@ def load_train_state(path, model, config):
             raise ConfigError(f"{path}: train_state lacks field {name!r}")
         if not usable(state[name]):
             raise ConfigError(f"{path}: train_state field {name!r} is not {want}")
-    moments = {k: decode_arrays(state["adam"][k]) for k in ("m", "v")}
-    for k, arrays in moments.items():
-        check_shapes(path, f"Adam moment {k} of", arrays, saved_model.params)
+    moments = {}
+    for k in ("m", "v"):
+        what = f"Adam moment {k} of"
+        moments[k] = decode_arrays(path, what, state["adam"][k])
+        check_shapes(path, what, moments[k], saved_model.params)
     stored = dict(state["train_config"])
     # older states keep the classification batch in batch_pairs
     batch_pairs = stored.pop("batch_pairs", None)

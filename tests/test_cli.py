@@ -59,6 +59,13 @@ def test_gen_empty_corpus_refused(tmp_path, caplog, argv, message):
     assert not (tmp_path / "ds").exists()
 
 
+@pytest.mark.parametrize("kind", ["ged", "clone"])
+def test_gen_negative_seed_refused(tmp_path, caplog, kind):
+    assert main(["gen", kind, "--seed", "-1", "--out", str(tmp_path / "ds")]) == 1
+    assert "seed must be >= 0, got -1" in caplog.text
+    assert not (tmp_path / "ds").exists()  # refused before the manifest
+
+
 def test_gen_clone_files(tmp_path):
     out = tmp_path / "clones"
     rc = main(["gen", "clone", "--groups", "5", "--variants", "2",
@@ -302,6 +309,7 @@ def test_train_refused_flag_value_names_the_flag(tiny_dataset, tmp_path, caplog)
 
     assert (refusal({"train": {"iterations": 2}}, "--batch-size", "0")
             == "--batch-size: batch_size must be >= 1, got 0")
+    assert refusal({}, "--seed", "-1") == "--seed: seed must be >= 0, got -1"
     assert (refusal({"model": {"gcn_dim": 4}}, "--perspectives", "0")
             == "--perspectives: gcn_layers, gcn_dim and perspectives must be >= 1")
     # a bad value that is in the file is still blamed on the file

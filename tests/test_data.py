@@ -258,8 +258,9 @@ def test_node_range_over_budget_rejected():
     ({"edge_prob": 1.5}, r"edge_prob must be in \[0, 1\], got 1.5"),
     ({"n_graphs": 0}, r"n_graphs must be >= 1, got 0"),
     ({"n_graphs": -3}, r"n_graphs must be >= 1, got -3"),
+    ({"seed": -1}, r"seed must be >= 0, got -1"),
 ], ids=["node_range_reversed", "node_range_from_zero", "edge_prob_negative",
-        "edge_prob_above_one", "no_graphs", "negative_graphs"])
+        "edge_prob_above_one", "no_graphs", "negative_graphs", "negative_seed"])
 def test_ged_generator_parameters_checked(kw, message):
     with pytest.raises(DatasetError, match=message):
         gen_ged_dataset(**{"n_graphs": 4, **kw})
@@ -293,7 +294,8 @@ def small_clone_dataset(**kw):
     ({"n_groups": 0}, r"n_groups must be >= 1, got 0"),
     ({"variants_per_group": 0}, r"variants_per_group must be >= 1, got 0"),
     ({"perturbation_budget": -1}, r"perturbation budget must be >= 0"),
-], ids=["no_groups", "no_variants", "negative_budget"])
+    ({"seed": -1}, r"seed must be >= 0, got -1"),
+], ids=["no_groups", "no_variants", "negative_budget", "negative_seed"])
 def test_clone_generator_parameters_checked(kw, message):
     with pytest.raises(DatasetError, match=message):
         gen_clone_dataset(**{"n_groups": 4, "variants_per_group": 2,

@@ -539,6 +539,16 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
      r"parameter 'gcn.1.weight' has shape \(1, 1\), but the config allocates \(4, 4\)"),
     (lambda doc: doc["params"].update({"extra.weight": doc["params"]["mlp.3.bias"]}),
      r"parameter 'extra.weight' has shape \(1, 1\), but the config allocates nothing"),
+    (lambda doc: doc["params"]["gcn.1.weight"].pop("data"),
+     r"parameter 'gcn.1.weight' lacks field 'data'"),
+    (lambda doc: doc["params"]["gcn.1.weight"].update({"data": "not base64!"}),
+     r"parameter 'gcn.1.weight': data is not base64"),
+    (lambda doc: doc["params"]["gcn.1.weight"].update({"shape": [4, 5]}),
+     r"parameter 'gcn.1.weight': data holds 128 bytes, but shape \[4, 5\] needs 20 float64"),
+    (lambda doc: doc["params"]["gcn.1.weight"].update({"shape": [-4, -4]}),
+     r"parameter 'gcn.1.weight' has shape \[-4, -4\], not a list of ints >= 0"),
+    (lambda doc: doc["params"].update({"gcn.1.weight": [1.0]}),
+     r"parameter 'gcn.1.weight' is not an object"),
     (lambda doc: doc["config"].pop("feature_dim"), r"model config lacks field\(s\) feature_dim"),
     (lambda doc: doc.pop("config"), r"the config section is missing or not an object"),
     (lambda doc: doc.pop("params"), r"the params section is missing or not an object"),

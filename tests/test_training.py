@@ -305,6 +305,12 @@ def _set(doc, keys, value):
      r"parameter 'gcn.0.weight' has shape nothing, but the config allocates \(3, 6\)"),
     ("train_state.json", ("extra", "train_state", "adam", "m", "gcn.0.weight"), _row_record(),
      r"Adam moment m of 'gcn.0.weight' has shape \(1, 6\), but the config allocates \(3, 6\)"),
+    ("train_state.json", ("extra", "train_state", "adam", "m", "gcn.0.weight", "data"), None,
+     r"Adam moment m of 'gcn.0.weight' lacks field 'data'"),
+    ("train_state.json", ("extra", "train_state", "adam", "v", "gcn.0.weight", "data"), "@@@@",
+     r"Adam moment v of 'gcn.0.weight': data is not base64"),
+    ("train_state.json", ("extra", "train_state", "adam", "m", "gcn.0.weight", "shape"), [3, 5],
+     r"Adam moment m of 'gcn.0.weight': data holds 144 bytes, but shape \[3, 5\] needs 15 "),
     ("train_state.json", ("config", "gcn_width"), 8,
      r"unknown model config key\(s\) gcn_width; valid fields: feature_dim"),
     ("train_state.json", ("extra", "train_state", "train_config", "grad_clip"), None,
@@ -320,7 +326,8 @@ def _set(doc, keys, value):
      r"train_state field 'adam' is not an object with an int step_count >= 0"),
     ("train_state.json", ("extra", "train_state", "rng_state", "bit_generator"), "MT19937",
      r"train_state field 'rng_state' is not the state of a numpy default_rng generator"),
-], ids=["parameter_shape", "parameter_missing", "adam_moment_shape", "unknown_model_key",
+], ids=["parameter_shape", "parameter_missing", "adam_moment_shape", "adam_moment_data_missing",
+        "adam_moment_data_not_base64", "adam_moment_size_mismatch", "unknown_model_key",
         "train_config_field_missing", "model_checkpoint", "v2_state", "adam_missing",
         "step_missing", "records_missing", "rng_state_missing", "best_val_loss_missing",
         "step_negative", "adam_step_count_not_int", "rng_state_other_generator"])
@@ -430,7 +437,7 @@ def test_classification_needs_groups(reg_dataset):
 @pytest.mark.parametrize("field, value", [
     ("task", "regresion"), ("val_every", 0), ("iterations", 0), ("epochs", 0),
     ("epochs", -1), ("grad_clip", 0.0), ("grad_clip", -1.0), ("grad_clip", float("nan")),
-    ("learning_rate", -1e-3),
+    ("learning_rate", -1e-3), ("seed", -1),
 ])
 def test_train_config_refuses_values_it_cannot_run(field, value):
     with pytest.raises(ValueError, match=field):
