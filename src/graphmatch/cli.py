@@ -14,7 +14,7 @@ import os
 import sys
 import time
 from dataclasses import fields
-from functools import partial
+from inspect import signature
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .data import (check_clone_params, check_ged_params, gen_clone_dataset,
 from .ged import EditCostScheme, GedBudgetError, GedTimeoutError, ged_exact
 from .model import (ConfigError, Model, ModelConfig, config_from_dict, load_checkpoint,
                     save_checkpoint)
-from .report import evaluate_model, write_report
+from .report import evaluate_model, split_pairs, write_report
 from .training import TrainConfig, load_train_state, train
 
 log = logging.getLogger("graphmatch")
@@ -44,7 +44,7 @@ def write_manifest(out_dir, command, config, seed, inputs=()):
         "command": command,
         "config": config,
         "seed": seed,
-        "dataset_checksums": {p: _sha256(p) for p in inputs if os.path.exists(p)},
+        "dataset_checksums": {p: _sha256(p) for p in inputs},
         "code_version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
@@ -63,20 +63,10 @@ def _load_single_graph(path):
 
 
 def cmd_gen(args):
-    cfg = {k: v for k, v in vars(args).items() if k not in ("func", "out")}
-    # checked before the manifest, so a refused run leaves no output directory
-    if args.kind == "ged":
-        check_ged_params(args.graphs, tuple(args.node_range), args.edge_prob, args.seed)
-        generate = partial(gen_ged_dataset, args.graphs, node_range=tuple(args.node_range),
-                           edge_prob=args.edge_prob, seed=args.seed,
-                           max_train_pairs=args.max_train_pairs,
-                           eval_candidates=args.eval_candidates)
-    else:
-        check_clone_params(args.groups, args.variants, args.budget, args.seed)
-        generate = partial(gen_clone_dataset, args.groups, args.variants, args.budget,
-                           seed=args.seed)
-    write_manifest(args.out, f"gen {args.kind}", cfg, args.seed)
-    ds = generate()
+    params = {name: getattr(args, name) for name in signature(args.generate).parameters}
+    args.check(**params)  # before the manifest, so a refused run leaves no output directory
+    write_manifest(args.out, f"gen {args.kind}", params, args.seed)
+    ds = args.generate(**params)
     save_dataset(ds, args.out)
     print(f"wrote {len(ds.graphs)} graphs, {len(ds.pairs)} pairs to {args.out}",
           file=sys.stderr)
@@ -179,6 +169,7 @@ def cmd_train(args):
 def cmd_eval(args):
     model, _ = load_checkpoint(args.checkpoint)
     ds = load_dataset_dir(args.dataset)
+    split_pairs(ds, args.split)  # before the manifest, so a refused run leaves no output
     write_manifest(args.out, "eval", {"checkpoint": args.checkpoint}, 0,
                    [args.checkpoint])
     rep = evaluate_model(model, ds, split=args.split)
@@ -203,18 +194,23 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate a synthetic dataset")
-    g.add_argument("kind", choices=["ged", "clone"])
-    g.add_argument("--graphs", type=int, default=50)
-    g.add_argument("--node-range", type=int, nargs=2, default=[4, 9])
-    g.add_argument("--edge-prob", type=float, default=0.25)
-    g.add_argument("--max-train-pairs", type=int, default=None)
-    g.add_argument("--eval-candidates", type=int, default=None)
-    g.add_argument("--groups", type=int, default=100)
-    g.add_argument("--variants", type=int, default=4)
-    g.add_argument("--budget", type=int, default=3)
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--out", required=True)
-    g.set_defaults(func=cmd_gen)
+    kinds = g.add_subparsers(dest="kind", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--out", required=True)
+    # each kind's flags are exactly its generator's parameters, by dest
+    ged = kinds.add_parser("ged", parents=[common], help="labelled graphs, exact GED targets")
+    ged.add_argument("--graphs", dest="n_graphs", type=int, default=50)
+    ged.add_argument("--node-range", type=int, nargs=2, default=[4, 9])
+    ged.add_argument("--edge-prob", type=float, default=0.25)
+    ged.add_argument("--max-train-pairs", type=int, default=None)
+    ged.add_argument("--eval-candidates", type=int, default=None)
+    ged.set_defaults(func=cmd_gen, check=check_ged_params, generate=gen_ged_dataset)
+    clone = kinds.add_parser("clone", parents=[common], help="groups of perturbed clones")
+    clone.add_argument("--groups", dest="n_groups", type=int, default=100)
+    clone.add_argument("--variants", dest="variants_per_group", type=int, default=4)
+    clone.add_argument("--budget", dest="perturbation_budget", type=int, default=3)
+    clone.set_defaults(func=cmd_gen, check=check_clone_params, generate=gen_clone_dataset)
 
     d = sub.add_parser("ged", help="exact edit distance between two graph files")
     d.add_argument("g1")

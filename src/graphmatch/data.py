@@ -205,7 +205,7 @@ def _random_connected_edges(n, edge_prob, rng):
     return sorted(edges)
 
 
-def check_ged_params(n_graphs, node_range, edge_prob, seed):
+def check_ged_params(n_graphs, node_range, edge_prob, seed, max_train_pairs, eval_candidates):
     """Refuse gen_ged_dataset parameters it cannot build a loadable corpus from."""
     lo, hi = node_range
     if seed < 0:
@@ -213,11 +213,15 @@ def check_ged_params(n_graphs, node_range, edge_prob, seed):
     if n_graphs < 1:
         raise DatasetError(f"n_graphs must be >= 1, got {n_graphs}")
     if not 1 <= lo <= hi:
-        raise DatasetError(f"node_range must satisfy 1 <= min <= max, got {node_range}")
+        raise DatasetError(f"node_range must satisfy 1 <= min <= max, got {(lo, hi)}")
     if hi > GED_NODE_BUDGET:
         raise DatasetError(f"node_range max {hi} exceeds ged budget {GED_NODE_BUDGET}")
     if not 0.0 <= edge_prob <= 1.0:
         raise DatasetError(f"edge_prob must be in [0, 1], got {edge_prob}")
+    for name, count in (("max_train_pairs", max_train_pairs),
+                        ("eval_candidates", eval_candidates)):
+        if count is not None and count < 0:
+            raise DatasetError(f"{name} must be >= 0 or None, got {count}")
 
 
 def gen_ged_dataset(n_graphs, node_range=(4, 9), edge_prob=0.25, seed=0,
@@ -228,7 +232,7 @@ def gen_ged_dataset(n_graphs, node_range=(4, 9), edge_prob=0.25, seed=0,
     cover train x train (optionally subsampled), plus every val/test graph
     against train graphs (the retrieval layout used at evaluation time).
     """
-    check_ged_params(n_graphs, node_range, edge_prob, seed)
+    check_ged_params(n_graphs, node_range, edge_prob, seed, max_train_pairs, eval_candidates)
     lo, hi = node_range
     rng = np.random.default_rng(seed)
     graphs = {}

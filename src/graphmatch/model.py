@@ -275,21 +275,14 @@ class Model:
 
     def forward_batch(self, pairs, training=False, rng=None):
         """Similarity scores (B,) for a list of (g1, g2) graph pairs: the
-        per-graph stage over the batch's graph slots, then the per-pair stage.
-
-        At eval time each distinct graph object is one slot however many pairs
-        it is in; at train time every occurrence is its own slot with its own
-        dropout mask and reading orders.
-        """
+        per-graph stage over the pair sides, one slot each (at train time with
+        its own dropout mask and reading orders), then the per-pair stage."""
         if not pairs:
             raise ValueError("empty batch")
         if rng is None:
             rng = np.random.default_rng(0)
-        if training:
-            graphs = [g for pair in pairs for g in pair]
-            slots = np.arange(len(graphs)).reshape(-1, 2)
-        else:
-            graphs, slots = graph_slots(pairs)
+        graphs = [g for pair in pairs for g in pair]
+        slots = np.arange(len(graphs)).reshape(-1, 2)
         return self.pair_stage(self.graph_stage(graphs, training, rng), slots)
 
     def graph_stage(self, graphs, training=False, rng=None):
@@ -388,16 +381,21 @@ def decode_arrays(path, what, records):
     return arrays
 
 
+# per config kind, the fields a stored config may still hold from an older
+# version: each may keep the one value every run gave it, which is dropped
+RETIRED_FIELDS = {"model": {"ngmn_aggregator": "bilstm"}, "train": {"grad_clip": None}}
+
+
 def config_from_dict(cls, d):
     """A ModelConfig or TrainConfig from a dict of its fields; an unknown key, a
-    missing required field or a value the class refuses is a ConfigError. A
-    model config's ngmn_aggregator, a setting once, may hold its one legal value,
-    which is dropped."""
+    missing required field, a retired field off its one value or a value the
+    class refuses is a ConfigError."""
     kind = cls.__name__.removesuffix("Config").lower()
     d = dict(d)
-    legacy = d.pop("ngmn_aggregator", "bilstm") if cls is ModelConfig else "bilstm"
-    if legacy != "bilstm":
-        raise ConfigError(f"ngmn_aggregator supports only 'bilstm', got {legacy!r}")
+    for name, only in RETIRED_FIELDS[kind].items():
+        value = d.pop(name, only)
+        if value != only:
+            raise ConfigError(f"{name} supports only {only!r}, got {value!r}")
     valid = [f.name for f in fields(cls)]
     unknown = sorted(set(d) - set(valid))
     if unknown:

@@ -11,6 +11,14 @@ from .metrics import (MetricError, RankedQueryResult, auc, kendall_tau,
 from .training import evaluate_pairs
 
 
+def split_pairs(dataset, split):
+    """The pairs of a split; a split without pairs is refused by name."""
+    pairs = dataset.pairs_for_split(split)
+    if not pairs:
+        raise ValueError(f"no pairs in split {split!r}")
+    return pairs
+
+
 def evaluate_model(model, dataset, split="test", ks=(10, 20)):
     """Metric dict for the given split.
 
@@ -18,9 +26,7 @@ def evaluate_model(model, dataset, split="test", ks=(10, 20)):
     regression: pooled mse / Spearman / Kendall over all pairs, and p@k with
     each held-out graph treated as a query against its candidate pairs.
     """
-    pairs = dataset.pairs_for_split(split)
-    if not pairs:
-        raise ValueError(f"no pairs in split {split!r}")
+    pairs = split_pairs(dataset, split)
     preds, targets = evaluate_pairs(model, dataset, pairs)
     out = {"split": split, "num_pairs": len(pairs)}
     if model.config.task == "classification":
@@ -49,12 +55,8 @@ def evaluate_model(model, dataset, split="test", ks=(10, 20)):
     return out
 
 
-def write_report(path, report, dataset_id=None, checkpoint_id=None):
-    doc = dict(report)
-    if dataset_id is not None:
-        doc["dataset_id"] = dataset_id
-    if checkpoint_id is not None:
-        doc["checkpoint_id"] = checkpoint_id
+def write_report(path, report, dataset_id, checkpoint_id):
+    doc = {**report, "dataset_id": dataset_id, "checkpoint_id": checkpoint_id}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")

@@ -19,7 +19,7 @@ log = logging.getLogger(__name__)
 
 # TrainConfig fields a resumed run must share with the saved one; the rest
 # (schedule length, validation cadence, output paths) may change on resume
-RESUME_FIELDS = ("task", "learning_rate", "batch_size", "seed", "grad_clip")
+RESUME_FIELDS = ("task", "learning_rate", "batch_size", "seed")
 
 
 class TrainingError(RuntimeError):
@@ -37,7 +37,6 @@ class TrainConfig:
     val_every: int = 100                # iterations between validations (regression)
     checkpoint_dir: str | None = None
     log_path: str | None = None
-    grad_clip: float | None = None      # off unless rescuing a diverging run
 
     def __post_init__(self):
         if self.task not in TASKS:
@@ -53,8 +52,6 @@ class TrainConfig:
         for name in ("epochs", "iterations", "batch_size", "val_every"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.grad_clip is not None and not self.grad_clip > 0:
-            raise ValueError(f"grad_clip must be > 0 or None, got {self.grad_clip}")
 
 
 @dataclass
@@ -101,19 +98,11 @@ def sample_classification_pairs(groups, train_ids, rng):
     return pairs
 
 
-def _clip_grads(params, max_norm):
-    total = np.sqrt(sum(float(np.sum(p.grad * p.grad)) for p in params.values()))
-    if total > max_norm:
-        scale = max_norm / total
-        for p in params.values():
-            p.grad *= scale
-
-
 def _graph_pairs(dataset, pairs):
     return [(dataset.graph(p.g1), dataset.graph(p.g2)) for p in pairs]
 
 
-def _batch_step(model, dataset, batch, optimizer, rng, grad_clip):
+def _batch_step(model, dataset, batch, optimizer, rng):
     preds = model.forward_batch(_graph_pairs(dataset, batch), training=True, rng=rng)
     loss = loss_mse(preds, [pair.target for pair in batch])
     value = loss.item()
@@ -128,8 +117,6 @@ def _batch_step(model, dataset, batch, optimizer, rng, grad_clip):
         if not np.isfinite(p.grad).all():
             raise TrainingError(f"non-finite gradient of parameter {name!r} on batch "
                                 f"{[(q.g1, q.g2) for q in batch]}")
-    if grad_clip is not None:
-        _clip_grads(model.params, grad_clip)
     optimizer.step()
     return value
 
@@ -228,8 +215,7 @@ def train(model: Model, dataset, config: TrainConfig, resume_from=None):
     best_checkpoint = None
     val_pairs = dataset.pairs_for_split("val")
     for step, batches in _rounds(dataset, config, rng, start_step):
-        losses = [_batch_step(model, dataset, batch, optimizer, rng, config.grad_clip)
-                  for batch in batches]
+        losses = [_batch_step(model, dataset, batch, optimizer, rng) for batch in batches]
         rec = {"step": step, "train_loss": float(np.mean(losses)) if losses else None,
                "val_loss": None, "metric": None}
         if val_pairs:

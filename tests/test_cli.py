@@ -52,6 +52,8 @@ def test_gen_ged_bad_node_range_refused(tmp_path, caplog):
     (["ged", "--graphs", "0"], "n_graphs must be >= 1, got 0"),
     (["clone", "--groups", "0"], "n_groups must be >= 1, got 0"),
     (["clone", "--variants", "0"], "variants_per_group must be >= 1, got 0"),
+    (["ged", "--max-train-pairs", "-1"], "max_train_pairs must be >= 0 or None, got -1"),
+    (["ged", "--eval-candidates", "-2"], "eval_candidates must be >= 0 or None, got -2"),
 ])
 def test_gen_empty_corpus_refused(tmp_path, caplog, argv, message):
     assert main(["gen", *argv, "--out", str(tmp_path / "ds")]) == 1
@@ -84,6 +86,36 @@ def test_manifest_written_with_checksums(tmp_path):
     assert manifest["command"] == "gen ged"
     assert manifest["seed"] == 2
     assert "code_version" in manifest and "timestamp" in manifest
+    assert manifest["config"] == {"n_graphs": 8, "node_range": [4, 4], "edge_prob": 0.25,
+                                  "seed": 2, "max_train_pairs": None, "eval_candidates": None}
+
+
+def test_every_gen_flag_is_a_generator_parameter():
+    """Each gen kind's flags are exactly its generator's parameters, so the
+    manifest records only settings that shaped the corpus."""
+    import argparse
+    from inspect import signature
+
+    from graphmatch.cli import build_parser
+    from graphmatch.data import gen_clone_dataset, gen_ged_dataset
+
+    def subparsers(parser):
+        return next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    parsers = subparsers(subparsers(build_parser())["gen"])
+    assert sorted(parsers) == ["clone", "ged"]
+    for kind, generator in (("ged", gen_ged_dataset), ("clone", gen_clone_dataset)):
+        dests = {a.dest for a in parsers[kind]._actions
+                 if not isinstance(a, argparse._HelpAction) and a.dest != "out"}
+        assert dests == set(signature(generator).parameters), kind
+
+
+def test_gen_flag_of_the_other_kind_refused(tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["gen", "clone", "--node-range", "20", "30", "--out", str(tmp_path / "ds")])
+    assert err.value.code == 2  # argparse's usage error
+    assert "unrecognized arguments: --node-range 20 30" in capsys.readouterr().err
+    assert not (tmp_path / "ds").exists()
 
 
 def test_ged_identical_graphs(tmp_path, capsys):
@@ -168,6 +200,15 @@ def test_eval_emits_regression_metrics(trained_run, tmp_path, capsys):
     assert "mse" in rep and "spearman_rho" in rep and "kendall_tau" in rep
     assert rep["split"] == "test"
     assert rep["dataset_id"] == str(ds)
+
+
+def test_eval_of_an_empty_split_refused(trained_run, tmp_path, caplog):
+    ds, out = trained_run
+    rc = main(["eval", "--checkpoint", str(out / "final.ckpt"), "--dataset", str(ds),
+               "--split", "bogus", "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "no pairs in split 'bogus'" in caplog.text
+    assert not (tmp_path / "out").exists()  # refused before the manifest
 
 
 def test_score_identical_graphs_near_one(trained_run, tmp_path, capsys):
@@ -356,6 +397,7 @@ def test_train_without_validation_writes_no_best_checkpoint(tiny_dataset, tmp_pa
     ('{"train": {"batch_size": 0}}', "train section: batch_size must be >= 1, got 0"),
     ('{"train": {"iterations": "5"}}',
      "train section: train config value of the wrong type: '<' not supported"),
+    ('{"train": {"grad_clip": 1.0}}', "train section: grad_clip supports only None, got 1.0"),
 ])
 def test_train_malformed_config_names_the_file(tiny_dataset, tmp_path, caplog, text, message):
     cfg = tmp_path / "cfg.json"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphmatch.ged import (EditCostScheme, GedBudgetError, ged_bruteforce, ged_exact,
                             normalized_similarity)
@@ -78,12 +80,44 @@ def swapped(costs):
                           node_substitute=costs.node_substitute)
 
 
-def permuted(g, rng):
-    perm = rng.permutation(g.num_nodes)
+def permuted(g, perm):
+    """A relabelled copy of g whose node k is g's node perm[k]."""
     inv = np.argsort(perm)
     return make_graph("p", np.asarray(g.features)[perm],
                       [(int(inv[u]), int(inv[v])) for u, v in g.edges],
                       None if g.labels is None else [g.labels[int(p)] for p in perm])
+
+
+DYADIC_COSTS = st.sampled_from([0.25, 0.5, 1.0, 2.0, 3.0])
+
+
+@st.composite
+def symmetric_costs(draw):
+    """Insert and delete cost the same, for nodes and for edges; substitution
+    is drawn on its own."""
+    node, edge = draw(DYADIC_COSTS), draw(DYADIC_COSTS)
+    return EditCostScheme(node_insert=node, node_delete=node, edge_insert=edge,
+                          edge_delete=edge, node_substitute=draw(DYADIC_COSTS))
+
+
+@st.composite
+def small_graphs(draw, labeled, gid):
+    n = draw(st.integers(1, 6))
+    slots = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    present = draw(st.lists(st.booleans(), min_size=len(slots), max_size=len(slots)))
+    labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)) if labeled else None
+    return make_graph(gid, np.zeros((n, 1)), [e for e, keep in zip(slots, present) if keep],
+                      labels)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), labeled=st.booleans(), costs=symmetric_costs())
+def test_identity_and_symmetry_under_symmetric_costs(data, labeled, costs):
+    a = data.draw(small_graphs(labeled, "a"))
+    b = data.draw(small_graphs(labeled, "b"))
+    perm = np.array(data.draw(st.permutations(range(a.num_nodes))))
+    assert ged_exact(a, permuted(a, perm), costs).distance == 0.0
+    assert ged_exact(a, b, costs).distance == ged_exact(b, a, costs).distance
 
 
 def test_oracle_equivalence_random_costs():
@@ -105,7 +139,7 @@ def test_exact_beyond_bruteforce_symmetric_and_permutation_free():
         g1 = random_graph(rng, n_min=6, n_max=8, n_labels=3, edge_prob=0.3, gid=f"a{i}")
         g2 = random_graph(rng, n_min=6, n_max=8, n_labels=3, edge_prob=0.3, gid=f"b{i}")
         assert ged_exact(g1, g2, costs).distance == ged_exact(g2, g1, swapped(costs)).distance
-        assert ged_exact(g1, permuted(g1, rng), costs).distance == 0.0
+        assert ged_exact(g1, permuted(g1, rng.permutation(g1.num_nodes)), costs).distance == 0.0
 
 
 def test_g1_node_order_does_not_change_distance():
@@ -116,7 +150,7 @@ def test_g1_node_order_does_not_change_distance():
         costs = random_costs(rng)
         g1 = random_graph(rng, n_min=6, n_max=8, n_labels=3, edge_prob=0.35, gid=f"a{i}")
         g2 = random_graph(rng, n_min=6, n_max=8, n_labels=3, edge_prob=0.35, gid=f"b{i}")
-        assert (ged_exact(permuted(g1, rng), g2, costs).distance
+        assert (ged_exact(permuted(g1, rng.permutation(g1.num_nodes)), g2, costs).distance
                 == ged_exact(g1, g2, costs).distance), (i, costs)
 
 
@@ -144,7 +178,7 @@ def test_triangle_inequality(rng):
 
 def test_isomorphic_permutation_zero(rng):
     g = random_graph(rng, n_min=3, n_max=4)
-    assert ged_exact(g, permuted(g, rng)).distance == 0.0
+    assert ged_exact(g, permuted(g, rng.permutation(g.num_nodes))).distance == 0.0
 
 
 def test_budget_refusal():

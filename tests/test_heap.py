@@ -35,7 +35,7 @@ pairs = ds.pairs_for_split("train")
 
 def step():
     batch = [pairs[int(i)] for i in rng.integers(0, len(pairs), size=16)]
-    _batch_step(model, ds, batch, optimizer, rng, None)
+    _batch_step(model, ds, batch, optimizer, rng)
 
 for _ in range(5):
     step()

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from graphmatch import autodiff as ad
 from graphmatch.autodiff import Tensor, backward, finite_difference_grad
 from graphmatch.graphs import make_graph, normalized_adjacency
-from graphmatch.model import (ConfigError, Model, ModelConfig, aggregate,
+from graphmatch.model import (ConfigError, Model, ModelConfig, aggregate, graph_slots,
                               load_checkpoint, loss_mse, node_graph_match, padded,
                               predict, save_checkpoint)
 
@@ -487,6 +487,8 @@ def test_checkpoints_of_the_per_pair_model_score_the_same(tmp_path):
 
 
 def test_eval_batch_encodes_each_graph_once(rng, monkeypatch):
+    """forward_batch gives every pair side its own slot, at eval as at train;
+    graph_slots, the layout evaluate_pairs encodes, holds each graph once."""
     import graphmatch.model as model_module
     g1, g2, g3 = (random_graph(rng, gid=k) for k in "abc")
     encoded = []
@@ -494,10 +496,14 @@ def test_eval_batch_encodes_each_graph_once(rng, monkeypatch):
     monkeypatch.setattr(model_module, "gcn_forward",
                         lambda graphs, *a: encoded.append(list(graphs)) or real(graphs, *a))
     m = Model(tiny_config(), rng=np.random.default_rng(0))
-    m.forward_batch([(g1, g2), (g1, g3), (g3, g1)])
-    m.forward_batch([(g1, g2), (g1, g3)], training=True, rng=rng)
-    assert [[g.id for g in gs] for gs in encoded] == [["a", "b", "c"],
+    pairs = [(g1, g2), (g1, g3), (g3, g1)]
+    m.forward_batch(pairs)
+    m.forward_batch(pairs[:2], training=True, rng=rng)
+    assert [[g.id for g in gs] for gs in encoded] == [["a", "b", "a", "c", "c", "a"],
                                                      ["a", "b", "a", "c"]]
+    graphs, slots = graph_slots(pairs)
+    assert [g.id for g in graphs] == ["a", "b", "c"]
+    assert slots.tolist() == [[0, 1], [0, 2], [2, 0]]
 
 
 def test_forward_batch_rejects_empty_batch():

@@ -227,8 +227,10 @@ def _batch_pairs_layout(doc):
     """A train state whose train config keeps the classification batch in
     batch_pairs next to an unused batch_size, as states were written while
     the two schedules had separate batch fields; a state written that way
-    is returned as it is."""
+    is returned as it is. Such states also hold grad_clip null, as every
+    state did while gradient clipping was a setting."""
     stored = doc["extra"]["train_state"]["train_config"]
+    stored.setdefault("grad_clip", None)
     if "batch_pairs" not in stored:
         if stored["task"] == "classification":
             stored["batch_pairs"], stored["batch_size"] = stored["batch_size"], 128
@@ -241,7 +243,7 @@ def _batch_pairs_layout(doc):
 def test_resume_from_a_batch_pairs_layout_state(tmp_path, reg_dataset, clf_dataset, task):
     """A train state of that layout resumes bit-identically: a stored
     batch_pairs is the classification batch size and is dropped for
-    regression."""
+    regression, and a grad_clip of null is dropped."""
     classification = task == "classification"
     ds = clf_dataset if classification else reg_dataset
 
@@ -313,8 +315,10 @@ def _set(doc, keys, value):
      r"Adam moment m of 'gcn.0.weight': data holds 144 bytes, but shape \[3, 5\] needs 15 "),
     ("train_state.json", ("config", "gcn_width"), 8,
      r"unknown model config key\(s\) gcn_width; valid fields: feature_dim"),
-    ("train_state.json", ("extra", "train_state", "train_config", "grad_clip"), None,
-     r"stored train config lacks field\(s\) grad_clip"),
+    ("train_state.json", ("extra", "train_state", "train_config", "val_every"), None,
+     r"stored train config lacks field\(s\) val_every"),
+    ("train_state.json", ("extra", "train_state", "train_config", "grad_clip"), 1.0,
+     r"stored train config: grad_clip supports only None, got 1.0"),
     ("best.ckpt", (), None, r"no train_state section; --resume takes the train_state.json"),
     ("train_state.json", "v2", None, r"unsupported checkpoint format None"),
     *[("train_state.json", ("extra", "train_state", name), None,
@@ -328,8 +332,8 @@ def _set(doc, keys, value):
      r"train_state field 'rng_state' is not the state of a numpy default_rng generator"),
 ], ids=["parameter_shape", "parameter_missing", "adam_moment_shape", "adam_moment_data_missing",
         "adam_moment_data_not_base64", "adam_moment_size_mismatch", "unknown_model_key",
-        "train_config_field_missing", "model_checkpoint", "v2_state", "adam_missing",
-        "step_missing", "records_missing", "rng_state_missing", "best_val_loss_missing",
+        "train_config_field_missing", "train_config_grad_clip_set", "model_checkpoint",
+        "v2_state", "adam_missing", "step_missing", "records_missing", "rng_state_missing", "best_val_loss_missing",
         "step_negative", "adam_step_count_not_int", "rng_state_other_generator"])
 def test_resume_refuses_unusable_state_before_any_step(saved_run, reg_dataset, tmp_path,
                                                        no_training_step, source, keys, value,
@@ -355,28 +359,6 @@ def test_train_refuses_a_task_other_than_the_models(reg_dataset, no_training_ste
     with pytest.raises(TrainingError, match=f"train config task '{train_task}' differs "
                                             f"from the model's task '{model_task}'"):
         train(tiny_model(task=model_task), reg_dataset, cfg)
-
-
-def test_clip_grads_scales_the_global_norm_down_to_max_norm():
-    from graphmatch.autodiff import Tensor
-    from graphmatch.training import _clip_grads
-    rng = np.random.default_rng(0)
-    params = {k: Tensor(np.zeros(shape), requires_grad=True)
-              for k, shape in (("a", (3, 4)), ("b", (5,)), ("c", (1, 1)))}
-    for p in params.values():
-        p.grad = rng.normal(size=p.data.shape)
-    before = {k: p.grad.copy() for k, p in params.items()}
-    norm = np.sqrt(sum(np.sum(g * g) for g in before.values()))
-
-    _clip_grads(params, 2 * norm)
-    for k, p in params.items():
-        assert np.array_equal(p.grad, before[k]), k
-
-    _clip_grads(params, norm / 4)
-    clipped = np.sqrt(sum(np.sum(p.grad * p.grad) for p in params.values()))
-    assert abs(clipped - norm / 4) <= 1e-12
-    for k, p in params.items():  # one positive scale for every tensor
-        assert np.max(np.abs(p.grad - before[k] / 4)) <= 1e-12, k
 
 
 def test_split_hygiene_enforced(reg_dataset):
@@ -436,8 +418,7 @@ def test_classification_needs_groups(reg_dataset):
 
 @pytest.mark.parametrize("field, value", [
     ("task", "regresion"), ("val_every", 0), ("iterations", 0), ("epochs", 0),
-    ("epochs", -1), ("grad_clip", 0.0), ("grad_clip", -1.0), ("grad_clip", float("nan")),
-    ("learning_rate", -1e-3), ("seed", -1),
+    ("epochs", -1), ("learning_rate", -1e-3), ("seed", -1),
 ])
 def test_train_config_refuses_values_it_cannot_run(field, value):
     with pytest.raises(ValueError, match=field):
