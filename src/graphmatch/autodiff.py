@@ -588,17 +588,16 @@ def block_matmul(blocks, x, where):
                  lambda g: (apply(blocks.transpose(0, 2, 1), g),))
 
 
-def cross_attention(x, rows1, rows2, normalize=False):
+def cross_attention(x, rows1, rows2):
     """Each node's attention-weighted summary of the other graph of its pair.
 
     x: (R, d) node rows of every pair side; rows1: (B, n) the rows of each
     pair's first graph, padded with -1; rows2: (B, m) likewise for the second
     graph. Every row of x belongs to exactly one pair side. The attention
     weight of node i on node j of the other graph is their cosine, under the
-    same EPS clamp and zero-gradient rule as ``cosine``; with normalize, a
-    softmax over the other graph's nodes. Returns (R, d): row i of a first
-    graph holds sum_j weight_ij x_j over its pair's second graph, and
-    conversely.
+    same EPS clamp and zero-gradient rule as ``cosine``. Returns (R, d): row i
+    of a first graph holds sum_j weight_ij x_j over its pair's second graph,
+    and conversely.
     """
     x = _as_tensor(x)
     if x.data.ndim != 2 or rows1.shape[0] != rows2.shape[0]:
@@ -612,36 +611,24 @@ def cross_attention(x, rows1, rows2, normalize=False):
     nb = np.sqrt(np.sum(b * b, axis=-1))
     cna = np.maximum(na, EPS)[:, :, None]
     cnb = np.maximum(nb, EPS)[:, None, :]
-    mask = v1[:, :, None] & v2[:, None, :]
     # the product-and-sum of ``cosine`` rather than a matmul, so each weight
     # rounds exactly as ``cosine`` rounds it
     alpha = np.sum(a[:, :, None] * b[:, None], axis=-1) / (cna * cnb)  # 0 on padding
-    if normalize:
-        e = np.where(mask, np.exp(alpha), 0.0)
-        w12 = e / np.where(v1[:, :, None], e.sum(axis=2, keepdims=True), 1.0)
-        w21 = e / np.where(v2[:, None, :], e.sum(axis=1, keepdims=True), 1.0)
-    else:
-        w12 = w21 = alpha
-    w21t = np.ascontiguousarray(w21.transpose(0, 2, 1))  # same layout as w12 of the swapped pair
+    alpha_t = np.ascontiguousarray(alpha.transpose(0, 2, 1))  # as alpha of the swapped pair
     out = np.zeros_like(x.data)
-    out[r1] = (w12 @ b)[v1]
-    out[r2] = (w21t @ a)[v2]
+    out[r1] = (alpha @ b)[v1]
+    out[r2] = (alpha_t @ a)[v2]
 
     def bw(g):
         g2 = np.zeros(a.shape)
         g2[v1] = g[r1]
         g1 = np.zeros(b.shape)
         g1[v2] = g[r2]
-        d12 = g2 @ b.transpose(0, 2, 1)  # d/d w12
-        d21 = a @ g1.transpose(0, 2, 1)  # d/d w21
-        ga = w21 @ g1
-        gb = w12.transpose(0, 2, 1) @ g2
-        if normalize:
-            dalpha = (w12 * (d12 - np.sum(d12 * w12, axis=2, keepdims=True))
-                      + w21 * (d21 - np.sum(d21 * w21, axis=1, keepdims=True)))
-        else:
-            dalpha = d12 + d21
-        valid = mask & (na >= EPS)[:, :, None] & (nb >= EPS)[:, None, :]
+        dalpha = g2 @ b.transpose(0, 2, 1) + a @ g1.transpose(0, 2, 1)
+        ga = alpha @ g1
+        gb = alpha.transpose(0, 2, 1) @ g2
+        # padded rows are zero, so their norm is below EPS
+        valid = (na >= EPS)[:, :, None] & (nb >= EPS)[:, None, :]
         gv = np.where(valid, dalpha, 0.0)
         ginv = gv / (cna * cnb)
         galpha = gv * alpha

@@ -19,7 +19,7 @@ from inspect import signature
 import numpy as np
 
 from . import __version__
-from .data import (check_clone_params, check_ged_params, gen_clone_dataset,
+from .data import (check_clone_params, check_ged_params, dataset_files, gen_clone_dataset,
                    gen_ged_dataset, load_dataset, load_dataset_dir, save_dataset)
 from .ged import EditCostScheme, GedBudgetError, GedTimeoutError, ged_exact
 from .model import (ConfigError, Model, ModelConfig, config_from_dict, load_checkpoint,
@@ -74,6 +74,10 @@ def cmd_gen(args):
 
 
 def cmd_ged(args):
+    if not 0 < args.timeout < float("inf"):
+        raise ConfigError(f"--timeout must be a finite number > 0, got {args.timeout}")
+    if args.budget < 1:
+        raise ConfigError(f"--budget must be >= 1, got {args.budget}")
     g1 = _load_single_graph(args.g1)
     g2 = _load_single_graph(args.g2)
     try:
@@ -147,16 +151,16 @@ def cmd_train(args):
     if tkw.setdefault("task", mcfg.task) != mcfg.task:
         raise ConfigError(f"{args.config}: the train section's task {tkw['task']!r} differs "
                           f"from the model's task {mcfg.task!r}")
+    if "checkpoint_dir" in tkw:
+        raise ConfigError(f"{args.config}: train section: checkpoint_dir is set by --out")
     tkw["checkpoint_dir"] = args.out
     tkw.setdefault("log_path", os.path.join(args.out, "train_log.jsonl"))
     tcfg = _section_config(TrainConfig, args.config, "train", tkw)
     model = Model(mcfg, rng=np.random.default_rng(tcfg.seed))
     # checked before the manifest, so a refused resume leaves no output directory
     resume = None if args.resume is None else load_train_state(args.resume, model, tcfg)
-    inputs = [os.path.join(args.dataset, f)
-              for f in ("graphs.jsonl", "pairs.jsonl", "split.json")]
     write_manifest(args.out, "train", {"model": mcfg.__dict__, "train": tcfg.__dict__},
-                   tcfg.seed, inputs)
+                   tcfg.seed, dataset_files(args.dataset))
     report = train(model, ds, tcfg, resume_from=resume)
     final = os.path.join(args.out, "final.ckpt")
     save_checkpoint(final, model)
@@ -170,8 +174,9 @@ def cmd_eval(args):
     model, _ = load_checkpoint(args.checkpoint)
     ds = load_dataset_dir(args.dataset)
     split_pairs(ds, args.split)  # before the manifest, so a refused run leaves no output
-    write_manifest(args.out, "eval", {"checkpoint": args.checkpoint}, 0,
-                   [args.checkpoint])
+    write_manifest(args.out, "eval", {"checkpoint": args.checkpoint, "dataset": args.dataset,
+                                      "split": args.split}, 0,
+                   [args.checkpoint, *dataset_files(args.dataset)])
     rep = evaluate_model(model, ds, split=args.split)
     out_path = os.path.join(args.out, "eval_report.json")
     write_report(out_path, rep, dataset_id=args.dataset, checkpoint_id=args.checkpoint)

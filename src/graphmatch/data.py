@@ -26,6 +26,9 @@ from .graphs import LabeledPair, make_graph
 log = logging.getLogger(__name__)
 
 
+SPLITS = ("train", "val", "test")
+
+
 class DatasetError(ValueError):
     pass
 
@@ -148,21 +151,32 @@ def load_dataset(graphs_path, pairs_path=None, split_path=None):
                 raise DatasetError(f"{split_path}: not an object of id lists: {e}") from e
         seen = set()
         for name, ids in split.items():
+            if name not in SPLITS:
+                raise DatasetError(f"{split_path}: unknown split {name!r}; "
+                                   f"valid splits: {', '.join(SPLITS)}")
             for gid in ids:
                 if gid not in graphs:
                     raise DatasetError(f"{split_path}: unknown graph id {gid!r} in {name}")
                 if gid in seen:
                     raise DatasetError(f"{split_path}: graph {gid!r} in multiple splits")
                 seen.add(gid)
+        for p in pairs:
+            for gid in (p.g1, p.g2):
+                if gid not in seen:
+                    raise DatasetError(f"{split_path}: graph {gid!r} of pair "
+                                       f"({p.g1!r}, {p.g2!r}) is in no split")
     else:
         split = {"train": list(graphs), "val": [], "test": []}
     return Dataset(graphs=graphs, pairs=pairs, split=split)
 
 
+def dataset_files(path):
+    """The graphs, pairs and split file paths of a dataset directory."""
+    return [os.path.join(path, f) for f in ("graphs.jsonl", "pairs.jsonl", "split.json")]
+
+
 def load_dataset_dir(path):
-    return load_dataset(os.path.join(path, "graphs.jsonl"),
-                        os.path.join(path, "pairs.jsonl"),
-                        os.path.join(path, "split.json"))
+    return load_dataset(*dataset_files(path))
 
 
 # ---------------------------------------------------------------------------

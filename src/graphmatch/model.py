@@ -41,7 +41,6 @@ class ModelConfig:
     mode: str = "mgmn"
     task: str = "regression"
     sgnn_aggregator: str = "bilstm"
-    normalize_attention: bool = False
 
     def __post_init__(self):
         if self.feature_dim < 1:
@@ -160,11 +159,11 @@ def gcn_forward(graphs, params, config, training, rng):
     return h
 
 
-def node_graph_match(x, rows1, rows2, w, normalize=False):
+def node_graph_match(x, rows1, rows2, w):
     """Cross-level matching features (R, P) of pair-node rows x (R, d): every
     node against the attentive summary of the other graph of its pair, under
     each perspective row of w. rows1/rows2 as in ``ad.cross_attention``."""
-    return ad.weighted_cosine(x, ad.cross_attention(x, rows1, rows2, normalize), w)
+    return ad.weighted_cosine(x, ad.cross_attention(x, rows1, rows2), w)
 
 
 def aggregate(h, aggregator, params, prefix, seqs):
@@ -327,7 +326,7 @@ class Model:
             x = ad.gather_rows(enc.h, np.concatenate([enc.nodes[k] for k in sides]))
             rows = consecutive([len(enc.nodes[k]) for k in sides])
             m = node_graph_match(x, padded(rows[0::2]), padded(rows[1::2]),
-                                 self.params["perspective.weight"], cfg.normalize_attention)
+                                 self.params["perspective.weight"])
             if enc.orders is not None:
                 rows = [r[enc.orders[k]] for r, k in zip(rows, sides)]
             ng = aggregate(m, "bilstm", self.params, "ngmn_lstm", rows[0::2] + rows[1::2])
@@ -383,7 +382,8 @@ def decode_arrays(path, what, records):
 
 # per config kind, the fields a stored config may still hold from an older
 # version: each may keep the one value every run gave it, which is dropped
-RETIRED_FIELDS = {"model": {"ngmn_aggregator": "bilstm"}, "train": {"grad_clip": None}}
+RETIRED_FIELDS = {"model": {"ngmn_aggregator": "bilstm", "normalize_attention": False},
+                  "train": {"grad_clip": None}}
 
 
 def config_from_dict(cls, d):

@@ -145,13 +145,35 @@ def test_ged_over_budget_refused(tmp_path):
     assert rc == 2
 
 
-def test_ged_timeout_reports_lower_bound(triangle_path_files, capsys):
+def test_ged_timeout_reports_lower_bound(triangle_path_files, capsys, monkeypatch):
+    import itertools
+    import types
+
+    import graphmatch.ged as ged_module
     tri, pth = triangle_path_files
-    rc = main(["ged", tri, pth, "--timeout", "-1"])  # deadline already past
+    # a clock one second on at every reading passes the deadline at the first pop
+    clock = itertools.count()
+    monkeypatch.setattr(ged_module, "time", types.SimpleNamespace(monotonic=lambda: next(clock)))
+    rc = main(["ged", tri, pth, "--timeout", "0.5"])
     assert rc == 3  # distinct from the budget refusal's 2 and a plain error's 1
     res = json.loads(capsys.readouterr().out)
     assert res["timed_out"] is True
     assert 0.0 <= res["best_lower_bound"] <= 1.0  # the exact distance is 1
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--timeout", "-1"], "--timeout must be a finite number > 0, got -1.0"),
+    (["--timeout", "0"], "--timeout must be a finite number > 0, got 0.0"),
+    (["--timeout", "nan"], "--timeout must be a finite number > 0, got nan"),
+    (["--timeout", "inf"], "--timeout must be a finite number > 0, got inf"),
+    (["--budget", "0"], "--budget must be >= 1, got 0"),
+    (["--budget", "-1"], "--budget must be >= 1, got -1"),
+])
+def test_ged_bad_flags_refused(triangle_path_files, capsys, caplog, flags, message):
+    tri, pth = triangle_path_files
+    assert main(["ged", tri, pth, *flags]) == 1
+    assert caplog.records[-1].getMessage() == message
+    assert capsys.readouterr().out == ""
 
 
 def test_ged_rejects_multi_graph_file(tmp_path, triangle_path_files):
@@ -200,6 +222,11 @@ def test_eval_emits_regression_metrics(trained_run, tmp_path, capsys):
     assert "mse" in rep and "spearman_rho" in rep and "kendall_tau" in rep
     assert rep["split"] == "test"
     assert rep["dataset_id"] == str(ds)
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    ckpt = str(out / "best.ckpt")
+    assert manifest["config"] == {"checkpoint": ckpt, "dataset": str(ds), "split": "test"}
+    assert sorted(manifest["dataset_checksums"]) == sorted(
+        [ckpt] + [str(ds / f) for f in ("graphs.jsonl", "pairs.jsonl", "split.json")])
 
 
 def test_eval_of_an_empty_split_refused(trained_run, tmp_path, caplog):
@@ -376,6 +403,26 @@ def test_dataset_without_all_its_files_refused(trained_run, tmp_path, caplog, co
     assert not (tmp_path / "out").exists()  # refused before the manifest
 
 
+def _rename_val(split):
+    split["valid"] = split.pop("val")
+
+
+@pytest.mark.parametrize("change,message", [
+    (_rename_val, "unknown split 'valid'; valid splits: train, val, test"),
+    (lambda split: split["test"].pop(0), "is in no split"),
+])
+def test_train_on_a_bad_split_refused(tiny_dataset, tmp_path, caplog, change, message):
+    path = tiny_dataset / "split.json"
+    split = json.loads(path.read_text())
+    change(split)
+    path.write_text(json.dumps(split))
+    rc = main(["train", "--dataset", str(tiny_dataset), "--iterations", "2",
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert f"{path}: " in caplog.text and message in caplog.text
+    assert not (tmp_path / "out").exists()  # refused before the manifest
+
+
 def test_train_without_validation_writes_no_best_checkpoint(tiny_dataset, tmp_path, capsys):
     split = json.loads((tiny_dataset / "split.json").read_text())
     split["test"] += split.pop("val")
@@ -398,6 +445,10 @@ def test_train_without_validation_writes_no_best_checkpoint(tiny_dataset, tmp_pa
     ('{"train": {"iterations": "5"}}',
      "train section: train config value of the wrong type: '<' not supported"),
     ('{"train": {"grad_clip": 1.0}}', "train section: grad_clip supports only None, got 1.0"),
+    ('{"model": {"normalize_attention": true}}',
+     "model section: normalize_attention supports only False, got True"),
+    ('{"train": {"checkpoint_dir": "elsewhere"}}',
+     "train section: checkpoint_dir is set by --out"),
 ])
 def test_train_malformed_config_names_the_file(tiny_dataset, tmp_path, caplog, text, message):
     cfg = tmp_path / "cfg.json"

@@ -111,6 +111,30 @@ def test_numeric_split_ids_match_numeric_graph_ids(tmp_path):
     assert ds.pair_split(ds.pairs[0]) == "test"
 
 
+def test_unknown_split_name_rejected(tmp_path):
+    # a pair of an unknown split would otherwise count as a train pair
+    save_dataset(small_ged_dataset(), tmp_path)
+    split = json.loads((tmp_path / "split.json").read_text())
+    split["valid"] = split.pop("val")
+    (tmp_path / "split.json").write_text(json.dumps(split))
+    with pytest.raises(DatasetError, match=re.escape(
+            f"{tmp_path / 'split.json'}: unknown split 'valid'; valid splits: train, val, test")):
+        load_dataset_dir(tmp_path)
+
+
+def test_pair_of_a_graph_in_no_split_rejected(tmp_path):
+    write_jsonl(tmp_path / "graphs.jsonl",
+                [{"id": i, "nodes": [[1.0]], "edges": []} for i in "abc"])
+    write_jsonl(tmp_path / "pairs.jsonl", [{"g1": "a", "g2": "b", "y": 0.5}])
+    (tmp_path / "split.json").write_text(json.dumps({"train": ["a"], "val": [], "test": ["c"]}))
+    with pytest.raises(DatasetError, match=re.escape(
+            f"{tmp_path / 'split.json'}: graph 'b' of pair ('a', 'b') is in no split")):
+        load_dataset_dir(tmp_path)
+    # a graph in no split that no pair uses is allowed
+    write_jsonl(tmp_path / "pairs.jsonl", [{"g1": "a", "g2": "c", "y": 0.5}])
+    assert load_dataset_dir(tmp_path).pairs_for_split("test") == [LabeledPair("a", "c", 0.5)]
+
+
 def test_non_finite_target_rejected(tmp_path):
     write_jsonl(tmp_path / "graphs.jsonl",
                 [{"id": i, "nodes": [[1.0]], "edges": []} for i in "ab"])

@@ -125,23 +125,19 @@ def test_attentive_embedding_hand_case():
     x, r1, r2 = one_pair([[1.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]])
     c = 1.0 / np.sqrt(2.0)
     assert np.allclose(ad.cross_attention(x, r1, r2).data, [[c, c], [c, c], [c, c]])
-    # softmax over two equal weights halves each
-    assert np.allclose(ad.cross_attention(x, r1, r2, normalize=True).data[0], [0.5, 0.5])
 
 
 def test_cross_attention_batch_equals_single_pairs(rng):
     h = [rng.normal(size=(n, 3)) for n in (1, 4, 2, 1, 3)]
-    for normalize in (False, True):
-        x = Tensor(np.concatenate(h))
-        start = np.cumsum([0] + [len(q) for q in h])
-        rows = [start[i] + np.arange(len(q)) for i, q in enumerate(h)]
-        # pairs (0, 1) and (2, 3); graph 4 pairs with nothing and is left alone
-        both = ad.cross_attention(x, padded([rows[0], rows[2]]), padded([rows[1], rows[3]]),
-                                  normalize).data
-        for i, j in ((0, 1), (2, 3)):
-            one = ad.cross_attention(*one_pair(h[i], h[j]), normalize).data
-            assert np.allclose(both[np.concatenate([rows[i], rows[j]])], one, atol=1e-12)
-        assert np.array_equal(both[rows[4]], np.zeros((3, 3)))
+    x = Tensor(np.concatenate(h))
+    start = np.cumsum([0] + [len(q) for q in h])
+    rows = [start[i] + np.arange(len(q)) for i, q in enumerate(h)]
+    # pairs (0, 1) and (2, 3); graph 4 pairs with nothing and is left alone
+    both = ad.cross_attention(x, padded([rows[0], rows[2]]), padded([rows[1], rows[3]])).data
+    for i, j in ((0, 1), (2, 3)):
+        one = ad.cross_attention(*one_pair(h[i], h[j])).data
+        assert np.allclose(both[np.concatenate([rows[i], rows[j]])], one, atol=1e-12)
+    assert np.array_equal(both[rows[4]], np.zeros((3, 3)))
 
 
 def test_multi_perspective_identical_inputs(rng):
@@ -394,20 +390,6 @@ def test_training_mode_gradient_fd_with_dropout():
         assert rel_err(analytic[k], g) < 1e-4, k
 
 
-def test_normalize_attention_flag(rng):
-    g1 = random_graph(rng, n_min=3, n_max=4, labeled=False, gid="a")
-    g2 = random_graph(rng, n_min=3, n_max=4, labeled=False, gid="b")
-    plain = Model(tiny_config(mode="ngmn", task="classification"),
-                  rng=np.random.default_rng(2))
-    normed = Model(tiny_config(mode="ngmn", task="classification",
-                               normalize_attention=True),
-                   rng=np.random.default_rng(2))
-    a = plain.forward_pair(g1, g2).item()
-    b = normed.forward_pair(g1, g2).item()
-    assert a != b  # the flag changes the computation
-    assert np.isfinite(b)
-
-
 # ---------------------------------------------------------------------------
 # batched forward against a loop of batches of one
 
@@ -433,12 +415,10 @@ def batches(draw):
 
 @pytest.mark.parametrize("mode,agg,task", CONFIGS)
 @settings(max_examples=25, deadline=None)
-@given(pairs=batches(), normalize=st.booleans(), training=st.booleans(),
-       seed=st.integers(0, 1000))
-def test_forward_batch_equals_batches_of_one(mode, agg, task, pairs, normalize, training,
-                                             seed):
-    m = Model(tiny_config(mode=mode, sgnn_aggregator=agg, task=task, dropout=0.0,
-                          normalize_attention=normalize), rng=np.random.default_rng(seed))
+@given(pairs=batches(), training=st.booleans(), seed=st.integers(0, 1000))
+def test_forward_batch_equals_batches_of_one(mode, agg, task, pairs, training, seed):
+    m = Model(tiny_config(mode=mode, sgnn_aggregator=agg, task=task, dropout=0.0),
+              rng=np.random.default_rng(seed))
     targets = np.linspace(-0.5, 0.9, len(pairs))
 
     def scores_and_grads(run):
@@ -468,7 +448,8 @@ def test_checkpoints_of_the_per_pair_model_score_the_same(tmp_path):
     """Checkpoints and scores written by the per-pair model (forward_pair
     before forward_batch existed) for four configurations: eval scores, and
     train-mode scores at dropout 0 from one generator seeded 7, which pin the
-    order the reading orders are drawn in."""
+    order the reading orders are drawn in. The softmax-attention model's
+    checkpoint is refused, since that attention rule is retired."""
     import json
     ref = json.loads((Path(__file__).parent / "data" / "per_pair_reference.json").read_text())
     graphs = [make_graph(g["id"], g["nodes"], g["edges"]) for g in ref["graphs"]]
@@ -476,6 +457,11 @@ def test_checkpoints_of_the_per_pair_model_score_the_same(tmp_path):
     for name, rec in ref["models"].items():
         path = tmp_path / f"{name}.ckpt"
         path.write_text(json.dumps(rec["checkpoint"]))
+        if rec["checkpoint"]["config"]["normalize_attention"]:
+            with pytest.raises(ConfigError,
+                               match="normalize_attention supports only False, got True"):
+                load_checkpoint(path)
+            continue
         model, _ = load_checkpoint(path)
         batch = model.forward_batch(pairs).data
         single = [model.forward_pair(g1, g2).item() for g1, g2 in pairs]
@@ -577,21 +563,26 @@ def test_checkpoint_parameters_checked_against_config(tmp_path, change, message)
 
 
 def test_checkpoint_with_legacy_aggregator_key(tmp_path, rng):
+    """A retired model config field loads at the one value every run gave it
+    and scores the same; any other value is refused by name."""
     import json
     m = Model(tiny_config(), rng=np.random.default_rng(8))
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, m)
-    doc = json.loads(path.read_text())
-    doc["config"]["ngmn_aggregator"] = "bilstm"
-    path.write_text(json.dumps(doc))
-    loaded, _ = load_checkpoint(path)
-    assert loaded.config == m.config
+    saved = path.read_text()
     g1, g2 = random_graph(rng, gid="a"), random_graph(rng, gid="b")
-    assert loaded.forward_pair(g1, g2).item() == m.forward_pair(g1, g2).item()
-    doc["config"]["ngmn_aggregator"] = "max"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ConfigError, match="ngmn_aggregator supports only 'bilstm', got 'max'"):
-        load_checkpoint(path)
+    for key, kept, refused in (("ngmn_aggregator", "bilstm", "max"),
+                               ("normalize_attention", False, True)):
+        doc = json.loads(saved)
+        doc["config"][key] = kept
+        path.write_text(json.dumps(doc))
+        loaded, _ = load_checkpoint(path)
+        assert loaded.config == m.config
+        assert loaded.forward_pair(g1, g2).item() == m.forward_pair(g1, g2).item()
+        doc["config"][key] = refused
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=f"{key} supports only {kept!r}, got {refused!r}"):
+            load_checkpoint(path)
 
 
 def test_checkpoint_with_unknown_config_key(tmp_path):

@@ -489,8 +489,7 @@ def tiny_configs(draw):
                        perspectives=draw(st.integers(1, 4)),
                        dropout=draw(st.sampled_from([0.0, 0.3])),
                        mode=draw(st.sampled_from(MODES)), task=task,
-                       sgnn_aggregator=draw(st.sampled_from(AGGREGATORS)),
-                       normalize_attention=draw(st.booleans()))
+                       sgnn_aggregator=draw(st.sampled_from(AGGREGATORS)))
 
 
 @settings(max_examples=40, deadline=None)
