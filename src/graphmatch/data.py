@@ -146,14 +146,18 @@ def load_dataset(graphs_path, pairs_path=None, split_path=None):
     if split_path is not None:
         with open(split_path, encoding="utf-8") as fh:
             try:
-                split = {k: [str(gid) for gid in ids] for k, ids in json.load(fh).items()}
-            except (ValueError, TypeError, AttributeError) as e:
+                split = dict(json.load(fh).items())
+            except (ValueError, AttributeError) as e:
                 raise DatasetError(f"{split_path}: not an object of id lists: {e}") from e
         seen = set()
         for name, ids in split.items():
             if name not in SPLITS:
                 raise DatasetError(f"{split_path}: unknown split {name!r}; "
                                    f"valid splits: {', '.join(SPLITS)}")
+            if not isinstance(ids, list):
+                raise DatasetError(f"{split_path}: split {name!r} must be a list of ids, "
+                                   f"got {type(ids).__name__}")
+            split[name] = ids = [str(gid) for gid in ids]
             for gid in ids:
                 if gid not in graphs:
                     raise DatasetError(f"{split_path}: unknown graph id {gid!r} in {name}")

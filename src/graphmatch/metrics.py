@@ -4,7 +4,6 @@ and precision-at-k for similarity regression."""
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 
 class MetricError(ValueError):
@@ -43,26 +42,62 @@ def mse_metric(pred, truth):
     return float(np.mean((pred - truth) ** 2))
 
 
-def spearman_rho(pred, truth):
-    """Pearson correlation of average-ranked data (ties get mean rank)."""
+def _rank_input(pred, truth):
     pred = np.asarray(pred, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
     if pred.size < 2:
         raise MetricError("rank correlation needs at least 2 points")
+    if not (np.isfinite(pred).all() and np.isfinite(truth).all()):
+        raise MetricError("rank correlation needs finite input")
     if np.all(pred == pred[0]) or np.all(truth == truth[0]):
         raise MetricError("rank correlation undefined for constant input")
-    return float(stats.spearmanr(pred, truth).statistic)
+    return pred, truth
+
+
+def _tied_pairs(counts):
+    return int((counts * (counts - 1) // 2).sum())
+
+
+def _discordant(y):
+    """Pairs i < j with y[i] > y[j], by a bottom-up merge sort that counts each
+    merge's cross-run inversions with searchsorted (Knight, JASA 1966)."""
+    n, span, dis, width = y.size, int(y.max()) + 1, 0, 1
+    pos = np.arange(n)
+    while width < n:
+        pair = pos // (2 * width)
+        key = y + pair * span  # each run of `width` is sorted; pairs stay apart
+        right = (pos & width) > 0
+        at_most = np.searchsorted(key[~right], key[right], side="right")
+        dis += int(((pair[right] + 1) * width - at_most).sum())
+        y = np.sort(key, kind="stable") - pair * span
+        width *= 2
+    return dis
+
+
+def spearman_rho(pred, truth):
+    """Pearson correlation of average-ranked data (ties get mean rank); the
+    same float as scipy.stats.spearmanr."""
+    ranks = []
+    for x in _rank_input(pred, truth):
+        _, dense, counts = np.unique(x, return_inverse=True, return_counts=True)
+        # c tied values from 1-based rank s on each get s + (c - 1) / 2
+        ranks.append((np.cumsum(counts) - counts + 1 + (counts - 1) / 2)[dense])
+    return float(np.corrcoef(*ranks)[1, 0])
 
 
 def kendall_tau(pred, truth):
-    """Tie-corrected tau-b over concordant/discordant pairs."""
-    pred = np.asarray(pred, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
-    if pred.size < 2:
-        raise MetricError("rank correlation needs at least 2 points")
-    if np.all(pred == pred[0]) or np.all(truth == truth[0]):
-        raise MetricError("rank correlation undefined for constant input")
-    return float(stats.kendalltau(pred, truth, variant="b").statistic)
+    """Tie-corrected tau-b over concordant/discordant pairs; the same float as
+    scipy.stats.kendalltau(variant="b")."""
+    (x, xcounts), (y, ycounts) = (np.unique(v, return_inverse=True, return_counts=True)[1:]
+                                  for v in _rank_input(pred, truth))
+    order = np.lexsort((y, x))
+    x, y = x[order], y[order]
+    joint = np.diff(np.flatnonzero(np.r_[True, (x[1:] != x[:-1]) | (y[1:] != y[:-1]), True]))
+    tot = x.size * (x.size - 1) // 2
+    xtie, ytie = _tied_pairs(xcounts), _tied_pairs(ycounts)
+    con_minus_dis = tot - xtie - ytie + _tied_pairs(joint) - 2 * _discordant(y)
+    tau = con_minus_dis / np.sqrt(tot - xtie) / np.sqrt(tot - ytie)
+    return float(min(1.0, max(-1.0, tau)))
 
 
 def _top_k(entries, key_idx, k):

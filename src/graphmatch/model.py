@@ -425,9 +425,15 @@ def save_checkpoint(path, model: Model, extra=None):
     if extra:
         doc["extra"] = extra
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        os.replace(tmp, path)
+    except BaseException:
+        # an unserialisable extra or a full disk leaves path as it was and no .tmp
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def check_shapes(path, what, arrays, expected):

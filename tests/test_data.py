@@ -122,6 +122,17 @@ def test_unknown_split_name_rejected(tmp_path):
         load_dataset_dir(tmp_path)
 
 
+def test_split_given_as_a_string_rejected(tmp_path):
+    # "ab" would otherwise be read as the ids "a" and "b"
+    write_jsonl(tmp_path / "graphs.jsonl",
+                [{"id": i, "nodes": [[1.0]], "edges": []} for i in ("a", "b", "ab")])
+    write_jsonl(tmp_path / "pairs.jsonl", [{"g1": "a", "g2": "b", "y": 0.5}])
+    (tmp_path / "split.json").write_text(json.dumps({"train": "ab", "val": [], "test": []}))
+    with pytest.raises(DatasetError, match=re.escape(
+            f"{tmp_path / 'split.json'}: split 'train' must be a list of ids, got str")):
+        load_dataset_dir(tmp_path)
+
+
 def test_pair_of_a_graph_in_no_split_rejected(tmp_path):
     write_jsonl(tmp_path / "graphs.jsonl",
                 [{"id": i, "nodes": [[1.0]], "edges": []} for i in "abc"])

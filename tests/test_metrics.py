@@ -1,14 +1,22 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import graphmatch
+from graphmatch import report
+from graphmatch.data import GED_LABELS, gen_ged_dataset
 from graphmatch.metrics import (MetricError, RankedQueryResult, auc,
                                 kendall_tau, mse_metric, precision_at_k,
                                 spearman_rho)
+from graphmatch.model import Model, ModelConfig
+from graphmatch.training import evaluate_pairs
 
 
-# hand-rolled oracles, independent of the scipy-backed implementations
+# hand-rolled oracles, independent of the numpy rank code in graphmatch.metrics
 def rank_average(x):
     order = np.argsort(x, kind="stable")
     ranks = np.empty(len(x))
@@ -133,6 +141,80 @@ def test_kendall_matches_oracle_with_ties(rng):
     a = rng.integers(0, 4, size=20).astype(float)
     b = rng.integers(0, 4, size=20).astype(float)
     assert abs(kendall_tau(a, b) - kendall_oracle(a, b)) < 1e-12
+
+
+def _tied_or_spread(rng, n):
+    if rng.random() < 0.5:
+        levels = int(rng.integers(1, 6))  # heavy ties, sometimes a constant input
+        return rng.integers(0, levels + 1, size=(2, n)).astype(float)
+    a = rng.normal(size=n)
+    return np.stack([a, rng.normal() * a + rng.normal(size=n)])
+
+
+def _assert_same_as_scipy(a, b, stats):
+    try:
+        rho, tau = spearman_rho(a, b), kendall_tau(a, b)
+    except MetricError:
+        # scipy gives nan exactly where the metrics refuse
+        assert np.isnan(stats.spearmanr(a, b).statistic)
+        return False
+    assert rho == float(stats.spearmanr(a, b).statistic)
+    assert tau == float(stats.kendalltau(a, b, variant="b").statistic)
+    return True
+
+
+def test_rank_metrics_equal_scipy_bit_for_bit():
+    stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(2024)
+    checked = 0
+    for _ in range(400):
+        a, b = _tied_or_spread(rng, int(rng.integers(2, 301)))
+        checked += _assert_same_as_scipy(a, b, stats)
+    assert checked > 350
+
+
+def test_rank_metrics_equal_scipy_bit_for_bit_at_20000(rng):
+    stats = pytest.importorskip("scipy.stats")
+    a = rng.normal(size=20_000).round(2)
+    assert _assert_same_as_scipy(a, a + rng.normal(size=20_000).round(1), stats)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("fn", [spearman_rho, kendall_tau])
+def test_rank_metrics_refuse_non_finite_input(fn, bad):
+    good = [0.1, 0.5, 0.2, 0.9]
+    with pytest.raises(MetricError, match="finite"):
+        fn([0.1, bad, 0.3, 0.4], good)
+    with pytest.raises(MetricError, match="finite"):
+        fn(good, [0.1, 0.2, bad, 0.4])
+
+
+def test_evaluate_model_reports_rank_correlations_of_a_nan_prediction_as_null(monkeypatch):
+    ds = gen_ged_dataset(n_graphs=10, node_range=(4, 5), seed=2)
+    model = Model(ModelConfig(feature_dim=GED_LABELS, gcn_layers=1, gcn_dim=4, perspectives=2,
+                              sgnn_aggregator="max"), rng=np.random.default_rng(0))
+    rep = report.evaluate_model(model, ds, ks=())
+    assert isinstance(rep["spearman_rho"], float) and isinstance(rep["kendall_tau"], float)
+
+    def one_nan(*args):
+        preds, targets = evaluate_pairs(*args)
+        preds[0] = np.nan
+        return preds, targets
+
+    monkeypatch.setattr(report, "evaluate_pairs", one_nan)
+    rep = report.evaluate_model(model, ds, ks=())
+    assert rep["spearman_rho"] is None and rep["kendall_tau"] is None
+
+
+def test_importing_the_package_loads_no_scipy():
+    # scipy is a test-only dependency; code that needs it imports it inside
+    # the function that uses it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(graphmatch.__file__)))
+    code = ("import sys, graphmatch, graphmatch.cli, graphmatch.report\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         check=True, timeout=120, capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_rank_metrics_monotone_invariance(rng):

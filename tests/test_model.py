@@ -512,6 +512,17 @@ def test_checkpoint_round_trip_bit_exact(tmp_path, rng):
         assert np.array_equal(loaded.params[k].data, m.params[k].data)
 
 
+def test_failed_checkpoint_write_leaves_no_temporary_and_keeps_the_old_file(tmp_path):
+    path = tmp_path / "model.ckpt"
+    m = Model(tiny_config(), rng=np.random.default_rng(8))
+    save_checkpoint(path, m, extra={"step": 3})
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        save_checkpoint(path, m, extra={"x": object()})
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+
+
 def test_checkpoint_rejects_unknown_version(tmp_path):
     m = Model(tiny_config(), rng=np.random.default_rng(8))
     path = tmp_path / "model.ckpt"
