@@ -348,7 +348,7 @@ class Tape:
 
 
 def backward(loss):
-    """Populate .grad for every requires_grad tensor reachable from loss.
+    """Populate .grad for every requires_grad leaf reachable from loss.
 
     Gradients accumulate additively, both across multiple uses inside one
     graph and across repeated backward calls (Model.zero_grad resets them).
@@ -364,9 +364,8 @@ def backward(loss):
         g = grads.pop(id(node), None)
         if g is None:
             continue
-        if node.requires_grad:
+        if node._backward is None:  # a leaf: only leaves keep a gradient
             node.grad = g.copy() if node.grad is None else node.grad + g
-        if node._backward is None:
             continue
         for p, pg in zip(node._parents, node._backward(g)):
             if pg is None or not p.requires_grad:

@@ -139,10 +139,16 @@ def _flag_values(args, cls, base):
     return given
 
 
+def _feature_width(ds):
+    return next(iter(ds.graphs.values())).feature_dim  # load_dataset keeps it uniform
+
+
 def cmd_train(args):
     sections = _read_config(args.config)
+    if "feature_dim" in sections["model"]:
+        raise ConfigError(f"{args.config}: model section: feature_dim is set by --dataset")
     ds = load_dataset_dir(args.dataset)
-    width = {"feature_dim": next(iter(ds.graphs.values())).feature_dim}
+    width = {"feature_dim": _feature_width(ds)}
     # each flag given overrides the same-named field in every section that has one
     sections["model"].update(_flag_values(args, ModelConfig, width), **width)
     sections["train"].update(_flag_values(args, TrainConfig, {}))
@@ -173,7 +179,12 @@ def cmd_train(args):
 def cmd_eval(args):
     model, _ = load_checkpoint(args.checkpoint)
     ds = load_dataset_dir(args.dataset)
-    split_pairs(ds, args.split)  # before the manifest, so a refused run leaves no output
+    # checked before the manifest, so a refused run leaves no output directory
+    split_pairs(ds, args.split)
+    width = _feature_width(ds)
+    if width != model.config.feature_dim:
+        raise ConfigError(f"{args.checkpoint}: model feature_dim {model.config.feature_dim} "
+                          f"does not match dataset {args.dataset}'s feature width {width}")
     write_manifest(args.out, "eval", {"checkpoint": args.checkpoint, "dataset": args.dataset,
                                       "split": args.split}, 0,
                    [args.checkpoint, *dataset_files(args.dataset)])
@@ -195,7 +206,6 @@ def cmd_score(args):
 
 def build_parser():
     p = argparse.ArgumentParser(prog="graphmatch")
-    p.add_argument("--verbose", action="store_true")
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate a synthetic dataset")
@@ -260,8 +270,7 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    logging.basicConfig(stream=sys.stderr,
-                        level=logging.DEBUG if args.verbose else logging.INFO)
+    logging.basicConfig(stream=sys.stderr, level=logging.INFO)
     try:
         return args.func(args)
     except Exception as e:  # surface a clean message, nonzero exit

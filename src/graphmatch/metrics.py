@@ -18,23 +18,37 @@ class RankedQueryResult:
     candidates: tuple  # of (candidate_id, predicted, truth)
 
 
+def _finite(name, *arrays):
+    arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise MetricError(f"{name} needs finite input")
+    return arrays
+
+
+def _average_ranks(x):
+    """1-based ranks of x; c tied values from rank s each get s + (c - 1) / 2,
+    as scipy.stats.rankdata does."""
+    _, dense, counts = np.unique(x, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - counts + 1 + (counts - 1) / 2)[dense]
+
+
 def auc(scores, labels):
     """Mann-Whitney AUC: P(random positive outscores a random negative),
-    counting ties as one half. Threshold free."""
-    scores = np.asarray(scores, dtype=np.float64)
+    counting ties as one half. Threshold free. U is the positives' rank sum
+    less P(P + 1) / 2; every partial sum is a multiple of 0.5, so it is exact."""
+    (scores,) = _finite("AUC", scores)
     labels = np.asarray(labels)
-    pos = scores[labels == 1]
-    neg = scores[labels == -1]
-    if len(pos) == 0 or len(neg) == 0:
+    pos, neg = labels == 1, labels == -1
+    n_pos, n_neg = int(pos.sum()), int(neg.sum())
+    if n_pos == 0 or n_neg == 0:
         raise MetricError("AUC needs both classes present")
-    wins = (pos[:, None] > neg[None, :]).sum()
-    ties = (pos[:, None] == neg[None, :]).sum()
-    return (wins + 0.5 * ties) / (len(pos) * len(neg))
+    keep = pos | neg
+    u = _average_ranks(scores[keep])[pos[keep]].sum() - n_pos * (n_pos + 1) / 2
+    return u / (n_pos * n_neg)
 
 
 def mse_metric(pred, truth):
-    pred = np.asarray(pred, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
+    pred, truth = _finite("mse", pred, truth)
     if pred.size == 0:
         raise MetricError("mse of empty input")
     if pred.shape != truth.shape:
@@ -43,12 +57,9 @@ def mse_metric(pred, truth):
 
 
 def _rank_input(pred, truth):
-    pred = np.asarray(pred, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
+    pred, truth = _finite("rank correlation", pred, truth)
     if pred.size < 2:
         raise MetricError("rank correlation needs at least 2 points")
-    if not (np.isfinite(pred).all() and np.isfinite(truth).all()):
-        raise MetricError("rank correlation needs finite input")
     if np.all(pred == pred[0]) or np.all(truth == truth[0]):
         raise MetricError("rank correlation undefined for constant input")
     return pred, truth
@@ -77,12 +88,7 @@ def _discordant(y):
 def spearman_rho(pred, truth):
     """Pearson correlation of average-ranked data (ties get mean rank); the
     same float as scipy.stats.spearmanr."""
-    ranks = []
-    for x in _rank_input(pred, truth):
-        _, dense, counts = np.unique(x, return_inverse=True, return_counts=True)
-        # c tied values from 1-based rank s on each get s + (c - 1) / 2
-        ranks.append((np.cumsum(counts) - counts + 1 + (counts - 1) / 2)[dense])
-    return float(np.corrcoef(*ranks)[1, 0])
+    return float(np.corrcoef(*map(_average_ranks, _rank_input(pred, truth)))[1, 0])
 
 
 def kendall_tau(pred, truth):
@@ -115,6 +121,8 @@ def precision_at_k(results, k):
         if len(r.candidates) < k:
             raise MetricError(
                 f"query {r.query_id!r} has {len(r.candidates)} candidates, need >= {k}")
+        if not np.isfinite([c[1:] for c in r.candidates]).all():
+            raise MetricError(f"query {r.query_id!r} has a non-finite score")
         pred_top = _top_k(r.candidates, 1, k)
         true_top = _top_k(r.candidates, 2, k)
         vals.append(len(pred_top & true_top) / k)

@@ -67,57 +67,51 @@ class ModelConfig:
         return ngmn_len + sgnn_len
 
 
-def _glorot(rng, fan_in, fan_out, shape=None):
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    shape = shape if shape is not None else (fan_in, fan_out)
-    return Tensor(rng.uniform(-limit, limit, size=shape), requires_grad=True)
-
-
-def _lstm_params(rng, input_dim, hidden):
+def _lstm_shapes(prefix, k, h):
     # gate columns [input, forget, cell, output], as ad.bilstm_last reads them
-    b = np.zeros((1, 4 * hidden))
-    b[0, hidden:2 * hidden] = 1.0  # forget bias starts at 1
-    return {
-        "wx": _glorot(rng, input_dim, 4 * hidden),
-        "wh": _glorot(rng, hidden, 4 * hidden),
-        "b": Tensor(b, requires_grad=True),
-    }
+    return {f"{prefix}.{d}.{name}": shape for d in ("fw", "bw")
+            for name, shape in (("wx", (k, 4 * h)), ("wh", (h, 4 * h)), ("b", (1, 4 * h)))}
 
 
-def init_params(config: ModelConfig, rng) -> dict:
-    """Allocate every trainable tensor the configured mode needs.
-
-    Keys are stable dotted paths; the checkpoint format serializes this dict
-    as-is.
-    """
-    p = {}
+def param_shapes(config: ModelConfig) -> dict:
+    """Name -> shape of every trainable tensor the configured mode needs, in
+    the order init_params draws them. Keys are stable dotted paths."""
     dims = [config.feature_dim] + [config.gcn_dim] * config.gcn_layers
-    for t in range(config.gcn_layers):
-        p[f"gcn.{t}.weight"] = _glorot(rng, dims[t], dims[t + 1])
+    shapes = {f"gcn.{t}.weight": (dims[t], dims[t + 1]) for t in range(config.gcn_layers)}
     if config.mode in ("ngmn", "mgmn"):
         # rows are the perspective weight vectors
-        p["perspective.weight"] = _glorot(
-            rng, config.gcn_dim, config.perspectives,
-            shape=(config.perspectives, config.gcn_dim))
-        for d in ("fw", "bw"):
-            for k, v in _lstm_params(rng, config.perspectives, config.perspectives).items():
-                p[f"ngmn_lstm.{d}.{k}"] = v
+        shapes["perspective.weight"] = (config.perspectives, config.gcn_dim)
+        shapes.update(_lstm_shapes("ngmn_lstm", config.perspectives, config.perspectives))
     if config.mode in ("sgnn", "mgmn"):
         if config.sgnn_aggregator == "fcmax":
-            p["fcmax.weight"] = _glorot(rng, config.gcn_dim, config.gcn_dim)
-            p["fcmax.bias"] = Tensor(np.zeros((1, config.gcn_dim)), requires_grad=True)
+            shapes["fcmax.weight"] = (config.gcn_dim, config.gcn_dim)
+            shapes["fcmax.bias"] = (1, config.gcn_dim)
         elif config.sgnn_aggregator == "bilstm":
-            for d in ("fw", "bw"):
-                for k, v in _lstm_params(rng, config.gcn_dim, config.gcn_dim).items():
-                    p[f"sgnn_lstm.{d}.{k}"] = v
+            shapes.update(_lstm_shapes("sgnn_lstm", config.gcn_dim, config.gcn_dim))
     if config.task == "regression":
         # four fully connected layers tapering to a single score
         width = 2 * config.branch_dim()
         for i in range(4):
             nxt = 1 if i == 3 else max(width // 2, 1)
-            p[f"mlp.{i}.weight"] = _glorot(rng, width, nxt)
-            p[f"mlp.{i}.bias"] = Tensor(np.zeros((1, nxt)), requires_grad=True)
+            shapes[f"mlp.{i}.weight"] = (width, nxt)
+            shapes[f"mlp.{i}.bias"] = (1, nxt)
             width = nxt
+    return shapes
+
+
+def init_params(config: ModelConfig, rng) -> dict:
+    """Every tensor of param_shapes, drawn in its order: weights Glorot-uniform
+    over the sum of their two dims, biases zero but each LSTM forget gate's,
+    which starts at 1. The checkpoint format serializes this dict as-is."""
+    p = {}
+    for name, shape in param_shapes(config).items():
+        if name.endswith((".b", ".bias")):
+            p[name] = Tensor(np.zeros(shape), requires_grad=True)
+            if name.endswith(".b"):
+                p[name].data[0, shape[1] // 4:shape[1] // 2] = 1.0
+        else:
+            limit = np.sqrt(6.0 / sum(shape))
+            p[name] = Tensor(rng.uniform(-limit, limit, size=shape), requires_grad=True)
     return p
 
 
@@ -357,7 +351,7 @@ def encode_arrays(arrays):
 def decode_arrays(path, what, records):
     """Inverse of encode_arrays: name -> writable float64 array. A record that
     is not an object with a shape of ints >= 0 and base64 data of exactly that
-    many float64 values is a ConfigError naming path, what and the record."""
+    many finite float64 values is a ConfigError naming path, what and the record."""
     arrays = {}
     for name, rec in records.items():
         where = f"{path}: {what} {name!r}"
@@ -377,6 +371,8 @@ def decode_arrays(path, what, records):
             raise ConfigError(f"{where}: data holds {len(raw)} bytes, but shape {shape} "
                               f"needs {size} float64 values")
         arrays[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+        if not np.isfinite(arrays[name]).all():
+            raise ConfigError(f"{where} holds a non-finite value")
     return arrays
 
 
@@ -437,9 +433,9 @@ def save_checkpoint(path, model: Model, extra=None):
 
 
 def check_shapes(path, what, arrays, expected):
-    """Refuse arrays whose names and shapes are not exactly those of expected."""
+    """Refuse arrays whose names and shapes are not exactly expected's, a name -> shape table."""
     for name in sorted(expected.keys() | arrays.keys()):
-        want = expected[name].shape if name in expected else "nothing"
+        want = expected[name] if name in expected else "nothing"
         got = arrays[name].shape if name in arrays else "nothing"
         if want != got:
             raise ConfigError(f"{path}: {what} {name!r} has shape {got}, "
@@ -467,6 +463,6 @@ def load_checkpoint(path):
     except ConfigError as e:
         raise ConfigError(f"{path}: {e}") from None
     arrays = decode_arrays(path, "parameter", doc["params"])
-    check_shapes(path, "parameter", arrays, init_params(config, np.random.default_rng(0)))
+    check_shapes(path, "parameter", arrays, param_shapes(config))
     params = {k: Tensor(a, requires_grad=True) for k, a in arrays.items()}
     return Model(config, params=params), doc.get("extra")

@@ -19,8 +19,18 @@ def split_pairs(dataset, split):
     return pairs
 
 
+def _or_null(metric, *args):
+    """A metric's value, or None where it is undefined (MetricError): for
+    constant predictions of an untrained model, a split with one class, or a
+    non-finite prediction."""
+    try:
+        return metric(*args)
+    except MetricError:
+        return None
+
+
 def evaluate_model(model, dataset, split="test", ks=(10, 20)):
-    """Metric dict for the given split.
+    """Metric dict for the given split; a metric that is undefined is None.
 
     classification: AUC plus mse against the +-1 targets.
     regression: pooled mse / Spearman / Kendall over all pairs, and p@k with
@@ -30,18 +40,12 @@ def evaluate_model(model, dataset, split="test", ks=(10, 20)):
     preds, targets = evaluate_pairs(model, dataset, pairs)
     out = {"split": split, "num_pairs": len(pairs)}
     if model.config.task == "classification":
-        labels = np.where(targets > 0, 1, -1)
-        out["auc"] = auc(preds, labels)
-        out["mse"] = mse_metric(preds, targets)
+        out["auc"] = _or_null(auc, preds, np.where(targets > 0, 1, -1))
+        out["mse"] = _or_null(mse_metric, preds, targets)
         return out
-    out["mse"] = mse_metric(preds, targets)
-    # rank correlations are undefined for constant predictions (e.g. an
-    # untrained model); report null rather than refusing to evaluate
-    for name, fn in (("spearman_rho", spearman_rho), ("kendall_tau", kendall_tau)):
-        try:
-            out[name] = fn(preds, targets)
-        except MetricError:
-            out[name] = None
+    out["mse"] = _or_null(mse_metric, preds, targets)
+    out["spearman_rho"] = _or_null(spearman_rho, preds, targets)
+    out["kendall_tau"] = _or_null(kendall_tau, preds, targets)
     held_out = set(dataset.split.get(split, ()))
     by_query = defaultdict(list)
     for pair, p, t in zip(pairs, preds, targets):
@@ -51,12 +55,12 @@ def evaluate_model(model, dataset, split="test", ks=(10, 20)):
     for k in ks:
         usable = [q for q in queries if len(q.candidates) >= k]
         if usable:
-            out[f"p@{k}"] = precision_at_k(usable, k)
+            out[f"p@{k}"] = _or_null(precision_at_k, usable, k)
     return out
 
 
 def write_report(path, report, dataset_id, checkpoint_id):
     doc = {**report, "dataset_id": dataset_id, "checkpoint_id": checkpoint_id}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
+        json.dump(doc, fh, indent=2, allow_nan=False)
         fh.write("\n")

@@ -12,7 +12,7 @@ from .graphs import LabeledPair
 from .metrics import auc, mse_metric
 from .model import (TASKS, ConfigError, Encoded, Model, check_shapes, config_from_dict,
                     decode_arrays, encode_arrays, graph_slots, load_checkpoint, loss_mse,
-                    save_checkpoint)
+                    param_shapes, save_checkpoint)
 from .optim import Adam
 
 log = logging.getLogger(__name__)
@@ -302,7 +302,7 @@ def load_train_state(path, model, config):
     for k in ("m", "v"):
         what = f"Adam moment {k} of"
         moments[k] = decode_arrays(path, what, state["adam"][k])
-        check_shapes(path, what, moments[k], saved_model.params)
+        check_shapes(path, what, moments[k], param_shapes(saved_model.config))
     stored = dict(state["train_config"])
     # older states keep the classification batch in batch_pairs
     batch_pairs = stored.pop("batch_pairs", None)

@@ -3,7 +3,7 @@ import pytest
 
 from graphmatch import autodiff as ad
 from graphmatch.autodiff import Tensor, backward, finite_difference_grad
-from graphmatch.model import _lstm_params
+from graphmatch.model import ModelConfig, init_params
 
 from conftest import rel_err
 
@@ -138,6 +138,16 @@ def test_backward_accumulates_across_calls():
     backward(x.sum())
     backward(x.sum())
     assert np.array_equal(x.grad, [2.0])
+
+
+def test_backward_keeps_gradients_on_leaves_only():
+    x = Tensor([1.0, -2.0], requires_grad=True)
+    y = x * x  # an op output: backward reads its gradient but keeps none
+    loss = (3.0 * y).sum()
+    backward(loss)
+    backward(loss)
+    assert y.grad is None and loss.grad is None
+    assert np.array_equal(x.grad, 2 * (6.0 * x.data))
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -301,12 +311,14 @@ def reference_lstm_last(x, wx, wh, b):
 
 def test_bilstm_last_matches_reference_lstm():
     rng = np.random.default_rng(8)
-    steps, k, h = 5, 3, 4
+    steps, k, h = 5, 4, 4  # the sgnn BiLSTM reads gcn_dim rows into gcn_dim units
     lengths = [3, 5, 1, 2]
     x = rng.normal(size=(steps, len(lengths), k))
     # model initialisation, so the forget bias of 1 sits where the kernel reads it
-    params = [Tensor(p.data) for d in ("fw", "bw")
-              for p in _lstm_params(rng, k, h).values()]
+    config = ModelConfig(feature_dim=1, gcn_dim=h, mode="sgnn", sgnn_aggregator="bilstm",
+                         task="classification")
+    params = [Tensor(p.data) for name, p in init_params(config, rng).items()
+              if name.startswith("sgnn_lstm.")]
     # a nonzero bias in every gate as well
     for p in params[2], params[5]:
         p.data += rng.normal(size=p.data.shape)

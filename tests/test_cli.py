@@ -1,3 +1,4 @@
+import base64
 import json
 import os
 
@@ -238,6 +239,43 @@ def test_eval_of_an_empty_split_refused(trained_run, tmp_path, caplog):
     assert not (tmp_path / "out").exists()  # refused before the manifest
 
 
+def test_eval_of_a_dataset_of_another_width_refused(trained_run, tmp_path, caplog):
+    ds, out = trained_run
+    clone = tmp_path / "clone"
+    assert main(["gen", "clone", "--groups", "8", "--variants", "2", "--budget", "1",
+                 "--seed", "3", "--out", str(clone)]) == 0
+    ckpt = out / "final.ckpt"
+    rc = main(["eval", "--checkpoint", str(ckpt), "--dataset", str(clone),
+               "--out", str(tmp_path / "ev")])
+    assert rc == 1
+    assert (f"{ckpt}: model feature_dim 3 does not match dataset {clone}'s feature "
+            f"width 6") in caplog.text
+    assert not (tmp_path / "ev").exists()  # refused before the manifest
+
+
+def test_eval_of_a_checkpoint_with_a_nan_weight_refused(trained_run, tmp_path, caplog):
+    ds, out = trained_run
+    doc = json.loads((out / "final.ckpt").read_text())
+    rec = doc["params"]["gcn.0.weight"]
+    data = np.frombuffer(base64.b64decode(rec["data"]), dtype="<f8").copy()
+    data[0] = np.nan
+    rec["data"] = base64.b64encode(data.tobytes()).decode()
+    ckpt = tmp_path / "nan.ckpt"
+    ckpt.write_text(json.dumps(doc))
+    rc = main(["eval", "--checkpoint", str(ckpt), "--dataset", str(ds),
+               "--out", str(tmp_path / "ev")])
+    assert rc == 1
+    assert f"{ckpt}: parameter 'gcn.0.weight' holds a non-finite value" in caplog.text
+    assert not (tmp_path / "ev").exists()
+
+
+def test_verbose_is_a_usage_error(triangle_path_files, capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["--verbose", "ged", *triangle_path_files])
+    assert stop.value.code == 2
+    assert "unrecognized arguments: --verbose" in capsys.readouterr().err
+
+
 def test_score_identical_graphs_near_one(trained_run, tmp_path, capsys):
     _, out = trained_run
     f = tmp_path / "g.jsonl"
@@ -449,6 +487,9 @@ def test_train_without_validation_writes_no_best_checkpoint(tiny_dataset, tmp_pa
      "model section: normalize_attention supports only False, got True"),
     ('{"train": {"checkpoint_dir": "elsewhere"}}',
      "train section: checkpoint_dir is set by --out"),
+    ('{"model": {"feature_dim": 7, "gcn_dim": 4, "perspectives": 2},'
+     ' "train": {"iterations": 1, "batch_size": 2}}',
+     "model section: feature_dim is set by --dataset"),
 ])
 def test_train_malformed_config_names_the_file(tiny_dataset, tmp_path, caplog, text, message):
     cfg = tmp_path / "cfg.json"

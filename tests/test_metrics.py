@@ -1,4 +1,5 @@
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import pytest
 
 import graphmatch
 from graphmatch import report
-from graphmatch.data import GED_LABELS, gen_ged_dataset
+from graphmatch.data import GED_LABELS, gen_clone_dataset, gen_ged_dataset
 from graphmatch.metrics import (MetricError, RankedQueryResult, auc,
                                 kendall_tau, mse_metric, precision_at_k,
                                 spearman_rho)
@@ -89,6 +90,40 @@ def test_auc_pairwise_counting_oracle(rng):
     want = np.mean([(1.0 if p > n else 0.5 if p == n else 0.0)
                     for p in pos for n in neg])
     assert abs(auc(scores, labels) - want) < 1e-12
+
+
+def test_auc_from_ranks_equals_the_pairwise_count_bit_for_bit():
+    rng = np.random.default_rng(31)
+    checked = 0
+    for trial in range(600):
+        n = int(rng.integers(2, 80))
+        scores = rng.normal(size=n)
+        if trial % 2:
+            scores = scores.round(0)  # heavy ties
+        labels = rng.choice([1, -1, 0], size=n, p=[0.45, 0.45, 0.1])  # 0 is in no class
+        pos, neg = scores[labels == 1], scores[labels == -1]
+        if len(pos) == 0 or len(neg) == 0:
+            continue
+        wins = (pos[:, None] > neg[None, :]).sum()
+        ties = (pos[:, None] == neg[None, :]).sum()
+        assert auc(scores, labels) == (wins + 0.5 * ties) / (len(pos) * len(neg))
+        checked += 1
+    assert checked > 550
+
+
+def test_auc_builds_no_pairwise_matrix():
+    import tracemalloc
+    rng = np.random.default_rng(3)
+    scores = rng.normal(size=20_000).round(2)
+    labels = np.repeat([1, -1], 10_000)
+    tracemalloc.start()
+    try:
+        value = auc(scores, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < value < 1.0
+    assert peak < 10_000_000  # one 10k x 10k boolean matrix alone is 100 MB
 
 
 def test_mse_values():
@@ -206,6 +241,43 @@ def test_evaluate_model_reports_rank_correlations_of_a_nan_prediction_as_null(mo
     assert rep["spearman_rho"] is None and rep["kendall_tau"] is None
 
 
+def test_evaluate_model_reports_every_metric_of_a_nan_prediction_as_null(monkeypatch,
+                                                                         tmp_path):
+    ds = gen_ged_dataset(n_graphs=10, node_range=(4, 5), seed=2, eval_candidates=3)
+    model = Model(ModelConfig(feature_dim=GED_LABELS, gcn_layers=1, gcn_dim=4, perspectives=2,
+                              sgnn_aggregator="max"), rng=np.random.default_rng(0))
+
+    def one_nan(*args):
+        preds, targets = evaluate_pairs(*args)
+        preds[0] = np.nan
+        return preds, targets
+
+    monkeypatch.setattr(report, "evaluate_pairs", one_nan)
+    rep = report.evaluate_model(model, ds, ks=(2,))
+    assert set(rep) == {"split", "num_pairs", "mse", "spearman_rho", "kendall_tau", "p@2"}
+    assert [rep[k] for k in ("mse", "spearman_rho", "kendall_tau", "p@2")] == [None] * 4
+    path = tmp_path / "eval_report.json"
+    report.write_report(path, rep, dataset_id="ds", checkpoint_id="c")
+    json.loads(path.read_text(), parse_constant=lambda c: pytest.fail(f"{c} in the report"))
+    with pytest.raises(ValueError):
+        report.write_report(path, {**rep, "mse": np.nan}, dataset_id="ds", checkpoint_id="c")
+
+
+def test_evaluate_model_reports_the_auc_of_a_split_with_one_class_as_null(monkeypatch):
+    ds = gen_clone_dataset(n_groups=8, variants_per_group=2, perturbation_budget=1, seed=3)
+    model = Model(ModelConfig(feature_dim=ds.graph(next(iter(ds.graphs))).feature_dim,
+                              gcn_layers=1, gcn_dim=4, perspectives=2, sgnn_aggregator="max",
+                              task="classification"), rng=np.random.default_rng(0))
+
+    def positives_only(*args):
+        preds, targets = evaluate_pairs(*args)
+        return preds, np.ones_like(targets)
+
+    monkeypatch.setattr(report, "evaluate_pairs", positives_only)
+    rep = report.evaluate_model(model, ds)
+    assert rep["auc"] is None and isinstance(rep["mse"], float)
+
+
 def test_importing_the_package_loads_no_scipy():
     # scipy is a test-only dependency; code that needs it imports it inside
     # the function that uses it
@@ -254,3 +326,16 @@ def test_precision_at_k_too_large_rejected():
     q = _query([("a", 0.9, 0.9)])
     with pytest.raises(MetricError):
         precision_at_k([q], 2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("metric, args", [
+    (auc, lambda bad: ([0.1, bad, 0.3], [1, -1, 1])),
+    (mse_metric, lambda bad: ([0.1, bad], [0.0, 0.0])),
+    (mse_metric, lambda bad: ([0.1, 0.2], [bad, 0.0])),
+    (precision_at_k, lambda bad: ([_query([("a", bad, 0.9), ("b", 0.5, 0.5)])], 1)),
+    (precision_at_k, lambda bad: ([_query([("a", 0.9, 0.9), ("b", 0.5, bad)])], 1)),
+])
+def test_metrics_refuse_non_finite_input(metric, args, bad):
+    with pytest.raises(MetricError, match="finite"):
+        metric(*args(bad))

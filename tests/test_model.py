@@ -1,3 +1,5 @@
+import base64
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +11,8 @@ from graphmatch import autodiff as ad
 from graphmatch.autodiff import Tensor, backward, finite_difference_grad
 from graphmatch.graphs import make_graph, normalized_adjacency
 from graphmatch.model import (ConfigError, Model, ModelConfig, aggregate, graph_slots,
-                              load_checkpoint, loss_mse, node_graph_match, padded,
-                              predict, save_checkpoint)
+                              init_params, load_checkpoint, loss_mse, node_graph_match,
+                              padded, param_shapes, predict, save_checkpoint)
 
 from conftest import random_graph, rel_err
 
@@ -512,6 +514,44 @@ def test_checkpoint_round_trip_bit_exact(tmp_path, rng):
         assert np.array_equal(loaded.params[k].data, m.params[k].data)
 
 
+@pytest.mark.parametrize("mode,agg,task", CONFIGS)
+def test_param_shapes_is_the_table_init_params_draws(mode, agg, task):
+    config = tiny_config(mode=mode, sgnn_aggregator=agg, task=task)
+    params = init_params(config, np.random.default_rng(0))
+    assert list(param_shapes(config).items()) == [(k, p.shape) for k, p in params.items()]
+
+
+# sha256 of the draws below: a change to it changes how every new model starts
+PINNED_INIT_SHA256 = "7fff7d72a9f0f9b38a18d74dacdff5cd38529cb6cb2e682fc8afcb4d34756c1b"
+
+
+def test_init_params_draws_are_pinned():
+    """The names, shapes and values of a fixed draw, as every run so far made it."""
+    digest = hashlib.sha256()
+    for seed, agg in ((0, "bilstm"), (1, "fcmax")):
+        params = init_params(tiny_config(sgnn_aggregator=agg), np.random.default_rng(seed))
+        for name, p in params.items():
+            digest.update(f"{name}{p.shape}".encode() + p.data.tobytes())
+    assert digest.hexdigest() == PINNED_INIT_SHA256
+
+
+def test_load_checkpoint_draws_no_random_numbers(tmp_path, monkeypatch):
+    import graphmatch.model as model_module
+    path = tmp_path / "model.ckpt"
+    m = Model(tiny_config(sgnn_aggregator="bilstm"), rng=np.random.default_rng(8))
+    save_checkpoint(path, m)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    monkeypatch.setattr(model_module, "init_params", refuse)
+    loaded, _ = load_checkpoint(path)
+    assert loaded.params.keys() == m.params.keys()
+    for k, p in m.params.items():
+        assert np.array_equal(loaded.params[k].data, p.data)
+
+
 def test_failed_checkpoint_write_leaves_no_temporary_and_keeps_the_old_file(tmp_path):
     path = tmp_path / "model.ckpt"
     m = Model(tiny_config(), rng=np.random.default_rng(8))
@@ -548,6 +588,9 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
      r"parameter 'gcn.1.weight': data is not base64"),
     (lambda doc: doc["params"]["gcn.1.weight"].update({"shape": [4, 5]}),
      r"parameter 'gcn.1.weight': data holds 128 bytes, but shape \[4, 5\] needs 20 float64"),
+    (lambda doc: doc["params"]["gcn.1.weight"].update(
+        {"data": base64.b64encode(np.r_[np.ones(15), np.nan].tobytes()).decode()}),
+     r"parameter 'gcn.1.weight' holds a non-finite value"),
     (lambda doc: doc["params"]["gcn.1.weight"].update({"shape": [-4, -4]}),
      r"parameter 'gcn.1.weight' has shape \[-4, -4\], not a list of ints >= 0"),
     (lambda doc: doc["params"].update({"gcn.1.weight": [1.0]}),

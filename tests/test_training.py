@@ -1,3 +1,4 @@
+import base64
 import json
 import os
 import tempfile
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from graphmatch.data import gen_clone_dataset, gen_ged_dataset
 from graphmatch.graphs import LabeledPair
+from graphmatch.metrics import MetricError
 from graphmatch.model import (AGGREGATORS, MODES, TASKS, ConfigError, Model, ModelConfig,
                               encode_arrays, load_checkpoint, save_checkpoint)
 from graphmatch.training import (TrainConfig, TrainingError,
@@ -313,6 +315,9 @@ def _set(doc, keys, value):
      r"Adam moment v of 'gcn.0.weight': data is not base64"),
     ("train_state.json", ("extra", "train_state", "adam", "m", "gcn.0.weight", "shape"), [3, 5],
      r"Adam moment m of 'gcn.0.weight': data holds 144 bytes, but shape \[3, 5\] needs 15 "),
+    ("train_state.json", ("extra", "train_state", "adam", "v", "gcn.0.weight", "data"),
+     base64.b64encode(np.r_[np.zeros(17), -np.inf].tobytes()).decode(),
+     r"Adam moment v of 'gcn.0.weight' holds a non-finite value"),
     ("train_state.json", ("config", "gcn_width"), 8,
      r"unknown model config key\(s\) gcn_width; valid fields: feature_dim"),
     ("train_state.json", ("extra", "train_state", "train_config", "val_every"), None,
@@ -331,7 +336,8 @@ def _set(doc, keys, value):
     ("train_state.json", ("extra", "train_state", "rng_state", "bit_generator"), "MT19937",
      r"train_state field 'rng_state' is not the state of a numpy default_rng generator"),
 ], ids=["parameter_shape", "parameter_missing", "adam_moment_shape", "adam_moment_data_missing",
-        "adam_moment_data_not_base64", "adam_moment_size_mismatch", "unknown_model_key",
+        "adam_moment_data_not_base64", "adam_moment_size_mismatch", "adam_moment_non_finite",
+        "unknown_model_key",
         "train_config_field_missing", "train_config_grad_clip_set", "model_checkpoint",
         "v2_state", "adam_missing", "step_missing", "records_missing", "rng_state_missing", "best_val_loss_missing",
         "step_negative", "adam_step_count_not_int", "rng_state_other_generator"])
@@ -423,6 +429,24 @@ def test_classification_needs_groups(reg_dataset):
 def test_train_config_refuses_values_it_cannot_run(field, value):
     with pytest.raises(ValueError, match=field):
         TrainConfig(**{field: value})
+
+
+def test_non_finite_validation_prediction_stops_the_run(reg_dataset, monkeypatch, tmp_path):
+    import graphmatch.training as training_module
+    real_evaluate = training_module.evaluate_pairs
+
+    def one_nan(*args):
+        preds, targets = real_evaluate(*args)
+        preds[0] = np.nan
+        return preds, targets
+
+    monkeypatch.setattr(training_module, "evaluate_pairs", one_nan)
+    log_path = tmp_path / "train_log.jsonl"
+    cfg = TrainConfig(task="regression", iterations=3, batch_size=4, seed=1, val_every=3,
+                      log_path=str(log_path))
+    with pytest.raises(MetricError, match="mse needs finite input"):
+        train(tiny_model(), reg_dataset, cfg)
+    assert not log_path.exists()
 
 
 def test_non_finite_gradient_refused_before_the_update(reg_dataset, monkeypatch):
