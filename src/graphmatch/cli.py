@@ -22,8 +22,8 @@ from . import __version__
 from .data import (check_clone_params, check_ged_params, dataset_files, gen_clone_dataset,
                    gen_ged_dataset, load_dataset, load_dataset_dir, save_dataset)
 from .ged import EditCostScheme, GedBudgetError, GedTimeoutError, ged_exact
-from .model import (ConfigError, Model, ModelConfig, config_from_dict, load_checkpoint,
-                    save_checkpoint)
+from .model import (AGGREGATORS, MODES, TASKS, ConfigError, Model, ModelConfig,
+                    config_from_dict, load_checkpoint, save_checkpoint)
 from .report import evaluate_model, split_pairs, write_report
 from .training import TrainConfig, load_train_state, train
 
@@ -237,9 +237,9 @@ def build_parser():
     t = sub.add_parser("train", help="train a model on a dataset directory")
     t.add_argument("--dataset", required=True)
     t.add_argument("--config", help="JSON file with model/train sections")
-    t.add_argument("--task", choices=["classification", "regression"])
-    t.add_argument("--mode", choices=["sgnn", "ngmn", "mgmn"])
-    t.add_argument("--sgnn-agg", dest="sgnn_aggregator", choices=["max", "fcmax", "bilstm"])
+    t.add_argument("--task", choices=TASKS)
+    t.add_argument("--mode", choices=MODES)
+    t.add_argument("--sgnn-agg", dest="sgnn_aggregator", choices=AGGREGATORS)
     t.add_argument("--perspectives", type=int)
     t.add_argument("--gcn-layers", type=int)
     t.add_argument("--gcn-dim", type=int)

@@ -37,11 +37,17 @@ class DatasetError(ValueError):
 class Dataset:
     graphs: dict
     pairs: list
-    split: dict
+    split: dict  # each name of SPLITS -> graph ids; a split not given is empty
     groups: dict = field(init=False)  # group id -> member graph ids (classification)
     _split_index: dict = field(init=False, repr=False)
 
     def __post_init__(self):
+        unknown = sorted(set(self.split) - set(SPLITS))
+        if unknown:
+            raise DatasetError(f"unknown split(s) {', '.join(unknown)}; "
+                               f"valid splits: {', '.join(SPLITS)}")
+        given = dict.fromkeys(SPLITS, ()) | self.split
+        self.split = {name: list(ids) for name, ids in given.items()}
         self.groups = {}
         for gid, g in self.graphs.items():
             if g.group is not None:
@@ -93,53 +99,50 @@ def save_dataset(ds: Dataset, out_dir):
         json.dump({k: list(v) for k, v in ds.split.items()}, fh)
 
 
+def _jsonl(path, build):
+    """(line number, build(record)) for each non-blank line of a jsonl file; a
+    line that is not UTF-8 JSON or that build refuses is a DatasetError naming
+    the file and the line."""
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()  # at \n, \r\n or \r, as text mode reads
+    for lineno, raw in enumerate(lines, 1):
+        try:
+            line = raw.decode("utf-8").strip()
+            if line:
+                yield lineno, build(json.loads(line))
+        except (ValueError, KeyError, TypeError) as e:
+            raise DatasetError(f"{path}:{lineno}: {e}") from e
+
+
 def load_dataset(graphs_path, pairs_path=None, split_path=None):
     """Load and validate a dataset; errors cite the offending line. A path
     given must exist; without a split file every graph is a train graph."""
     graphs = {}
     width = None
-    with open(graphs_path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                g = make_graph(rec["id"], rec["nodes"], rec["edges"], rec.get("labels"),
-                               rec.get("group"))
-            except (ValueError, KeyError, TypeError) as e:
-                raise DatasetError(f"{graphs_path}:{lineno}: {e}") from e
-            if g.id in graphs:
-                raise DatasetError(f"{graphs_path}:{lineno}: duplicate id {g.id!r}")
-            if width is None:
-                width = g.feature_dim
-            elif g.feature_dim != width:
-                raise DatasetError(
-                    f"{graphs_path}:{lineno}: feature width {g.feature_dim} != {width}")
-            graphs[g.id] = g
+    for lineno, g in _jsonl(graphs_path, lambda rec: make_graph(
+            rec["id"], rec["nodes"], rec["edges"], rec.get("labels"), rec.get("group"))):
+        if g.id in graphs:
+            raise DatasetError(f"{graphs_path}:{lineno}: duplicate id {g.id!r}")
+        if width is None:
+            width = g.feature_dim
+        elif g.feature_dim != width:
+            raise DatasetError(
+                f"{graphs_path}:{lineno}: feature width {g.feature_dim} != {width}")
+        graphs[g.id] = g
     if not graphs:
         raise DatasetError(f"{graphs_path}: no graphs")
 
     pairs = []
     if pairs_path is not None:
-        with open(pairs_path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                    p = LabeledPair(str(rec["g1"]), str(rec["g2"]), float(rec["y"]))
-                except (ValueError, KeyError, TypeError) as e:
-                    raise DatasetError(f"{pairs_path}:{lineno}: {e}") from e
-                if not np.isfinite(p.target):
-                    raise DatasetError(f"{pairs_path}:{lineno}: target y must be finite, "
-                                       f"got {p.target}")
-                for gid in (p.g1, p.g2):
-                    if gid not in graphs:
-                        raise DatasetError(
-                            f"{pairs_path}:{lineno}: unknown graph id {gid!r}")
-                pairs.append(p)
+        for lineno, p in _jsonl(pairs_path, lambda rec: LabeledPair(
+                str(rec["g1"]), str(rec["g2"]), float(rec["y"]))):
+            if not np.isfinite(p.target):
+                raise DatasetError(f"{pairs_path}:{lineno}: target y must be finite, "
+                                   f"got {p.target}")
+            for gid in (p.g1, p.g2):
+                if gid not in graphs:
+                    raise DatasetError(f"{pairs_path}:{lineno}: unknown graph id {gid!r}")
+            pairs.append(p)
         if not pairs:
             log.warning("%s: empty pairs file", pairs_path)
 

@@ -13,6 +13,7 @@ import json
 import math
 import os
 from dataclasses import MISSING, dataclass, asdict, fields
+from typing import get_args
 
 import numpy as np
 
@@ -209,19 +210,6 @@ def loss_mse(predictions, targets):
     return (diff * diff).mean()
 
 
-def graph_slots(pairs):
-    """The distinct graph objects of a list of pairs, matched by object and in
-    order of first appearance, and the (B, 2) slot indices of the pair sides."""
-    slot_of, graphs = {}, []
-    for pair in pairs:
-        for g in pair:
-            if id(g) not in slot_of:
-                slot_of[id(g)] = len(graphs)
-                graphs.append(g)
-    return graphs, np.array([[slot_of[id(g)] for g in pair] for pair in pairs],
-                            dtype=np.intp).reshape(-1, 2)
-
-
 @dataclass
 class Encoded:
     """Per-graph stage output over a list of graph slots: GCN node rows h of
@@ -382,10 +370,15 @@ RETIRED_FIELDS = {"model": {"ngmn_aggregator": "bilstm", "normalize_attention": 
                   "train": {"grad_clip": None}}
 
 
+# the value types each annotation of a config field takes: an int field no bool
+FIELD_TYPES = {int: (int,), float: (int, float), str: (str,), type(None): (type(None),)}
+
+
 def config_from_dict(cls, d):
     """A ModelConfig or TrainConfig from a dict of its fields; an unknown key, a
-    missing required field, a retired field off its one value or a value the
-    class refuses is a ConfigError."""
+    missing required field, a retired field off its one value, a value not of
+    its field's type (X | None also takes None) or a value the class refuses is
+    a ConfigError."""
     kind = cls.__name__.removesuffix("Config").lower()
     d = dict(d)
     for name, only in RETIRED_FIELDS[kind].items():
@@ -400,10 +393,13 @@ def config_from_dict(cls, d):
     missing = [f.name for f in fields(cls) if f.name not in d and f.default is MISSING]
     if missing:
         raise ConfigError(f"{kind} config lacks field(s) {', '.join(missing)}")
+    for f in fields(cls):
+        allowed = [t for a in get_args(f.type) or (f.type,) for t in FIELD_TYPES[a]]
+        if f.name in d and type(d[f.name]) not in allowed:
+            raise ConfigError(f"{kind} config value of the wrong type: {f.name} takes "
+                              f"{getattr(f.type, '__name__', f.type)}, got {d[f.name]!r}")
     try:
         return cls(**d)
-    except TypeError as e:
-        raise ConfigError(f"{kind} config value of the wrong type: {e}") from None
     except ValueError as e:
         raise ConfigError(str(e)) from None
 

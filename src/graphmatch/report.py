@@ -46,7 +46,7 @@ def evaluate_model(model, dataset, split="test", ks=(10, 20)):
     out["mse"] = _or_null(mse_metric, preds, targets)
     out["spearman_rho"] = _or_null(spearman_rho, preds, targets)
     out["kendall_tau"] = _or_null(kendall_tau, preds, targets)
-    held_out = set(dataset.split.get(split, ()))
+    held_out = set(dataset.split[split])
     by_query = defaultdict(list)
     for pair, p, t in zip(pairs, preds, targets):
         query, cand = (pair.g1, pair.g2) if pair.g1 in held_out else (pair.g2, pair.g1)
@@ -54,8 +54,7 @@ def evaluate_model(model, dataset, split="test", ks=(10, 20)):
     queries = [RankedQueryResult(q, tuple(c)) for q, c in sorted(by_query.items())]
     for k in ks:
         usable = [q for q in queries if len(q.candidates) >= k]
-        if usable:
-            out[f"p@{k}"] = _or_null(precision_at_k, usable, k)
+        out[f"p@{k}"] = _or_null(precision_at_k, usable, k)
     return out
 
 

@@ -11,8 +11,8 @@ from .autodiff import backward
 from .graphs import LabeledPair
 from .metrics import auc, mse_metric
 from .model import (TASKS, ConfigError, Encoded, Model, check_shapes, config_from_dict,
-                    decode_arrays, encode_arrays, graph_slots, load_checkpoint, loss_mse,
-                    param_shapes, save_checkpoint)
+                    decode_arrays, encode_arrays, load_checkpoint, loss_mse, param_shapes,
+                    save_checkpoint)
 from .optim import Adam
 
 log = logging.getLogger(__name__)
@@ -45,8 +45,9 @@ class TrainConfig:
             self.learning_rate = 0.5e-3 if self.task == "classification" else 5e-3
         if self.batch_size is None:  # classification: 5 positive + 5 negative
             self.batch_size = 10 if self.task == "classification" else 128
-        if not self.learning_rate >= 0:
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not 0 <= self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be a finite number >= 0, "
+                             f"got {self.learning_rate}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("epochs", "iterations", "batch_size", "val_every"):
@@ -98,12 +99,9 @@ def sample_classification_pairs(groups, train_ids, rng):
     return pairs
 
 
-def _graph_pairs(dataset, pairs):
-    return [(dataset.graph(p.g1), dataset.graph(p.g2)) for p in pairs]
-
-
 def _batch_step(model, dataset, batch, optimizer, rng):
-    preds = model.forward_batch(_graph_pairs(dataset, batch), training=True, rng=rng)
+    preds = model.forward_batch([(dataset.graph(p.g1), dataset.graph(p.g2)) for p in batch],
+                                training=True, rng=rng)
     loss = loss_mse(preds, [pair.target for pair in batch])
     value = loss.item()
     if not np.isfinite(value):
@@ -129,23 +127,24 @@ EVAL_SLICE = 32
 
 def evaluate_pairs(model, dataset, pairs):
     """Eval-mode predictions and targets for a list of pairs; each distinct
-    graph is encoded once per call, and only the values are kept."""
+    graph id is encoded once per call, and only the values are kept."""
     targets = np.array([p.target for p in pairs], dtype=np.float64)
     if not pairs:
         return np.empty(0), targets
-    graphs, slots = graph_slots(_graph_pairs(dataset, pairs))
+    ids = list(dict.fromkeys(g for p in pairs for g in (p.g1, p.g2)))  # first appearance
+    slot = {gid: k for k, gid in enumerate(ids)}
+    slots = np.array([[slot[p.g1], slot[p.g2]] for p in pairs], dtype=np.intp)
     step = 2 * EVAL_SLICE
-    enc = Encoded.stack(model.graph_stage(graphs[s:s + step])
-                        for s in range(0, len(graphs), step))
+    enc = Encoded.stack(model.graph_stage([dataset.graph(g) for g in ids[s:s + step]])
+                        for s in range(0, len(ids), step))
     preds = [model.pair_stage(enc, slots[s:s + EVAL_SLICE]).data
              for s in range(0, len(pairs), EVAL_SLICE)]
     return np.concatenate(preds), targets
 
 
 def _check_split_hygiene(dataset, pairs):
-    held_out = set(dataset.split.get("test", ())) | set(dataset.split.get("val", ()))
     for p in pairs:
-        if p.g1 in held_out or p.g2 in held_out:
+        if dataset.pair_split(p) != "train":
             raise TrainingError(f"held-out graph in training pair ({p.g1}, {p.g2})")
 
 
@@ -157,9 +156,8 @@ def _rounds(dataset, config, rng, start):
     drawn with replacement. Each regression batch is drawn just before its
     step, so rng is consumed in one order however the rounds fall."""
     if config.task == "classification":
-        train_ids = list(dataset.split["train"])
         for epoch in range(start, config.epochs):
-            pairs = sample_classification_pairs(dataset.groups, train_ids, rng)
+            pairs = sample_classification_pairs(dataset.groups, dataset.split["train"], rng)
             _check_split_hygiene(dataset, pairs)
             pairs = [p for k in rng.permutation(len(pairs) // 2) for p in pairs[2 * k:2 * k + 2]]
             yield epoch + 1, [pairs[s:s + config.batch_size]

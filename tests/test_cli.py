@@ -1,11 +1,15 @@
 import base64
 import json
 import os
+from dataclasses import fields
+from typing import get_args
 
 import numpy as np
 import pytest
 
 from graphmatch.cli import main
+from graphmatch.model import ModelConfig
+from graphmatch.training import TrainConfig
 
 
 def write_graph_file(path, gid, nodes, edges):
@@ -481,7 +485,7 @@ def test_train_without_validation_writes_no_best_checkpoint(tiny_dataset, tmp_pa
     ('{"modle": {}}', "unknown section(s) modle; valid sections: model, train"),
     ('{"train": {"batch_size": 0}}', "train section: batch_size must be >= 1, got 0"),
     ('{"train": {"iterations": "5"}}',
-     "train section: train config value of the wrong type: '<' not supported"),
+     "train section: train config value of the wrong type: iterations takes int, got '5'"),
     ('{"train": {"grad_clip": 1.0}}', "train section: grad_clip supports only None, got 1.0"),
     ('{"model": {"normalize_attention": true}}',
      "model section: normalize_attention supports only False, got True"),
@@ -500,6 +504,108 @@ def test_train_malformed_config_names_the_file(tiny_dataset, tmp_path, caplog, t
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert errors and errors[-1].startswith(f"{cfg}: {message}")
     assert not (tmp_path / "out").exists()
+
+
+def number_fields(cls):
+    """(name, int or float) of every field of cls that holds a number."""
+    return [(f.name, kind) for f in fields(cls) for kind in (int, float)
+            if kind in (get_args(f.type) or (f.type,))]
+
+
+# values of the wrong type for a field of each number type: an int field takes
+# no bool and no float, a float field no bool, and neither a string
+WRONG_TYPE = {int: [True, 2.5, "2"], float: [False, "0.5"]}
+
+
+@pytest.mark.parametrize("section, name, value", [
+    (section, name, value)
+    for section, cls in (("model", ModelConfig), ("train", TrainConfig))
+    for name, kind in number_fields(cls) if name != "feature_dim"  # --dataset sets it
+    for value in WRONG_TYPE[kind]])
+def test_config_value_of_the_wrong_type_names_the_field(tiny_dataset, tmp_path, caplog,
+                                                        section, name, value):
+    doc = {"model": {"gcn_layers": 1, "gcn_dim": 4, "perspectives": 2},
+           "train": {"iterations": 1, "batch_size": 2}}  # a short run, should one start
+    doc[section][name] = value
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    rc = main(["train", "--dataset", str(tiny_dataset), "--config", str(cfg),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors[-1].startswith(f"{cfg}: {section} section: {section} config value of the "
+                                 f"wrong type: {name} takes ")
+    assert errors[-1].endswith(f", got {value!r}")
+    assert not (tmp_path / "out").exists()  # refused before any output
+
+
+@pytest.mark.parametrize("name, value", [(name, value)
+                                         for name, kind in number_fields(ModelConfig)
+                                         for value in WRONG_TYPE[kind]])
+def test_checkpoint_config_value_of_the_wrong_type_names_the_field(trained_run, tmp_path,
+                                                                   caplog, name, value):
+    ds, out = trained_run
+    doc = json.loads((out / "final.ckpt").read_text())
+    doc["config"][name] = value
+    ckpt = tmp_path / "typed.ckpt"
+    ckpt.write_text(json.dumps(doc))
+    rc = main(["eval", "--checkpoint", str(ckpt), "--dataset", str(ds),
+               "--out", str(tmp_path / "ev")])
+    assert rc == 1
+    assert f"{ckpt}: model config value of the wrong type: {name} takes " in caplog.text
+    assert not (tmp_path / "ev").exists()
+
+
+@pytest.mark.parametrize("name, value", [(name, value)
+                                         for name, kind in number_fields(TrainConfig)
+                                         for value in WRONG_TYPE[kind]])
+def test_stored_train_config_value_of_the_wrong_type_names_the_field(trained_run, tmp_path,
+                                                                     caplog, name, value):
+    ds, out = trained_run
+    doc = json.loads((out / "train_state.json").read_text())
+    doc["extra"]["train_state"]["train_config"][name] = value
+    state = tmp_path / "train_state.json"
+    state.write_text(json.dumps(doc))
+    rc = main(["train", "--dataset", str(ds), *TINY_RUN,
+               "--resume", str(state), "--out", str(tmp_path / "again")])
+    assert rc == 1
+    assert (f"{state}: stored train config: train config value of the wrong type: {name} "
+            f"takes " in caplog.text)
+    assert not (tmp_path / "again").exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_learning_rate_flag_refused(tiny_dataset, tmp_path, caplog, value):
+    rc = main(["train", "--dataset", str(tiny_dataset), "--learning-rate", value,
+               "--gcn-dim", "4", "--perspectives", "2", "--iterations", "1",
+               "--batch-size", "2", "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert (f"--learning-rate: learning_rate must be a finite number >= 0, got {value}"
+            in caplog.text)
+    assert not (tmp_path / "out").exists()
+
+
+def test_classification_on_a_split_without_train_names_its_cause(tmp_path, caplog):
+    ds = tmp_path / "ds"
+    assert main(["gen", "clone", "--groups", "6", "--variants", "2", "--budget", "1",
+                 "--seed", "3", "--out", str(ds)]) == 0
+    split = json.loads((ds / "split.json").read_text())
+    del split["train"]
+    (ds / "split.json").write_text(json.dumps(split))
+    rc = main(["train", "--dataset", str(ds), "--task", "classification", "--gcn-dim", "4",
+               "--perspectives", "2", "--epochs", "1", "--out", str(tmp_path / "out")])
+    assert rc == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors[-1] == ("classification needs training graphs in at least 2 groups, "
+                          "found 0")
+
+
+def test_ged_of_a_file_that_is_not_utf8_names_the_line(triangle_path_files, tmp_path, caplog):
+    tri, _ = triangle_path_files
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(b'{"id": "\xff", "nodes": [[1.0]], "edges": []}\n')
+    assert main(["ged", tri, str(bad)]) == 1
+    assert f"{bad}:1: 'utf-8' codec can't decode byte 0xff in position 8" in caplog.text
 
 
 def test_classification_batch_size_flag(tmp_path, monkeypatch):

@@ -146,6 +146,42 @@ def test_pair_of_a_graph_in_no_split_rejected(tmp_path):
     assert load_dataset_dir(tmp_path).pairs_for_split("test") == [LabeledPair("a", "c", 0.5)]
 
 
+def test_a_split_not_given_is_empty(tmp_path):
+    graphs = {g.id: g for g in (make_graph(i, [[1.0]], []) for i in "ab")}
+    ds = Dataset(graphs=graphs, pairs=[], split={"test": ["b"], "train": ["a"]})
+    assert ds.split == {"train": ["a"], "val": [], "test": ["b"]}
+    assert list(ds.split) == ["train", "val", "test"]
+    with pytest.raises(DatasetError, match=re.escape(
+            "unknown split(s) valid; valid splits: train, val, test")):
+        Dataset(graphs=graphs, pairs=[], split={"train": ["a"], "valid": ["b"]})
+    write_jsonl(tmp_path / "graphs.jsonl",
+                [{"id": i, "nodes": [[1.0]], "edges": []} for i in "ab"])
+    write_jsonl(tmp_path / "pairs.jsonl", [{"g1": "a", "g2": "b", "y": 0.5}])
+    (tmp_path / "split.json").write_text(json.dumps({"train": ["a", "b"]}))
+    ds = load_dataset_dir(tmp_path)
+    assert ds.split == {"train": ["a", "b"], "val": [], "test": []}
+    assert ds.pairs_for_split("train") == ds.pairs
+
+
+@pytest.mark.parametrize("name", ["graphs.jsonl", "pairs.jsonl"])
+def test_a_line_that_is_not_utf8_names_the_file_and_the_line(tmp_path, name):
+    save_dataset(small_ged_dataset(), tmp_path)
+    path = tmp_path / name
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[2] = lines[2].replace(b'"', b'"\xff', 1)
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(DatasetError, match=re.escape(
+            f"{path}:3: 'utf-8' codec can't decode byte 0xff in position 2")):
+        load_dataset_dir(tmp_path)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_jsonl_lines_end_at_any_newline(tmp_path, end):
+    records = [{"id": i, "nodes": [[1.0]], "edges": []} for i in "ab"]
+    (tmp_path / "graphs.jsonl").write_bytes("".join(json.dumps(r) + end for r in records).encode())
+    assert list(load_dataset(tmp_path / "graphs.jsonl").graphs) == ["a", "b"]
+
+
 def test_non_finite_target_rejected(tmp_path):
     write_jsonl(tmp_path / "graphs.jsonl",
                 [{"id": i, "nodes": [[1.0]], "edges": []} for i in "ab"])

@@ -278,6 +278,17 @@ def test_evaluate_model_reports_the_auc_of_a_split_with_one_class_as_null(monkey
     assert rep["auc"] is None and isinstance(rep["mse"], float)
 
 
+def test_evaluate_model_reports_p_at_k_without_k_candidates_as_null(tmp_path):
+    ds = gen_ged_dataset(n_graphs=10, node_range=(4, 5), seed=2, eval_candidates=3)
+    model = Model(ModelConfig(feature_dim=GED_LABELS, gcn_layers=1, gcn_dim=4, perspectives=2,
+                              sgnn_aggregator="max"), rng=np.random.default_rng(0))
+    rep = report.evaluate_model(model, ds, ks=(2, 10))  # every query has 3 candidates
+    assert isinstance(rep["p@2"], float) and rep["p@10"] is None
+    path = tmp_path / "eval_report.json"
+    report.write_report(path, rep, dataset_id="ds", checkpoint_id="c")
+    assert '"p@10": null' in path.read_text()
+
+
 def test_importing_the_package_loads_no_scipy():
     # scipy is a test-only dependency; code that needs it imports it inside
     # the function that uses it

@@ -431,6 +431,22 @@ def test_train_config_refuses_values_it_cannot_run(field, value):
         TrainConfig(**{field: value})
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_train_config_refuses_a_non_finite_learning_rate(value):
+    with pytest.raises(ValueError, match=f"learning_rate must be a finite number >= 0, "
+                                         f"got {value}"):
+        TrainConfig(learning_rate=value)
+
+
+def test_classification_without_a_train_split_names_its_cause(clf_dataset, no_training_step):
+    held_out = {name: clf_dataset.split[name] for name in ("val", "test")}
+    ds = type(clf_dataset)(graphs=clf_dataset.graphs, pairs=clf_dataset.pairs, split=held_out)
+    assert ds.split["train"] == []
+    cfg = TrainConfig(task="classification", epochs=1)
+    with pytest.raises(TrainingError, match="training graphs in at least 2 groups, found 0"):
+        train(tiny_model(task="classification", feature_dim=6), ds, cfg)
+
+
 def test_non_finite_validation_prediction_stops_the_run(reg_dataset, monkeypatch, tmp_path):
     import graphmatch.training as training_module
     real_evaluate = training_module.evaluate_pairs
