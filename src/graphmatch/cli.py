@@ -176,15 +176,20 @@ def cmd_train(args):
     return 0
 
 
+def _check_width(checkpoint, model, width, source):
+    """Refuse input whose feature width is not the model's, naming the
+    checkpoint, the input and both widths."""
+    if width != model.config.feature_dim:
+        raise ConfigError(f"{checkpoint}: model feature_dim {model.config.feature_dim} "
+                          f"does not match {source}'s feature width {width}")
+
+
 def cmd_eval(args):
     model, _ = load_checkpoint(args.checkpoint)
     ds = load_dataset_dir(args.dataset)
     # checked before the manifest, so a refused run leaves no output directory
     split_pairs(ds, args.split)
-    width = _feature_width(ds)
-    if width != model.config.feature_dim:
-        raise ConfigError(f"{args.checkpoint}: model feature_dim {model.config.feature_dim} "
-                          f"does not match dataset {args.dataset}'s feature width {width}")
+    _check_width(args.checkpoint, model, _feature_width(ds), f"dataset {args.dataset}")
     write_manifest(args.out, "eval", {"checkpoint": args.checkpoint, "dataset": args.dataset,
                                       "split": args.split}, 0,
                    [args.checkpoint, *dataset_files(args.dataset)])
@@ -197,9 +202,11 @@ def cmd_eval(args):
 
 def cmd_score(args):
     model, _ = load_checkpoint(args.checkpoint)
-    g1 = _load_single_graph(args.g1)
-    g2 = _load_single_graph(args.g2)
-    score = model.forward_pair(g1, g2, training=False).item()
+    graphs = []
+    for path in (args.g1, args.g2):
+        graphs.append(_load_single_graph(path))
+        _check_width(args.checkpoint, model, graphs[-1].feature_dim, f"graph file {path}")
+    score = model.forward_pair(*graphs, training=False).item()
     print(f"{score:.6f}")
     return 0
 

@@ -42,35 +42,40 @@ class Dataset:
     _split_index: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        unknown = sorted(set(self.split) - set(SPLITS))
-        if unknown:
-            raise DatasetError(f"unknown split(s) {', '.join(unknown)}; "
-                               f"valid splits: {', '.join(SPLITS)}")
+        """Refuse an unknown split name or graph id, an id placed twice and a
+        paired graph placed nowhere, however the corpus was built."""
+        self._split_index = {}
+        for name, ids in self.split.items():
+            if name not in SPLITS:
+                raise DatasetError(f"unknown split {name!r}; valid splits: {', '.join(SPLITS)}")
+            for gid in ids:
+                if gid not in self.graphs:
+                    raise DatasetError(f"unknown graph id {gid!r} in {name}")
+                if gid in self._split_index:
+                    raise DatasetError(f"graph {gid!r} in multiple splits")
+                self._split_index[gid] = name
+        for p in self.pairs:
+            for gid in (p.g1, p.g2):
+                if gid not in self._split_index:
+                    raise DatasetError(f"graph {gid!r} of pair ({p.g1!r}, {p.g2!r}) "
+                                       f"is in no split")
         given = dict.fromkeys(SPLITS, ()) | self.split
         self.split = {name: list(ids) for name, ids in given.items()}
         self.groups = {}
         for gid, g in self.graphs.items():
             if g.group is not None:
                 self.groups.setdefault(g.group, []).append(gid)
-        self._split_index = {g: name for name, ids in self.split.items() for g in ids}
 
     def graph(self, gid):
         return self.graphs[gid]
 
     def pair_split(self, pair):
         """A pair belongs to test/val if it touches a test/val graph."""
-        s1 = self._split_of(pair.g1)
-        s2 = self._split_of(pair.g2)
+        splits = (self._split_index[pair.g1], self._split_index[pair.g2])
         for name in ("test", "val"):
-            if name in (s1, s2):
+            if name in splits:
                 return name
         return "train"
-
-    def _split_of(self, gid):
-        try:
-            return self._split_index[gid]
-        except KeyError:
-            raise DatasetError(f"graph {gid!r} is missing from the split") from None
 
     def pairs_for_split(self, name):
         return [p for p in self.pairs if self.pair_split(p) == name]
@@ -146,35 +151,22 @@ def load_dataset(graphs_path, pairs_path=None, split_path=None):
         if not pairs:
             log.warning("%s: empty pairs file", pairs_path)
 
+    split = {"train": list(graphs)}
     if split_path is not None:
         with open(split_path, encoding="utf-8") as fh:
             try:
                 split = dict(json.load(fh).items())
             except (ValueError, AttributeError) as e:
                 raise DatasetError(f"{split_path}: not an object of id lists: {e}") from e
-        seen = set()
         for name, ids in split.items():
-            if name not in SPLITS:
-                raise DatasetError(f"{split_path}: unknown split {name!r}; "
-                                   f"valid splits: {', '.join(SPLITS)}")
             if not isinstance(ids, list):
                 raise DatasetError(f"{split_path}: split {name!r} must be a list of ids, "
                                    f"got {type(ids).__name__}")
-            split[name] = ids = [str(gid) for gid in ids]
-            for gid in ids:
-                if gid not in graphs:
-                    raise DatasetError(f"{split_path}: unknown graph id {gid!r} in {name}")
-                if gid in seen:
-                    raise DatasetError(f"{split_path}: graph {gid!r} in multiple splits")
-                seen.add(gid)
-        for p in pairs:
-            for gid in (p.g1, p.g2):
-                if gid not in seen:
-                    raise DatasetError(f"{split_path}: graph {gid!r} of pair "
-                                       f"({p.g1!r}, {p.g2!r}) is in no split")
-    else:
-        split = {"train": list(graphs), "val": [], "test": []}
-    return Dataset(graphs=graphs, pairs=pairs, split=split)
+            split[name] = [str(gid) for gid in ids]
+    try:
+        return Dataset(graphs=graphs, pairs=pairs, split=split)
+    except DatasetError as e:  # only a split file can misplace a graph
+        raise DatasetError(f"{split_path}: {e}") from None
 
 
 def dataset_files(path):
@@ -226,6 +218,16 @@ def _random_connected_edges(n, edge_prob, rng):
     return sorted(edges)
 
 
+def _draw_split(ids, train_frac, val_frac, rng):
+    """ids shuffled by one rng permutation and cut into train, val and test,
+    the first two sized by rounding their fraction of len(ids)."""
+    perm = [ids[int(i)] for i in rng.permutation(len(ids))]
+    n_train = int(round(train_frac * len(perm)))
+    n_val = int(round(val_frac * len(perm)))
+    return {"train": perm[:n_train], "val": perm[n_train:n_train + n_val],
+            "test": perm[n_train + n_val:]}
+
+
 def check_ged_params(n_graphs, node_range, edge_prob, seed, max_train_pairs, eval_candidates):
     """Refuse gen_ged_dataset parameters it cannot build a loadable corpus from."""
     lo, hi = node_range
@@ -265,13 +267,7 @@ def gen_ged_dataset(n_graphs, node_range=(4, 9), edge_prob=0.25, seed=0,
         g = make_graph(f"g{i:04d}", feats, edges, labels)
         graphs[g.id] = g
 
-    ids = list(graphs)
-    perm = [ids[int(i)] for i in rng.permutation(len(ids))]
-    n_train = int(round(0.6 * len(perm)))
-    n_val = int(round(0.2 * len(perm)))
-    split = {"train": sorted(perm[:n_train]),
-             "val": sorted(perm[n_train:n_train + n_val]),
-             "test": sorted(perm[n_train + n_val:])}
+    split = {k: sorted(v) for k, v in _draw_split(list(graphs), 0.6, 0.2, rng).items()}
 
     train = split["train"]
     cand_pairs = [(train[i], train[j])
@@ -379,13 +375,7 @@ def gen_clone_dataset(n_groups, variants_per_group, perturbation_budget, seed=0)
             members.append(gid)
         group_members[f"f{gi:04d}"] = members
 
-    gids = sorted(group_members)
-    perm = [gids[int(i)] for i in rng.permutation(len(gids))]
-    n_train = int(round(0.8 * len(perm)))
-    n_val = int(round(0.1 * len(perm)))
-    split_groups = {"train": perm[:n_train],
-                    "val": perm[n_train:n_train + n_val],
-                    "test": perm[n_train + n_val:]}
+    split_groups = _draw_split(sorted(group_members), 0.8, 0.1, rng)
     split = {name: sorted(g for grp in grps for g in group_members[grp])
              for name, grps in split_groups.items()}
 

@@ -398,10 +398,7 @@ def config_from_dict(cls, d):
         if f.name in d and type(d[f.name]) not in allowed:
             raise ConfigError(f"{kind} config value of the wrong type: {f.name} takes "
                               f"{getattr(f.type, '__name__', f.type)}, got {d[f.name]!r}")
-    try:
-        return cls(**d)
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+    return cls(**d)
 
 
 # ---------------------------------------------------------------------------

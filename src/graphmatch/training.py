@@ -40,19 +40,19 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.task not in TASKS:
-            raise ValueError(f"task must be one of {TASKS}, got {self.task!r}")
+            raise ConfigError(f"task must be one of {TASKS}, got {self.task!r}")
         if self.learning_rate is None:
             self.learning_rate = 0.5e-3 if self.task == "classification" else 5e-3
         if self.batch_size is None:  # classification: 5 positive + 5 negative
             self.batch_size = 10 if self.task == "classification" else 128
         if not 0 <= self.learning_rate < np.inf:
-            raise ValueError(f"learning_rate must be a finite number >= 0, "
-                             f"got {self.learning_rate}")
+            raise ConfigError(f"learning_rate must be a finite number >= 0, "
+                              f"got {self.learning_rate}")
         if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         for name in ("epochs", "iterations", "batch_size", "val_every"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass
@@ -211,6 +211,7 @@ def train(model: Model, dataset, config: TrainConfig, resume_from=None):
     if config.checkpoint_dir:
         os.makedirs(config.checkpoint_dir, exist_ok=True)
     best_checkpoint = None
+    logged = 0  # records in the log: its first write holds resumed ones too
     val_pairs = dataset.pairs_for_split("val")
     for step, batches in _rounds(dataset, config, rng, start_step):
         losses = [_batch_step(model, dataset, batch, optimizer, rng) for batch in batches]
@@ -223,8 +224,9 @@ def train(model: Model, dataset, config: TrainConfig, resume_from=None):
                 rec["metric"] = auc(preds, np.where(targets > 0, 1, -1))
         records.append(rec)
         if config.log_path:
-            with open(config.log_path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(rec) + "\n")
+            with open(config.log_path, "a" if logged else "w", encoding="utf-8") as fh:
+                fh.writelines(json.dumps(r) + "\n" for r in records[logged:])
+            logged = len(records)
         if rec["val_loss"] is not None and rec["val_loss"] < best_val:
             best_val = rec["val_loss"]
             if config.checkpoint_dir:

@@ -1,4 +1,5 @@
 import base64
+import hashlib
 import json
 import os
 from dataclasses import fields
@@ -43,6 +44,28 @@ def test_gen_is_deterministic(tmp_path):
         assert main(argv) == 0
     for name in ("graphs.jsonl", "pairs.jsonl", "split.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+# sha256 of each file a default-sized gen writes: a change to a generator's
+# draws or to the file format changes every corpus drawn so far
+CORPUS_SHA256 = {
+    ("ged", "7"): {
+        "graphs.jsonl": "6437dbc81ca2c86c9d6e546fa1adbe291f127944b9608f0db0ef503c53d1602a",
+        "pairs.jsonl": "765ad0003eac5830623092ed8d36bb3eed986e095be8cd28606ff9c562de68f9",
+        "split.json": "46fcbfd1ae9857fd071028069ef502fba80d7b4c18833dfdb5c163b2bcf3c183"},
+    ("clone", "11"): {
+        "graphs.jsonl": "9c052e3a2550857626324a12e581adaedf5570509844bad2868de5204d543a2c",
+        "pairs.jsonl": "f06921a4d95bf94a7dee4cd64e1157b2c9bc61f3840734c0d803ad6b7ec986f3",
+        "split.json": "77cb3987c91d8c3aa6729df657758f3042e16936190a82b94b999f94a50f0a81"},
+}
+
+
+@pytest.mark.parametrize("kind, seed", list(CORPUS_SHA256))
+def test_gen_corpus_bytes_are_pinned(tmp_path, kind, seed):
+    assert main(["gen", kind, "--seed", seed, "--out", str(tmp_path)]) == 0
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in CORPUS_SHA256[kind, seed]}
+    assert got == CORPUS_SHA256[kind, seed]
 
 
 def test_gen_ged_bad_node_range_refused(tmp_path, caplog):
@@ -303,6 +326,52 @@ def test_score_accepts_the_train_state(trained_run, tmp_path, capsys):
         assert rc == 0
         scores.append(capsys.readouterr().out)
     assert scores[0] == scores[1]
+
+
+def test_score_of_a_graph_of_another_width_refused(trained_run, tmp_path, caplog, capsys):
+    _, out = trained_run
+    narrow, wide = tmp_path / "narrow.jsonl", tmp_path / "wide.jsonl"
+    write_graph_file(narrow, "n", [[1.0, 0.0, 0.0]], [])
+    write_graph_file(wide, "w", [[1.0] * 6], [])
+    ckpt = out / "final.ckpt"
+    assert main(["score", "--checkpoint", str(ckpt), str(narrow), str(wide)]) == 1
+    assert (f"{ckpt}: model feature_dim 3 does not match graph file {wide}'s feature "
+            f"width 6") in caplog.text
+    assert capsys.readouterr().out == ""
+
+
+def _log_steps(run_dir):
+    return [json.loads(line)["step"]
+            for line in (run_dir / "train_log.jsonl").read_text().splitlines()]
+
+
+@pytest.fixture
+def validate_every_5(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": {}, "train": {"val_every": 5}}))
+    return ["--config", str(cfg)]
+
+
+def test_train_log_of_a_rerun_into_the_same_out_holds_its_records_once(
+        trained_run, tmp_path, validate_every_5):
+    ds, _ = trained_run
+    for _ in range(2):
+        assert main(["train", "--dataset", str(ds), *TINY_RUN, *validate_every_5,
+                     "--out", str(tmp_path / "run")]) == 0
+    assert _log_steps(tmp_path / "run") == [5, 10, 15, 20]
+
+
+def test_train_log_of_a_resumed_run_holds_the_resumed_records(trained_run, tmp_path,
+                                                              validate_every_5):
+    ds, _ = trained_run
+    run = ["train", "--dataset", str(ds), *TINY_RUN, *validate_every_5]
+    assert main([*run, "--out", str(tmp_path / "full")]) == 0
+    assert main([*run, "--iterations", "10", "--out", str(tmp_path / "half")]) == 0
+    assert main([*run, "--resume", str(tmp_path / "half" / "train_state.json"),
+                 "--out", str(tmp_path / "resumed")]) == 0
+    assert _log_steps(tmp_path / "resumed") == [5, 10, 15, 20]
+    assert ((tmp_path / "resumed" / "train_log.jsonl").read_text()
+            == (tmp_path / "full" / "train_log.jsonl").read_text())
 
 
 def test_resume_from_a_model_checkpoint_refused(trained_run, tmp_path, caplog):

@@ -152,7 +152,7 @@ def test_a_split_not_given_is_empty(tmp_path):
     assert ds.split == {"train": ["a"], "val": [], "test": ["b"]}
     assert list(ds.split) == ["train", "val", "test"]
     with pytest.raises(DatasetError, match=re.escape(
-            "unknown split(s) valid; valid splits: train, val, test")):
+            "unknown split 'valid'; valid splits: train, val, test")):
         Dataset(graphs=graphs, pairs=[], split={"train": ["a"], "valid": ["b"]})
     write_jsonl(tmp_path / "graphs.jsonl",
                 [{"id": i, "nodes": [[1.0]], "edges": []} for i in "ab"])
@@ -161,6 +161,26 @@ def test_a_split_not_given_is_empty(tmp_path):
     ds = load_dataset_dir(tmp_path)
     assert ds.split == {"train": ["a", "b"], "val": [], "test": []}
     assert ds.pairs_for_split("train") == ds.pairs
+
+
+@pytest.mark.parametrize("split, pairs, message", [
+    ({"train": ["a", "x"]}, [], "unknown graph id 'x' in train"),
+    ({"train": ["a", "b"], "test": ["b"]}, [], "graph 'b' in multiple splits"),
+    ({"train": ["a"]}, [LabeledPair("a", "b", 0.5)],
+     "graph 'b' of pair ('a', 'b') is in no split"),
+])
+def test_a_misplaced_graph_is_refused_however_the_dataset_is_built(tmp_path, split, pairs,
+                                                                  message):
+    graphs = {g.id: g for g in (make_graph(i, [[1.0]], []) for i in "ab")}
+    with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
+        Dataset(graphs=graphs, pairs=pairs, split=split)
+    save_dataset(Dataset(graphs=graphs, pairs=[], split={"train": ["a", "b"]}), tmp_path)
+    write_jsonl(tmp_path / "pairs.jsonl", [{"g1": p.g1, "g2": p.g2, "y": p.target}
+                                           for p in pairs])
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps(split))
+    with pytest.raises(DatasetError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        load_dataset_dir(tmp_path)
 
 
 @pytest.mark.parametrize("name", ["graphs.jsonl", "pairs.jsonl"])

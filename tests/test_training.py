@@ -12,7 +12,8 @@ from graphmatch.data import gen_clone_dataset, gen_ged_dataset
 from graphmatch.graphs import LabeledPair
 from graphmatch.metrics import MetricError
 from graphmatch.model import (AGGREGATORS, MODES, TASKS, ConfigError, Model, ModelConfig,
-                              encode_arrays, load_checkpoint, save_checkpoint)
+                              config_from_dict, encode_arrays, load_checkpoint,
+                              save_checkpoint)
 from graphmatch.training import (TrainConfig, TrainingError,
                                  sample_classification_pairs, train)
 
@@ -429,6 +430,15 @@ def test_classification_needs_groups(reg_dataset):
 def test_train_config_refuses_values_it_cannot_run(field, value):
     with pytest.raises(ValueError, match=field):
         TrainConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [("task", "regresion"), ("learning_rate", -1.0),
+                                          ("seed", -1), ("batch_size", 0)])
+def test_train_config_refuses_with_the_error_model_config_uses(field, value):
+    with pytest.raises(ConfigError, match=field):
+        TrainConfig(**{field: value})
+    with pytest.raises(ConfigError, match=f"^{field}"):
+        config_from_dict(TrainConfig, {field: value})
 
 
 @pytest.mark.parametrize("value", [float("inf"), float("nan")])
