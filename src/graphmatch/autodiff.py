@@ -237,7 +237,10 @@ def gather_rows(x, indices):
 
     def bw(g):
         gx = np.zeros_like(x.data)
-        np.add.at(gx, idx, g)
+        if np.bincount(idx.reshape(-1) % len(gx), minlength=1).max() > 1:
+            np.add.at(gx, idx, g)
+        else:  # each row read once: add.at's 0.0 + g, -0.0 to 0.0 included
+            gx[idx] = g + 0.0
         return (gx,)
 
     return _make(out, (x,), bw)

@@ -37,7 +37,7 @@ class DatasetError(ValueError):
 class Dataset:
     graphs: dict
     pairs: list
-    split: dict  # each name of SPLITS -> graph ids; a split not given is empty
+    split: dict  # each name of SPLITS -> a tuple of graph ids; a split not given is empty
     groups: dict = field(init=False)  # group id -> member graph ids (classification)
     _split_index: dict = field(init=False, repr=False)
 
@@ -52,7 +52,9 @@ class Dataset:
                 if gid not in self.graphs:
                     raise DatasetError(f"unknown graph id {gid!r} in {name}")
                 if gid in self._split_index:
-                    raise DatasetError(f"graph {gid!r} in multiple splits")
+                    raise DatasetError(f"graph {gid!r} listed twice in {name}"
+                                       if self._split_index[gid] == name
+                                       else f"graph {gid!r} in multiple splits")
                 self._split_index[gid] = name
         for p in self.pairs:
             for gid in (p.g1, p.g2):
@@ -60,7 +62,8 @@ class Dataset:
                     raise DatasetError(f"graph {gid!r} of pair ({p.g1!r}, {p.g2!r}) "
                                        f"is in no split")
         given = dict.fromkeys(SPLITS, ()) | self.split
-        self.split = {name: list(ids) for name, ids in given.items()}
+        # tuples, so the split stays the one _split_index was built from
+        self.split = {name: tuple(ids) for name, ids in given.items()}
         self.groups = {}
         for gid, g in self.graphs.items():
             if g.group is not None:

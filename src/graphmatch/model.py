@@ -142,9 +142,11 @@ def gcn_forward(graphs, params, config, training, rng):
     at once, with dropout after each layer at train time; (sum of nodes, gcn_dim)
     node rows in graph order."""
     sizes = [g.num_nodes for g in graphs]
+    distinct = {id(g): g for g in graphs}  # a graph in several slots is one object
+    adjacency = {key: normalized_adjacency(g) for key, g in distinct.items()}
     blocks = np.zeros((len(graphs), max(sizes), max(sizes)))
     for k, g in enumerate(graphs):
-        blocks[k, :sizes[k], :sizes[k]] = normalized_adjacency(g)
+        blocks[k, :sizes[k], :sizes[k]] = adjacency[id(g)]
     where = (np.repeat(np.arange(len(graphs)), sizes),
              np.concatenate([np.arange(n) for n in sizes]))
     h = Tensor(np.concatenate([g.features for g in graphs]))
@@ -329,10 +331,15 @@ class Model:
 # ---------------------------------------------------------------------------
 # serialization shared by checkpoints and training state
 
+class Base64(str):
+    """A base64 payload: it holds only A-Z, a-z, 0-9, +, / and =, none of which
+    JSON escapes, so save_checkpoint writes it out as it is."""
+
+
 def encode_arrays(arrays):
     """name -> array as JSON records of shape and base64 little-endian float64."""
     return {k: {"shape": list(a.shape),
-                "data": base64.b64encode(np.ascontiguousarray(a, dtype="<f8").tobytes()).decode()}
+                "data": Base64(base64.b64encode(np.ascontiguousarray(a, dtype="<f8")), "ascii")}
             for k, a in sorted(arrays.items())}
 
 
@@ -404,8 +411,25 @@ def config_from_dict(cls, d):
 # ---------------------------------------------------------------------------
 # checkpoint format: one self-describing JSON file
 
+def _write_json(fh, obj):
+    """Write the text of json.dumps(obj) to fh piece by piece: each Base64
+    payload goes out unescaped in a piece of its own, dicts with str keys are
+    walked for them, and any other value is one json.dumps piece."""
+    if isinstance(obj, Base64):
+        fh.writelines(('"', obj, '"'))
+    elif isinstance(obj, dict) and all(isinstance(k, str) for k in obj):
+        fh.write("{")
+        for i, (k, v) in enumerate(obj.items()):
+            fh.write(f"{', ' if i else ''}{json.dumps(k)}: ")
+            _write_json(fh, v)
+        fh.write("}")
+    else:
+        fh.write(json.dumps(obj))
+
+
 def save_checkpoint(path, model: Model, extra=None):
-    """Write config, parameters and a JSON-able extra dict; replaces path atomically."""
+    """Write config, parameters and a JSON-able extra dict, the bytes of
+    json.dumps of the document; replaces path atomically."""
     doc = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "config": asdict(model.config),
@@ -416,7 +440,7 @@ def save_checkpoint(path, model: Model, extra=None):
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
+            _write_json(fh, doc)
         os.replace(tmp, path)
     except BaseException:
         # an unserialisable extra or a full disk leaves path as it was and no .tmp

@@ -31,14 +31,17 @@ class Adam:
         bc1 = 1.0 - BETA1 ** t
         bc2 = 1.0 - BETA2 ** t
         for name, p in self.params.items():
-            g = p.grad
-            m = self.m[name]
-            v = self.v[name]
+            # in place, in the order of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2,
+            # p -= lr (m / bc1) / (sqrt(v / bc2) + eps), through two work arrays
+            g, m, v = p.grad, self.m[name], self.v[name]
+            step, denom = np.empty_like(g), np.empty_like(g)
             m *= BETA1
-            m += (1.0 - BETA1) * g
+            m += np.multiply(1.0 - BETA1, g, out=step)
             v *= BETA2
-            v += (1.0 - BETA2) * (g * g)
-            mhat = m / bc1
-            vhat = v / bc2
-            p.data -= self.lr * mhat / (np.sqrt(vhat) + EPS)
+            v += np.multiply(1.0 - BETA2, np.multiply(g, g, out=step), out=step)
+            np.sqrt(np.divide(v, bc2, out=denom), out=denom)
+            denom += EPS
+            np.multiply(self.lr, np.divide(m, bc1, out=step), out=step)
+            step /= denom
+            p.data -= step
             p.grad = None

@@ -355,6 +355,25 @@ def test_max_rows_sequences_match_single_calls_and_fd():
     fd_check(lambda: (ad.max_rows(x, lengths) * mix).sum(), [x])
 
 
+@pytest.mark.parametrize("indices", [
+    np.arange(240),                                 # distinct: assigned
+    np.array([5, 0, -1, 17, 2]),                    # distinct, unordered, one negative
+    np.zeros((4, 30), dtype=np.intp),               # all the same row
+    np.array([[3, 1, 4], [1, 5, 9], [2, 6, 5]]),    # mixed, 2-D like a padded sequence
+    np.array([7, -233]),                            # one row by two names
+    np.array([], dtype=np.intp),
+])
+def test_gather_rows_backward_is_the_add_at_scatter_bit_for_bit(indices):
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(size=(240, 64)), requires_grad=True)
+    g = rng.normal(size=indices.shape + (64,))
+    g[..., ::7] = -0.0  # 0.0 + -0.0 is 0.0 in add.at
+    want = np.zeros_like(x.data)
+    np.add.at(want, indices, g)
+    backward((ad.gather_rows(x, indices) * Tensor(g)).sum())
+    assert x.grad.tobytes() == want.tobytes()
+
+
 def test_block_matmul_matches_dense_and_fd():
     rng = np.random.default_rng(7)
     sizes = [2, 1, 3]

@@ -107,7 +107,7 @@ def test_numeric_split_ids_match_numeric_graph_ids(tmp_path):
     write_jsonl(tmp_path / "pairs.jsonl", [{"g1": 1, "g2": 2, "y": 0.5}])
     (tmp_path / "split.json").write_text(json.dumps({"train": [1], "val": [], "test": [2]}))
     ds = load_dataset_dir(tmp_path)
-    assert ds.split == {"train": ["1"], "val": [], "test": ["2"]}
+    assert ds.split == {"train": ("1",), "val": (), "test": ("2",)}
     assert ds.pair_split(ds.pairs[0]) == "test"
 
 
@@ -149,7 +149,7 @@ def test_pair_of_a_graph_in_no_split_rejected(tmp_path):
 def test_a_split_not_given_is_empty(tmp_path):
     graphs = {g.id: g for g in (make_graph(i, [[1.0]], []) for i in "ab")}
     ds = Dataset(graphs=graphs, pairs=[], split={"test": ["b"], "train": ["a"]})
-    assert ds.split == {"train": ["a"], "val": [], "test": ["b"]}
+    assert ds.split == {"train": ("a",), "val": (), "test": ("b",)}
     assert list(ds.split) == ["train", "val", "test"]
     with pytest.raises(DatasetError, match=re.escape(
             "unknown split 'valid'; valid splits: train, val, test")):
@@ -159,7 +159,7 @@ def test_a_split_not_given_is_empty(tmp_path):
     write_jsonl(tmp_path / "pairs.jsonl", [{"g1": "a", "g2": "b", "y": 0.5}])
     (tmp_path / "split.json").write_text(json.dumps({"train": ["a", "b"]}))
     ds = load_dataset_dir(tmp_path)
-    assert ds.split == {"train": ["a", "b"], "val": [], "test": []}
+    assert ds.split == {"train": ("a", "b"), "val": (), "test": ()}
     assert ds.pairs_for_split("train") == ds.pairs
 
 
@@ -168,6 +168,7 @@ def test_a_split_not_given_is_empty(tmp_path):
     ({"train": ["a", "b"], "test": ["b"]}, [], "graph 'b' in multiple splits"),
     ({"train": ["a"]}, [LabeledPair("a", "b", 0.5)],
      "graph 'b' of pair ('a', 'b') is in no split"),
+    ({"train": ["b"], "val": ["a", "a"]}, [], "graph 'a' listed twice in val"),
 ])
 def test_a_misplaced_graph_is_refused_however_the_dataset_is_built(tmp_path, split, pairs,
                                                                   message):
@@ -181,6 +182,18 @@ def test_a_misplaced_graph_is_refused_however_the_dataset_is_built(tmp_path, spl
     path.write_text(json.dumps(split))
     with pytest.raises(DatasetError, match=f"^{re.escape(f'{path}: {message}')}$"):
         load_dataset_dir(tmp_path)
+
+
+def test_a_split_cannot_change_after_it_is_checked(tmp_path):
+    graphs = {g.id: g for g in (make_graph(i, [[1.0]], []) for i in "ab")}
+    ds = Dataset(graphs=graphs, pairs=[LabeledPair("a", "b", 0.5)],
+                 split={"train": ["a", "b"]})
+    with pytest.raises(AttributeError):
+        ds.split["test"].append("a")
+    assert ds.split["test"] == () and ds.pair_split(ds.pairs[0]) == "train"
+    save_dataset(ds, tmp_path)  # split.json keeps its lists
+    assert (tmp_path / "split.json").read_text() == \
+        '{"train": ["a", "b"], "val": [], "test": []}'
 
 
 @pytest.mark.parametrize("name", ["graphs.jsonl", "pairs.jsonl"])

@@ -1,17 +1,19 @@
 import base64
 import hashlib
+import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphmatch import autodiff as ad
 from graphmatch.autodiff import Tensor, backward, finite_difference_grad
 from graphmatch.graphs import make_graph, normalized_adjacency
-from graphmatch.model import (ConfigError, Model, ModelConfig, aggregate, init_params,
-                              load_checkpoint, loss_mse, node_graph_match, padded,
+from graphmatch.model import (ConfigError, Model, ModelConfig, aggregate, encode_arrays,
+                              init_params, load_checkpoint, loss_mse, node_graph_match, padded,
                               param_shapes, predict, save_checkpoint)
 
 from conftest import random_graph, rel_err
@@ -508,6 +510,30 @@ def test_checkpoint_round_trip_bit_exact(tmp_path, rng):
     assert set(loaded.params) == set(m.params)
     for k in m.params:
         assert np.array_equal(loaded.params[k].data, m.params[k].data)
+
+
+# any JSON value: floats include -0.0, subnormals, inf and nan, strings non-ASCII text
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(extra=st.dictionaries(st.text(), json_values, max_size=5),
+       rows=st.integers(0, 3), seed=st.integers(0, 100))
+@example(extra={"x": [-0.0, 5e-324, -2.2250738585072014e-308], "\u00e9\u2603": {"": None}},
+         rows=1, seed=0)
+def test_checkpoint_file_is_the_bytes_of_json_dumps(tmp_path_factory, extra, rows, seed):
+    """save_checkpoint streams the document, base64 payloads unescaped, and
+    writes exactly json.dumps of it, with payloads nested in extra too."""
+    m = Model(tiny_config(), rng=np.random.default_rng(seed))
+    extra = extra | {"arrays": {"m": encode_arrays({"w": np.full((rows, 2), -0.0)})}}
+    path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
+    save_checkpoint(path, m, extra=extra)
+    doc = {"format_version": 1, "config": asdict(m.config),
+           "params": encode_arrays({k: p.data for k, p in m.params.items()}), "extra": extra}
+    assert path.read_bytes() == json.dumps(doc).encode()
 
 
 @pytest.mark.parametrize("mode,agg,task", CONFIGS)

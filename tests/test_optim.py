@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from graphmatch.autodiff import Tensor, backward
-from graphmatch.optim import Adam
+from graphmatch.optim import BETA1, BETA2, EPS, Adam
 
 
 def test_zero_grad_leaves_params_unchanged():
@@ -50,3 +50,29 @@ def test_converges_on_quadratic():
 def test_negative_lr_rejected():
     with pytest.raises(ValueError):
         Adam({}, lr=-1.0)
+
+
+def test_step_is_the_textbook_update_bit_for_bit():
+    """The in-place update equals m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2,
+    p -= lr (m / bc1) / (sqrt(v / bc2) + eps), evaluated as written."""
+    rng = np.random.default_rng(0)
+    shapes = {"w": (7, 5), "b": (1, 5), "s": (3,)}
+    params = {k: Tensor(rng.normal(size=s), requires_grad=True) for k, s in shapes.items()}
+    want = {k: p.data.copy() for k, p in params.items()}
+    m = {k: np.zeros(s) for k, s in shapes.items()}
+    v = {k: np.zeros(s) for k, s in shapes.items()}
+    opt = Adam(params, lr=0.01)
+    for t in range(1, 51):
+        grads = {k: rng.normal(size=s) * 10.0 ** rng.integers(-8, 3) for k, s in shapes.items()}
+        grads["s"][0] = -0.0
+        for k, p in params.items():
+            p.grad = grads[k].copy()
+        opt.step()
+        for k, g in grads.items():
+            m[k] = BETA1 * m[k] + (1.0 - BETA1) * g
+            v[k] = BETA2 * v[k] + (1.0 - BETA2) * (g * g)
+            mhat = m[k] / (1.0 - BETA1 ** t)
+            vhat = v[k] / (1.0 - BETA2 ** t)
+            want[k] = want[k] - 0.01 * mhat / (np.sqrt(vhat) + EPS)
+            for got, exp in ((params[k].data, want[k]), (opt.m[k], m[k]), (opt.v[k], v[k])):
+                assert got.tobytes() == exp.tobytes(), (t, k)

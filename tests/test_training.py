@@ -1,7 +1,9 @@
 import base64
+import hashlib
 import json
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +16,8 @@ from graphmatch.metrics import MetricError
 from graphmatch.model import (AGGREGATORS, MODES, TASKS, ConfigError, Model, ModelConfig,
                               config_from_dict, encode_arrays, load_checkpoint,
                               save_checkpoint)
-from graphmatch.training import (TrainConfig, TrainingError,
+from graphmatch.optim import Adam
+from graphmatch.training import (TrainConfig, TrainingError, _save_train_state,
                                  sample_classification_pairs, train)
 
 
@@ -147,6 +150,47 @@ def test_best_checkpoint_monotone_and_saved(tmp_path, reg_dataset):
     # log file mirrors the records
     lines = [json.loads(l) for l in open(tmp_path / "log.jsonl")]
     assert lines == report.records
+
+
+def acceptance_model():
+    """The acceptance regression model (mgmn, bilstm, gcn_dim 64, 32 perspectives)."""
+    return Model(ModelConfig(feature_dim=3, gcn_dim=64, perspectives=32, mode="mgmn",
+                             task="regression", sgnn_aggregator="bilstm"),
+                 rng=np.random.default_rng(0))
+
+
+# sha256 of the run files of the 20-step run below, as every version so far wrote them
+RUN_FILE_SHA256 = {
+    "best.ckpt": "f2b465d8fe77c15623563de38896a414dec8e5330c1ada7deed3be2e3515b89a",
+    "train_state.json": "ab8a47d413428a00d0c9f4586fcbce6a1ce55b2e46982defe01aaf4e3a96063c",
+}
+
+
+def test_run_file_bytes_are_pinned(tmp_path, reg_dataset, monkeypatch):
+    """Parameters, records, Adam's moments and the generator state of a fixed
+    run, and the bytes that serialize them, stay what they were."""
+    monkeypatch.chdir(tmp_path)  # the train state stores checkpoint_dir as given
+    cfg = TrainConfig(iterations=20, val_every=10, batch_size=16, seed=0, checkpoint_dir="run")
+    train(acceptance_model(), reg_dataset, cfg)
+    for name, want in RUN_FILE_SHA256.items():
+        assert hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest() == want, name
+
+
+def test_writing_a_train_state_holds_little_beyond_the_file(tmp_path):
+    """The train state is streamed to its file: the payloads are the only
+    copy of the document in memory, never a joined string."""
+    model = acceptance_model()
+    optimizer = Adam(model.params, lr=5e-3)
+    path = tmp_path / "train_state.json"
+    records = [{"step": 10, "train_loss": 0.5, "val_loss": 0.25, "metric": None}]
+    tracemalloc.start()
+    try:
+        _save_train_state(path, model, TrainConfig(), optimizer, np.random.default_rng(0),
+                          10, 0.25, records)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * os.path.getsize(path)
 
 
 def test_resume_matches_uninterrupted(tmp_path, reg_dataset):
@@ -451,7 +495,7 @@ def test_train_config_refuses_a_non_finite_learning_rate(value):
 def test_classification_without_a_train_split_names_its_cause(clf_dataset, no_training_step):
     held_out = {name: clf_dataset.split[name] for name in ("val", "test")}
     ds = type(clf_dataset)(graphs=clf_dataset.graphs, pairs=clf_dataset.pairs, split=held_out)
-    assert ds.split["train"] == []
+    assert ds.split["train"] == ()
     cfg = TrainConfig(task="classification", epochs=1)
     with pytest.raises(TrainingError, match="training graphs in at least 2 groups, found 0"):
         train(tiny_model(task="classification", feature_dim=6), ds, cfg)
