@@ -17,6 +17,7 @@ import logging
 import os
 import time
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -37,7 +38,7 @@ class DatasetError(ValueError):
 class Dataset:
     graphs: dict
     pairs: list
-    split: dict  # each name of SPLITS -> a tuple of graph ids; a split not given is empty
+    split: dict  # read-only: each name of SPLITS -> a tuple of ids; a split not given is empty
     groups: dict = field(init=False)  # group id -> member graph ids (classification)
     _split_index: dict = field(init=False, repr=False)
 
@@ -62,8 +63,8 @@ class Dataset:
                     raise DatasetError(f"graph {gid!r} of pair ({p.g1!r}, {p.g2!r}) "
                                        f"is in no split")
         given = dict.fromkeys(SPLITS, ()) | self.split
-        # tuples, so the split stays the one _split_index was built from
-        self.split = {name: tuple(ids) for name, ids in given.items()}
+        # read-only, so the split stays the one _split_index was built from
+        self.split = MappingProxyType({name: tuple(ids) for name, ids in given.items()})
         self.groups = {}
         for gid, g in self.graphs.items():
             if g.group is not None:

@@ -2,15 +2,15 @@
 
 Distance is the minimum total cost of node insertions/deletions/substitutions
 and edge insertions/deletions turning one graph into the other. The search
-maps nodes of the first graph, in order of descending degree, onto nodes of
-the second graph or onto deletion; leftover second-graph nodes are insertions.
+maps nodes of the smaller graph, in order of descending degree, onto nodes of
+the other graph or onto deletion; leftover nodes of the other are insertions.
 """
 
 import heapq
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 
 class GedBudgetError(ValueError):
@@ -68,6 +68,13 @@ def _adj_masks(n, edges):
 def ged_exact(g1, g2, costs=None, node_budget=10, timeout=10.0):
     """Optimal edit distance by A* over prefix node mappings.
 
+    The search maps the graph with fewer nodes (then fewer edges, then g1 as
+    given), so it places no forced deletions: when that is g2, it searches
+    ``(g2, g1)`` under the transposed scheme (insert and delete swapped, for
+    nodes and edges), which has the same distance. Below, g1 and g2 are the
+    graphs searched and ``nodes_expanded`` counts that search's expansions;
+    a ``GedBudgetError`` gives the sizes in the caller's order.
+
     g1's nodes are mapped in order of descending degree, ties broken by index:
     they are relabelled into that order once per call, and everything below
     reads the relabelled labels and edges. Mapping high-degree nodes first
@@ -83,9 +90,14 @@ def ged_exact(g1, g2, costs=None, node_budget=10, timeout=10.0):
     ``edge_insert`` for each used neighbour of j with no edge to i
     (``|used & adj2[j]| - |img & adj2[j]|``).
 
-    The pushed heuristic depends only on ``(depth, used)`` and is memoized on
-    it, the g2 side statistics (free label counts, free-free and free-used
-    edge counts) on ``used``. Below full depth it adds two admissible bounds:
+    The g2 side statistics of ``used`` (free nodes, free nodes per label,
+    free-free and free-used edges) start at ``(m, g2's label counts, |E2|, 0)``
+    and are derived once per mask, from the parent's, when a child first
+    pushes it: j leaves the free nodes and its label's count, its
+    ``|adj2[j]| - |used & adj2[j]|`` edges to free nodes turn free-used, and
+    its ``|used & adj2[j]|`` edges to used nodes stop being free-used. The
+    pushed heuristic depends only on ``(depth, used)`` and is memoized on it.
+    Below full depth it adds two admissible bounds:
 
     - nodes: every unmapped g1 node and free g2 node takes part in some node
       edit, and at most the label-multiset intersection of the two sides can
@@ -122,6 +134,10 @@ def ged_exact(g1, g2, costs=None, node_budget=10, timeout=10.0):
     n, m = g1.num_nodes, g2.num_nodes
     if max(n, m) > node_budget:
         raise GedBudgetError(f"graphs of size {n}/{m} exceed node budget {node_budget}")
+    if (m, len(g2.edges)) < (n, len(g1.edges)):  # map the smaller graph
+        g1, g2, n, m = g2, g1, m, n
+        costs = replace(costs, node_insert=costs.node_delete, node_delete=costs.node_insert,
+                        edge_insert=costs.edge_delete, edge_delete=costs.edge_insert)
     degree = [adj.bit_count() for adj in _adj_masks(n, g1.edges)]
     order = sorted(range(n), key=lambda v: (-degree[v], v))
     pos = {v: k for k, v in enumerate(order)}
@@ -134,41 +150,26 @@ def ged_exact(g1, g2, costs=None, node_budget=10, timeout=10.0):
     min_node_cost = min(costs.node_substitute, costs.node_delete, costs.node_insert)
     min_edge_cost = min(costs.edge_delete, costs.edge_insert)
 
-    label_masks2 = {}
-    for j, lab in enumerate(lab2):
-        label_masks2[lab] = label_masks2.get(lab, 0) | 1 << j
+    labels2 = list(dict.fromkeys(lab2))
+    label_at2 = [labels2.index(lab) for lab in lab2]
+    deg2 = [adj.bit_count() for adj in adj2]
     # per depth: count of each g2 label among g1 nodes >= depth, the uncharged
     # g1 edges internal to those nodes / crossing to the prefix, and per prefix
     # node p its crossing edges c1(p)
-    tail1 = [[lab1[d:].count(lab) for lab in label_masks2] for d in range(n + 1)]
+    tail1 = [[lab1[d:].count(lab) for lab in labels2] for d in range(n + 1)]
     internal1 = [sum(1 for u, _ in edges1 if u >= d) for d in range(n + 1)]
     cross1 = [sum(1 for u, v in edges1 if u < d <= v) for d in range(n + 1)]
     cross1_at = [[(adj1[p] >> d).bit_count() for p in range(d)] for d in range(n + 1)]
-    label_masks2 = list(label_masks2.values())
     full = (1 << m) - 1
 
-    free_memo = {}
-
-    def free_stats(used):
-        free = full & ~used
-        internal2 = cross2 = 0
-        for x in range(m):
-            if free >> x & 1:
-                internal2 += (adj2[x] & free).bit_count()
-                cross2 += (adj2[x] & used).bit_count()
-        return (free.bit_count(), [(mask & free).bit_count() for mask in label_masks2],
-                internal2 // 2, cross2)
-
+    free_memo = {0: (m, [lab2.count(lab) for lab in labels2], len(g2.edges), 0)}
     h_memo = {}
 
     def heuristic(depth, used):
         key = used * (n + 1) + depth
         h = h_memo.get(key)
         if h is None:
-            stats = free_memo.get(used)
-            if stats is None:
-                stats = free_memo[used] = free_stats(used)
-            n2, free_counts, internal2, cross2 = stats
+            n2, free_counts, internal2, cross2 = free_memo[used]
             if depth == n:
                 h = n2 * costs.node_insert + (internal2 + cross2) * costs.edge_insert
             else:
@@ -215,14 +216,22 @@ def ged_exact(g1, g2, costs=None, node_budget=10, timeout=10.0):
                 img |= 1 << mapping[u]
         back = len(back1[i])
         sub_i = sub[i]
+        n2, free_counts, internal2, cross2 = free_memo[used]
         # map node i onto each unused g2 node
         for j in range(m):
             if used >> j & 1:
                 continue
-            both = (img & adj2[j]).bit_count()
+            adj = adj2[j]
+            both = (img & adj).bit_count()
+            to_used = (used & adj).bit_count()
             step = (sub_i[j] + costs.edge_delete * (back - both)
-                    + costs.edge_insert * ((used & adj2[j]).bit_count() - both))
+                    + costs.edge_insert * (to_used - both))
             nu = used | 1 << j
+            if nu not in free_memo:
+                counts = free_counts.copy()
+                counts[label_at2[j]] -= 1
+                to_free = deg2[j] - to_used
+                free_memo[nu] = (n2 - 1, counts, internal2 - to_free, cross2 - to_used + to_free)
             ng = g + step
             heapq.heappush(heap, (ng + heuristic(nd, nu), -nd, next(counter),
                                   ng, nd, nu, mapping + (j,), False))

@@ -196,6 +196,15 @@ def test_a_split_cannot_change_after_it_is_checked(tmp_path):
         '{"train": ["a", "b"], "val": [], "test": []}'
 
 
+def test_a_split_cannot_be_replaced_after_it_is_checked():
+    graphs = {g.id: g for g in (make_graph(i, [[1.0]], []) for i in "ab")}
+    ds = Dataset(graphs=graphs, pairs=[LabeledPair("a", "b", 0.5)],
+                 split={"train": ["a", "b"]})
+    with pytest.raises(TypeError):
+        ds.split["test"] = ("a",)
+    assert ds.split["test"] == () and ds.pair_split(ds.pairs[0]) == "train"
+
+
 @pytest.mark.parametrize("name", ["graphs.jsonl", "pairs.jsonl"])
 def test_a_line_that_is_not_utf8_names_the_file_and_the_line(tmp_path, name):
     save_dataset(small_ged_dataset(), tmp_path)

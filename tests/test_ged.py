@@ -80,6 +80,17 @@ def swapped(costs):
                           node_substitute=costs.node_substitute)
 
 
+def tied(rng, g, n_labels=3, gid="b"):
+    """A random labelled graph with g's node and edge counts: ged_exact maps
+    the graph given first of such a pair, so swapping the two changes the
+    search."""
+    n = g.num_nodes
+    slots = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = sorted(rng.choice(len(slots), size=len(g.edges), replace=False).tolist())
+    return make_graph(gid, rng.normal(size=(n, 3)), [slots[k] for k in keep],
+                      [int(x) for x in rng.integers(0, n_labels, size=n)])
+
+
 def permuted(g, perm):
     """A relabelled copy of g whose node k is g's node perm[k]."""
     inv = np.argsort(perm)
@@ -101,20 +112,25 @@ def symmetric_costs(draw):
 
 
 @st.composite
-def small_graphs(draw, labeled, gid):
-    n = draw(st.integers(1, 6))
+def small_graphs(draw, labeled, gid, like=None):
+    """A graph of 1-6 nodes, or of `like`'s node and edge counts."""
+    n = draw(st.integers(1, 6)) if like is None else like.num_nodes
     slots = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    present = draw(st.lists(st.booleans(), min_size=len(slots), max_size=len(slots)))
+    if like is None:
+        present = draw(st.lists(st.booleans(), min_size=len(slots), max_size=len(slots)))
+        edges = [e for e, keep in zip(slots, present) if keep]
+    else:
+        edges = draw(st.permutations(slots))[:len(like.edges)]
     labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)) if labeled else None
-    return make_graph(gid, np.zeros((n, 1)), [e for e, keep in zip(slots, present) if keep],
-                      labels)
+    return make_graph(gid, np.zeros((n, 1)), edges, labels)
 
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), labeled=st.booleans(), costs=symmetric_costs())
 def test_identity_and_symmetry_under_symmetric_costs(data, labeled, costs):
+    # b ties with a on (nodes, edges), so each order maps a different graph
     a = data.draw(small_graphs(labeled, "a"))
-    b = data.draw(small_graphs(labeled, "b"))
+    b = data.draw(small_graphs(labeled, "b", like=a))
     perm = np.array(data.draw(st.permutations(range(a.num_nodes))))
     assert ged_exact(a, permuted(a, perm), costs).distance == 0.0
     assert ged_exact(a, b, costs).distance == ged_exact(b, a, costs).distance
@@ -132,39 +148,76 @@ def test_oracle_equivalence_random_costs():
 
 def test_exact_beyond_bruteforce_symmetric_and_permutation_free():
     # 6-8 nodes is out of brute-force reach; an inadmissible bound shows as an
-    # asymmetric distance or a nonzero one to an isomorphic copy
+    # asymmetric distance or a nonzero one to an isomorphic copy. g2 ties with
+    # g1 on (nodes, edges), so the swapped call maps g2, not g1 again
     rng = np.random.default_rng(7)
     for i in range(12):
         costs = EditCostScheme() if i % 2 else random_costs(rng)
         g1 = random_graph(rng, n_min=6, n_max=8, n_labels=3, edge_prob=0.3, gid=f"a{i}")
-        g2 = random_graph(rng, n_min=6, n_max=8, n_labels=3, edge_prob=0.3, gid=f"b{i}")
+        g2 = tied(rng, g1, gid=f"b{i}")
         assert ged_exact(g1, g2, costs).distance == ged_exact(g2, g1, swapped(costs)).distance
         assert ged_exact(g1, permuted(g1, rng.permutation(g1.num_nodes)), costs).distance == 0.0
 
 
 def test_g1_node_order_does_not_change_distance():
-    # g1's nodes are searched in descending-degree order, so relabelling g1
-    # changes the internal order, the per-image crossing bound and the ties
+    # g2 ties with g1 on (nodes, edges), so g1 is the graph mapped; its nodes
+    # are searched in descending-degree order, so relabelling g1 changes the
+    # internal order, the per-image crossing bound and the ties
     rng = np.random.default_rng(31)
     for i in range(20):
         costs = random_costs(rng)
         g1 = random_graph(rng, n_min=6, n_max=8, n_labels=3, edge_prob=0.35, gid=f"a{i}")
-        g2 = random_graph(rng, n_min=6, n_max=8, n_labels=3, edge_prob=0.35, gid=f"b{i}")
+        g2 = tied(rng, g1, gid=f"b{i}")
         assert (ged_exact(permuted(g1, rng.permutation(g1.num_nodes)), g2, costs).distance
                 == ged_exact(g1, g2, costs).distance), (i, costs)
 
 
 def test_search_expansion_count():
     # index order with the |C1 - C2| crossing bound expanded 11,751 states on
-    # this corpus; descending-degree order with the per-image bound needs
-    # under half of that
+    # this corpus, descending-degree order with the per-image bound 2,139, and
+    # mapping the smaller graph's nodes 1,247
     rng = np.random.default_rng(2024)
     total = 0
     for i in range(40):
         g1 = random_graph(rng, n_min=6, n_max=8, n_labels=3, edge_prob=0.3, gid=f"a{i}")
         g2 = random_graph(rng, n_min=6, n_max=8, n_labels=3, edge_prob=0.3, gid=f"b{i}")
         total += ged_exact(g1, g2).nodes_expanded
-    assert 0 < 2 * total <= 11751, total
+    assert 0 < total <= 1247, total
+
+
+def test_the_smaller_graph_is_the_one_searched():
+    # pairs that differ in (nodes, edges) run one search whichever way they
+    # are given, so the swapped call expands the same states
+    rng = np.random.default_rng(77)
+    checked = 0
+    for i in range(60):
+        costs = random_costs(rng)
+        a = random_graph(rng, n_min=3, n_max=8, n_labels=3, edge_prob=0.3, gid=f"a{i}")
+        b = random_graph(rng, n_min=3, n_max=8, n_labels=3, edge_prob=0.3, gid=f"b{i}")
+        if (a.num_nodes, len(a.edges)) == (b.num_nodes, len(b.edges)):
+            continue
+        checked += 1
+        ab, ba = ged_exact(a, b, costs), ged_exact(b, a, swapped(costs))
+        assert (ab.distance, ab.nodes_expanded) == (ba.distance, ba.nodes_expanded), (i, costs)
+    assert checked >= 50
+
+
+def test_oracle_equivalence_when_g1_is_larger():
+    # the search then maps g2 under the transposed scheme
+    rng = np.random.default_rng(4048)
+    for i in range(120):
+        costs = random_costs(rng)
+        g1 = random_graph(rng, n_min=2, n_max=5, n_labels=3, gid=f"a{i}")
+        g2 = random_graph(rng, n_min=1, n_max=g1.num_nodes - 1, n_labels=3, gid=f"b{i}")
+        assert ged_exact(g1, g2, costs).distance == ged_bruteforce(g1, g2, costs).distance, \
+            (i, costs)
+
+
+def test_budget_error_keeps_the_callers_size_order():
+    small = make_graph("s", np.zeros((2, 1)), [(0, 1)])
+    big = make_graph("b", np.zeros((6, 1)), [])
+    with pytest.raises(GedBudgetError, match="size 6/2 "):
+        ged_exact(big, small, node_budget=5)
 
 
 def test_triangle_inequality(rng):
