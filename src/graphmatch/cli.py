@@ -19,11 +19,12 @@ from inspect import signature
 import numpy as np
 
 from . import __version__
-from .data import (check_clone_params, check_ged_params, dataset_files, gen_clone_dataset,
+from .data import (CLONE_BOUNDS, GED_BOUNDS, DatasetError, dataset_files, gen_clone_dataset,
                    gen_ged_dataset, load_dataset, load_dataset_dir, save_dataset)
 from .ged import EditCostScheme, GedBudgetError, GedTimeoutError, ged_exact
-from .model import (AGGREGATORS, MODES, TASKS, ConfigError, Model, ModelConfig,
-                    config_from_dict, load_checkpoint, save_checkpoint)
+from .model import (AGGREGATORS, AT_LEAST_1, FINITE_ABOVE_0, MODES, TASKS, ConfigError, Model,
+                    ModelConfig, check_bounds, config_from_dict, load_checkpoint,
+                    save_checkpoint)
 from .report import evaluate_model, split_pairs, write_report
 from .training import TrainConfig, load_train_state, train
 
@@ -64,7 +65,8 @@ def _load_single_graph(path):
 
 def cmd_gen(args):
     params = {name: getattr(args, name) for name in signature(args.generate).parameters}
-    args.check(**params)  # before the manifest, so a refused run leaves no output directory
+    # before the manifest, so a refused run leaves no output directory
+    check_bounds(params, args.bounds, DatasetError)
     write_manifest(args.out, f"gen {args.kind}", params, args.seed)
     ds = args.generate(**params)
     save_dataset(ds, args.out)
@@ -74,10 +76,7 @@ def cmd_gen(args):
 
 
 def cmd_ged(args):
-    if not 0 < args.timeout < float("inf"):
-        raise ConfigError(f"--timeout must be a finite number > 0, got {args.timeout}")
-    if args.budget < 1:
-        raise ConfigError(f"--budget must be >= 1, got {args.budget}")
+    check_bounds(vars(args), args.bounds, ConfigError, {name: f"--{name}" for name in args.bounds})
     g1 = _load_single_graph(args.g1)
     g2 = _load_single_graph(args.g2)
     try:
@@ -227,19 +226,19 @@ def build_parser():
     ged.add_argument("--edge-prob", type=float, default=0.25)
     ged.add_argument("--max-train-pairs", type=int, default=None)
     ged.add_argument("--eval-candidates", type=int, default=None)
-    ged.set_defaults(func=cmd_gen, check=check_ged_params, generate=gen_ged_dataset)
+    ged.set_defaults(func=cmd_gen, bounds=GED_BOUNDS, generate=gen_ged_dataset)
     clone = kinds.add_parser("clone", parents=[common], help="groups of perturbed clones")
     clone.add_argument("--groups", dest="n_groups", type=int, default=100)
     clone.add_argument("--variants", dest="variants_per_group", type=int, default=4)
     clone.add_argument("--budget", dest="perturbation_budget", type=int, default=3)
-    clone.set_defaults(func=cmd_gen, check=check_clone_params, generate=gen_clone_dataset)
+    clone.set_defaults(func=cmd_gen, bounds=CLONE_BOUNDS, generate=gen_clone_dataset)
 
     d = sub.add_parser("ged", help="exact edit distance between two graph files")
     d.add_argument("g1")
     d.add_argument("g2")
     d.add_argument("--budget", type=int, default=10)
     d.add_argument("--timeout", type=float, default=10.0)
-    d.set_defaults(func=cmd_ged)
+    d.set_defaults(func=cmd_ged, bounds={"timeout": FINITE_ABOVE_0, "budget": AT_LEAST_1})
 
     t = sub.add_parser("train", help="train a model on a dataset directory")
     t.add_argument("--dataset", required=True)

@@ -23,6 +23,7 @@ import numpy as np
 
 from .ged import ged_exact
 from .graphs import LabeledPair, make_graph
+from .model import AT_LEAST_0, AT_LEAST_0_OR_NONE, AT_LEAST_1, IN_0_1, check_bounds
 
 log = logging.getLogger(__name__)
 
@@ -232,23 +233,10 @@ def _draw_split(ids, train_frac, val_frac, rng):
             "test": perm[n_train + n_val:]}
 
 
-def check_ged_params(n_graphs, node_range, edge_prob, seed, max_train_pairs, eval_candidates):
-    """Refuse gen_ged_dataset parameters it cannot build a loadable corpus from."""
-    lo, hi = node_range
-    if seed < 0:
-        raise DatasetError(f"seed must be >= 0, got {seed}")
-    if n_graphs < 1:
-        raise DatasetError(f"n_graphs must be >= 1, got {n_graphs}")
-    if not 1 <= lo <= hi:
-        raise DatasetError(f"node_range must satisfy 1 <= min <= max, got {(lo, hi)}")
-    if hi > GED_NODE_BUDGET:
-        raise DatasetError(f"node_range max {hi} exceeds ged budget {GED_NODE_BUDGET}")
-    if not 0.0 <= edge_prob <= 1.0:
-        raise DatasetError(f"edge_prob must be in [0, 1], got {edge_prob}")
-    for name, count in (("max_train_pairs", max_train_pairs),
-                        ("eval_candidates", eval_candidates)):
-        if count is not None and count < 0:
-            raise DatasetError(f"{name} must be >= 0 or None, got {count}")
+GED_BOUNDS = {"n_graphs": AT_LEAST_1, "edge_prob": IN_0_1, "seed": AT_LEAST_0,
+              "node_range": (f"(min, max) with 1 <= min <= max <= {GED_NODE_BUDGET}",
+                             lambda r: len(r) == 2 and 1 <= r[0] <= r[1] <= GED_NODE_BUDGET),
+              "max_train_pairs": AT_LEAST_0_OR_NONE, "eval_candidates": AT_LEAST_0_OR_NONE}
 
 
 def gen_ged_dataset(n_graphs, node_range=(4, 9), edge_prob=0.25, seed=0,
@@ -259,7 +247,7 @@ def gen_ged_dataset(n_graphs, node_range=(4, 9), edge_prob=0.25, seed=0,
     cover train x train (optionally subsampled), plus every val/test graph
     against train graphs (the retrieval layout used at evaluation time).
     """
-    check_ged_params(n_graphs, node_range, edge_prob, seed, max_train_pairs, eval_candidates)
+    check_bounds(locals(), GED_BOUNDS, DatasetError)
     lo, hi = node_range
     rng = np.random.default_rng(seed)
     graphs = {}
@@ -337,16 +325,8 @@ def _perturb(g_feats, g_edges, budget, rng):
     return feats, sorted(edges)
 
 
-def check_clone_params(n_groups, variants_per_group, perturbation_budget, seed):
-    """Refuse gen_clone_dataset parameters it cannot build a loadable corpus from."""
-    if seed < 0:
-        raise DatasetError(f"seed must be >= 0, got {seed}")
-    if n_groups < 1:
-        raise DatasetError(f"n_groups must be >= 1, got {n_groups}")
-    if variants_per_group < 1:
-        raise DatasetError(f"variants_per_group must be >= 1, got {variants_per_group}")
-    if perturbation_budget < 0:
-        raise DatasetError("perturbation budget must be >= 0")
+CLONE_BOUNDS = {"n_groups": AT_LEAST_1, "variants_per_group": AT_LEAST_1,
+                "perturbation_budget": AT_LEAST_0, "seed": AT_LEAST_0}
 
 
 def gen_clone_dataset(n_groups, variants_per_group, perturbation_budget, seed=0):
@@ -357,7 +337,7 @@ def gen_clone_dataset(n_groups, variants_per_group, perturbation_budget, seed=0)
     holds fixed positive/negative evaluation pairs for val and test graphs;
     training pairs are resampled each epoch by the trainer.
     """
-    check_clone_params(n_groups, variants_per_group, perturbation_budget, seed)
+    check_bounds(locals(), CLONE_BOUNDS, DatasetError)
     rng = np.random.default_rng(seed)
     lo, hi = CLONE_NODE_RANGE
     graphs = {}

@@ -32,6 +32,28 @@ class ConfigError(ValueError):
     pass
 
 
+# value bounds, each the phrase a refusal states and the test a value within it passes
+AT_LEAST_0 = (">= 0", lambda v: v >= 0)
+AT_LEAST_1 = (">= 1", lambda v: v >= 1)
+AT_LEAST_0_OR_NONE = (">= 0 or None", lambda v: v is None or v >= 0)
+FINITE_AT_LEAST_0 = ("a finite number >= 0", lambda v: 0 <= v < math.inf)
+FINITE_ABOVE_0 = ("a finite number > 0", lambda v: 0 < v < math.inf)
+IN_0_1 = ("in [0, 1]", lambda v: 0 <= v <= 1)
+IN_0_1_OPEN = ("in [0, 1)", lambda v: 0 <= v < 1)
+
+
+def one_of(choices):
+    return f"one of {choices}", lambda v: v in choices
+
+
+def check_bounds(values, bounds, error, names=None):
+    """Refuse with error the first of values outside its bound in bounds, a
+    name -> bound table, naming it (as names renames it) and its value."""
+    for name, (phrase, holds) in bounds.items():
+        if not holds(values[name]):
+            raise error(f"{(names or {}).get(name, name)} must be {phrase}, got {values[name]!r}")
+
+
 @dataclass
 class ModelConfig:
     feature_dim: int
@@ -42,20 +64,12 @@ class ModelConfig:
     mode: str = "mgmn"
     task: str = "regression"
     sgnn_aggregator: str = "bilstm"
+    BOUNDS = {"feature_dim": AT_LEAST_1, "gcn_layers": AT_LEAST_1, "gcn_dim": AT_LEAST_1,
+              "perspectives": AT_LEAST_1, "dropout": IN_0_1_OPEN, "mode": one_of(MODES),
+              "task": one_of(TASKS), "sgnn_aggregator": one_of(AGGREGATORS)}
 
     def __post_init__(self):
-        if self.feature_dim < 1:
-            raise ConfigError(f"feature_dim must be >= 1, got {self.feature_dim}")
-        if self.gcn_layers < 1 or self.gcn_dim < 1 or self.perspectives < 1:
-            raise ConfigError("gcn_layers, gcn_dim and perspectives must be >= 1")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.task not in TASKS:
-            raise ConfigError(f"task must be one of {TASKS}, got {self.task!r}")
-        if self.sgnn_aggregator not in AGGREGATORS:
-            raise ConfigError(f"sgnn_aggregator must be one of {AGGREGATORS}")
+        check_bounds(vars(self), self.BOUNDS, ConfigError)
 
     def branch_dim(self):
         """Length of the per-graph embedding fed to the prediction head."""

@@ -10,8 +10,9 @@ import numpy as np
 from .autodiff import backward
 from .graphs import LabeledPair
 from .metrics import auc, mse_metric
-from .model import (TASKS, ConfigError, Encoded, Model, check_shapes, config_from_dict,
-                    decode_arrays, encode_arrays, load_checkpoint, loss_mse, param_shapes,
+from .model import (AT_LEAST_0, AT_LEAST_1, FINITE_AT_LEAST_0, TASKS, ConfigError, Encoded,
+                    Model, check_bounds, check_shapes, config_from_dict, decode_arrays,
+                    encode_arrays, load_checkpoint, loss_mse, one_of, param_shapes,
                     save_checkpoint)
 from .optim import Adam
 
@@ -37,22 +38,16 @@ class TrainConfig:
     val_every: int = 100                # iterations between validations (regression)
     checkpoint_dir: str | None = None
     log_path: str | None = None
+    BOUNDS = {"task": one_of(TASKS), "learning_rate": FINITE_AT_LEAST_0, "epochs": AT_LEAST_1,
+              "iterations": AT_LEAST_1, "batch_size": AT_LEAST_1, "seed": AT_LEAST_0,
+              "val_every": AT_LEAST_1}
 
     def __post_init__(self):
-        if self.task not in TASKS:
-            raise ConfigError(f"task must be one of {TASKS}, got {self.task!r}")
         if self.learning_rate is None:
             self.learning_rate = 0.5e-3 if self.task == "classification" else 5e-3
         if self.batch_size is None:  # classification: 5 positive + 5 negative
             self.batch_size = 10 if self.task == "classification" else 128
-        if not 0 <= self.learning_rate < np.inf:
-            raise ConfigError(f"learning_rate must be a finite number >= 0, "
-                              f"got {self.learning_rate}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        for name in ("epochs", "iterations", "batch_size", "val_every"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        check_bounds(vars(self), self.BOUNDS, ConfigError)
 
 
 @dataclass

@@ -1,0 +1,83 @@
+"""Every table of value bounds, entry by entry: a value just outside an
+entry's bound is refused by the entry point that owns the table, naming the
+field or flag and the value, and a value on its edge is accepted."""
+
+import inspect
+import json
+import math
+import re
+from dataclasses import fields
+
+import pytest
+
+from graphmatch.cli import build_parser, cmd_ged
+from graphmatch.data import (CLONE_BOUNDS, GED_BOUNDS, DatasetError, gen_clone_dataset,
+                             gen_ged_dataset)
+from graphmatch.model import AGGREGATORS, MODES, TASKS, ConfigError, ModelConfig
+from graphmatch.training import TrainConfig
+
+# per bound phrase: values on its edge (or, for an open edge, just inside it),
+# all accepted, and values just outside it, all refused
+EDGES = {
+    ">= 0": ([0], [-1]),
+    ">= 1": ([1], [0]),
+    ">= 0 or None": ([0, None], [-1]),
+    "a finite number >= 0": ([0.0], [-1e-12, math.inf, math.nan]),
+    "a finite number > 0": ([1e-12], [0.0, math.inf, math.nan]),
+    "in [0, 1]": ([0.0, 1.0], [-1e-12, 1.0 + 1e-12]),
+    "in [0, 1)": ([0.0], [-1e-12, 1.0]),
+    "(min, max) with 1 <= min <= max <= 10": ([(1, 1), (1, 10), (10, 10)],
+                                              [(0, 1), (5, 4), (1, 11), (1, 2, 3)]),
+    **{f"one of {choices}": (list(choices), ["x"]) for choices in (MODES, TASKS, AGGREGATORS)},
+}
+
+
+def run_ged(tmp_path, flags):
+    """cmd_ged on two one-node graphs, with the given flag values."""
+    one = tmp_path / "one.jsonl"
+    one.write_text(json.dumps({"id": "a", "nodes": [[1.0]], "edges": []}) + "\n")
+    argv = [x for name, value in flags.items() for x in (f"--{name}", str(value))]
+    cmd_ged(build_parser().parse_args(["ged", str(one), str(one), *argv]))
+
+
+# per table: its entries, the error a refusal raises, and the entry point that
+# checks the table, run with some of its values set
+TABLES = {
+    "ModelConfig": (ModelConfig.BOUNDS, ConfigError,
+                    lambda tmp_path, kw: ModelConfig(**{"feature_dim": 1, **kw})),
+    "TrainConfig": (TrainConfig.BOUNDS, ConfigError, lambda tmp_path, kw: TrainConfig(**kw)),
+    "gen_ged_dataset": (GED_BOUNDS, DatasetError,
+                        lambda tmp_path, kw: gen_ged_dataset(**{"n_graphs": 1, **kw})),
+    "gen_clone_dataset": (CLONE_BOUNDS, DatasetError, lambda tmp_path, kw: gen_clone_dataset(
+        **{"n_groups": 1, "variants_per_group": 1, "perturbation_budget": 0, **kw})),
+    "ged": (build_parser().parse_args(["ged", "a", "b"]).bounds, ConfigError, run_ged),
+}
+
+
+@pytest.mark.parametrize("table, name", [(table, name) for table, (bounds, _, _) in TABLES.items()
+                                         for name in bounds])
+def test_each_bound_refuses_outside_and_accepts_its_edge(tmp_path, table, name):
+    bounds, error, run = TABLES[table]
+    shown = f"--{name}" if table == "ged" else name  # ged's refusals name the flag
+    phrase = bounds[name][0]
+    inside, outside = EDGES[phrase]
+    for value in outside:
+        message = f"{shown} must be {phrase}, got {value!r}"
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            run(tmp_path, {name: value})
+    for value in inside:
+        run(tmp_path, {name: value})
+
+
+def test_every_field_and_parameter_has_a_bound():
+    """A new config field or generator parameter cannot arrive unbounded; the
+    run's output paths are the only fields free of a bound."""
+    for cls in (ModelConfig, TrainConfig):
+        assert set(cls.BOUNDS) == {f.name for f in fields(cls)} - {"checkpoint_dir", "log_path"}
+    for generate, bounds in ((gen_ged_dataset, GED_BOUNDS), (gen_clone_dataset, CLONE_BOUNDS)):
+        assert set(bounds) == set(inspect.signature(generate).parameters)
+    # `gen` checks each kind's table before its manifest; `ged` bounds both its numbers
+    parser = build_parser()
+    assert parser.parse_args(["gen", "ged", "--out", "x"]).bounds is GED_BOUNDS
+    assert parser.parse_args(["gen", "clone", "--out", "x"]).bounds is CLONE_BOUNDS
+    assert set(parser.parse_args(["ged", "a", "b"]).bounds) == {"budget", "timeout"}

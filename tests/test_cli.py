@@ -72,8 +72,16 @@ def test_gen_ged_bad_node_range_refused(tmp_path, caplog):
     rc = main(["gen", "ged", "--graphs", "10", "--node-range", "5", "3",
                "--seed", "1", "--out", str(tmp_path / "ds")])
     assert rc == 1
-    assert "node_range must satisfy 1 <= min <= max, got (5, 3)" in caplog.text
+    assert "node_range must be (min, max) with 1 <= min <= max <= 10, got [5, 3]" in caplog.text
     assert not (tmp_path / "ds").exists()  # refused before the manifest
+
+
+def test_gen_ged_node_range_over_the_search_budget_refused(tmp_path, caplog):
+    rc = main(["gen", "ged", "--graphs", "10", "--node-range", "4", "11",
+               "--out", str(tmp_path / "ds")])
+    assert rc == 1
+    assert "node_range must be (min, max) with 1 <= min <= max <= 10, got [4, 11]" in caplog.text
+    assert not (tmp_path / "ds").exists()
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -490,7 +498,7 @@ def test_train_refused_flag_value_names_the_flag(tiny_dataset, tmp_path, caplog)
             == "--batch-size: batch_size must be >= 1, got 0")
     assert refusal({}, "--seed", "-1") == "--seed: seed must be >= 0, got -1"
     assert (refusal({"model": {"gcn_dim": 4}}, "--perspectives", "0")
-            == "--perspectives: gcn_layers, gcn_dim and perspectives must be >= 1")
+            == "--perspectives: perspectives must be >= 1, got 0")
     # a bad value that is in the file is still blamed on the file
     assert refusal({"train": {"batch_size": 0}}, "--iterations", "2").startswith(
         f"{cfg}: train section: batch_size must be >= 1, got 0")

@@ -1,9 +1,11 @@
 import base64
+import ctypes
 import hashlib
 import json
 import os
 import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,11 +161,26 @@ def acceptance_model():
                  rng=np.random.default_rng(0))
 
 
-# sha256 of the run files of the 20-step run below, as every version so far wrote them
+# sha256 of the run files of the 20-step run below, as every version so far wrote them.
+# A trained parameter's last bits depend on the dgemm kernel BLAS picks at run time:
+# these were pinned under numpy's bundled OpenBLAS with core SkylakeX (AVX-512).
 RUN_FILE_SHA256 = {
     "best.ckpt": "f2b465d8fe77c15623563de38896a414dec8e5330c1ada7deed3be2e3515b89a",
     "train_state.json": "ab8a47d413428a00d0c9f4586fcbce6a1ce55b2e46982defe01aaf4e3a96063c",
 }
+RUN_FILE_BLAS_CORE = "SkylakeX"
+
+
+def openblas_core():
+    """The core numpy's bundled OpenBLAS picked at run time (np.show_config
+    gives the build target instead), or None where numpy bundles none."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob(
+        "libscipy_openblas64_*.so"))
+    if not libs:
+        return None
+    corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
 
 
 def test_run_file_bytes_are_pinned(tmp_path, reg_dataset, monkeypatch):
@@ -173,7 +190,9 @@ def test_run_file_bytes_are_pinned(tmp_path, reg_dataset, monkeypatch):
     cfg = TrainConfig(iterations=20, val_every=10, batch_size=16, seed=0, checkpoint_dir="run")
     train(acceptance_model(), reg_dataset, cfg)
     for name, want in RUN_FILE_SHA256.items():
-        assert hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest() == want, name
+        assert hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest() == want, (
+            f"{name}: pinned under OpenBLAS core {RUN_FILE_BLAS_CORE}, "
+            f"ran under {openblas_core()}")
 
 
 def test_writing_a_train_state_holds_little_beyond_the_file(tmp_path):
