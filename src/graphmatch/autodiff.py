@@ -3,7 +3,8 @@
 Everything is float64 numpy under the hood. A Tensor is a node of a dynamic
 computation graph: ops record their parents and a backward closure, and
 ``backward`` replays the graph in reverse topological order. The op set is
-exactly what the matching models need; no broadcasting rules beyond numpy's.
+what the matching models run, and the acceptance gradient gate checks each
+op against finite differences; no broadcasting rules beyond numpy's.
 """
 
 import numpy as np
@@ -173,16 +174,6 @@ def sigmoid(x):
         return (g * s * (1.0 - s),)
 
     return _make(s, (x,), bw)
-
-
-def tanh(x):
-    x = _as_tensor(x)
-    t = np.tanh(x.data)
-
-    def bw(g):
-        return (g * (1.0 - t * t),)
-
-    return _make(t, (x,), bw)
 
 
 def sum_all(x):
@@ -402,42 +393,6 @@ def finite_difference_grad(f, params, h=1e-5):
     return grads
 
 
-def transpose(x):
-    x = _as_tensor(x)
-    if x.data.ndim != 2:
-        raise ShapeError(f"transpose needs a 2-D tensor, got {x.shape}")
-    return _make(x.data.T.copy(), (x,), lambda g: (g.T,))
-
-
-def exp(x):
-    x = _as_tensor(x)
-    out = np.exp(x.data)
-    return _make(out, (x,), lambda g: (g * out,))
-
-
-def div(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = a.data / b.data
-
-    def bw(g):
-        return (_unbroadcast(g / b.data, a.data.shape),
-                _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return _make(out, (a, b), bw)
-
-
-def sum_axis(x, axis, keepdims=True):
-    x = _as_tensor(x)
-    out = x.data.sum(axis=axis, keepdims=keepdims)
-
-    def bw(g):
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, x.data.shape).copy(),)
-
-    return _make(out, (x,), bw)
-
-
 def bilstm_last(x, wx_f, wh_f, b_f, wx_b, wh_b, b_b, lengths=None):
     """Concatenated last hidden states of a forward and a backward LSTM pass.
 
@@ -644,17 +599,3 @@ def cross_attention(x, rows1, rows2):
 
     return _make(out, (x,), bw)
 
-
-def slice_cols(x, start, stop):
-    """Contiguous column slice of a 2-D tensor."""
-    x = _as_tensor(x)
-    if x.data.ndim != 2:
-        raise ShapeError(f"slice_cols needs a 2-D tensor, got {x.shape}")
-    out = x.data[:, start:stop].copy()
-
-    def bw(g):
-        gx = np.zeros_like(x.data)
-        gx[:, start:stop] = g
-        return (gx,)
-
-    return _make(out, (x,), bw)

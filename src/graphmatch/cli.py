@@ -125,16 +125,13 @@ def _section_config(cls, path, name, section):
         raise (ConfigError(f"{path}: {name} section: {e}") if path else e) from None
 
 
-def _flag_values(args, cls, base):
-    """The flags given for cls's fields, each checked alone on top of base, so
-    a refused value names its flag and not the --config file."""
+def _flag_values(args, cls):
+    """The flags given for cls's fields, checked against cls's bounds (argparse
+    fixes each one's type), so a refused value names its flag and not the
+    --config file."""
     given = {f.name: getattr(args, f.name) for f in fields(cls)
              if getattr(args, f.name, None) is not None}
-    for name, value in given.items():
-        try:
-            config_from_dict(cls, {**base, name: value})
-        except ConfigError as e:
-            raise ConfigError(f"{args.flag_names[name]}: {e}") from None
+    check_bounds(given, {k: cls.BOUNDS[k] for k in given}, ConfigError, args.flag_names)
     return given
 
 
@@ -149,8 +146,8 @@ def cmd_train(args):
     ds = load_dataset_dir(args.dataset)
     width = {"feature_dim": _feature_width(ds)}
     # each flag given overrides the same-named field in every section that has one
-    sections["model"].update(_flag_values(args, ModelConfig, width), **width)
-    sections["train"].update(_flag_values(args, TrainConfig, {}))
+    sections["model"].update(_flag_values(args, ModelConfig), **width)
+    sections["train"].update(_flag_values(args, TrainConfig))
     mcfg = _section_config(ModelConfig, args.config, "model", sections["model"])
     tkw = sections["train"]
     if tkw.setdefault("task", mcfg.task) != mcfg.task:

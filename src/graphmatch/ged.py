@@ -12,6 +12,8 @@ import math
 import time
 from dataclasses import dataclass, replace
 
+from .model import FINITE_AT_LEAST_0, check_bounds
+
 
 class GedBudgetError(ValueError):
     """Raised when input graphs exceed the configured node budget."""
@@ -32,6 +34,12 @@ class EditCostScheme:
     edge_insert: float = 1.0
     edge_delete: float = 1.0
     node_substitute: float = 1.0  # applied only when labels differ
+    # a negative cost breaks the admissible bound that keeps ged_exact optimal
+    BOUNDS = {name: FINITE_AT_LEAST_0 for name in (
+        "node_insert", "node_delete", "edge_insert", "edge_delete", "node_substitute")}
+
+    def __post_init__(self):
+        check_bounds(vars(self), self.BOUNDS, ValueError)
 
     def substitution(self, l1, l2):
         return 0.0 if l1 == l2 else self.node_substitute

@@ -114,6 +114,8 @@ def _top_k(entries, key_idx, k):
 
 def precision_at_k(results, k):
     """Mean over queries of |top-k predicted ∩ top-k true| / k."""
+    if k < 1:  # a caller's error, not an undefined metric
+        raise ValueError(f"k must be >= 1, got {k!r}")
     if not results:
         raise MetricError("precision_at_k needs at least one query")
     vals = []

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from .model import FINITE_AT_LEAST_0, check_bounds
+
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
@@ -13,8 +15,7 @@ class Adam:
     """
 
     def __init__(self, params, lr):
-        if lr < 0.0:
-            raise ValueError(f"learning rate must be >= 0, got {lr}")
+        check_bounds({"lr": lr}, {"lr": FINITE_AT_LEAST_0}, ValueError)
         self.params = params
         self.lr = lr
         self.step_count = 0

@@ -13,6 +13,7 @@ import pytest
 from graphmatch.cli import build_parser, cmd_ged
 from graphmatch.data import (CLONE_BOUNDS, GED_BOUNDS, DatasetError, gen_clone_dataset,
                              gen_ged_dataset)
+from graphmatch.ged import EditCostScheme
 from graphmatch.model import AGGREGATORS, MODES, TASKS, ConfigError, ModelConfig
 from graphmatch.training import TrainConfig
 
@@ -46,6 +47,8 @@ TABLES = {
     "ModelConfig": (ModelConfig.BOUNDS, ConfigError,
                     lambda tmp_path, kw: ModelConfig(**{"feature_dim": 1, **kw})),
     "TrainConfig": (TrainConfig.BOUNDS, ConfigError, lambda tmp_path, kw: TrainConfig(**kw)),
+    "EditCostScheme": (EditCostScheme.BOUNDS, ValueError,
+                       lambda tmp_path, kw: EditCostScheme(**kw)),
     "gen_ged_dataset": (GED_BOUNDS, DatasetError,
                         lambda tmp_path, kw: gen_ged_dataset(**{"n_graphs": 1, **kw})),
     "gen_clone_dataset": (CLONE_BOUNDS, DatasetError, lambda tmp_path, kw: gen_clone_dataset(
@@ -70,9 +73,9 @@ def test_each_bound_refuses_outside_and_accepts_its_edge(tmp_path, table, name):
 
 
 def test_every_field_and_parameter_has_a_bound():
-    """A new config field or generator parameter cannot arrive unbounded; the
-    run's output paths are the only fields free of a bound."""
-    for cls in (ModelConfig, TrainConfig):
+    """A new config field, edit cost or generator parameter cannot arrive
+    unbounded; the run's output paths are the only fields free of a bound."""
+    for cls in (ModelConfig, TrainConfig, EditCostScheme):
         assert set(cls.BOUNDS) == {f.name for f in fields(cls)} - {"checkpoint_dir", "log_path"}
     for generate, bounds in ((gen_ged_dataset, GED_BOUNDS), (gen_clone_dataset, CLONE_BOUNDS)):
         assert set(bounds) == set(inspect.signature(generate).parameters)

@@ -495,10 +495,10 @@ def test_train_refused_flag_value_names_the_flag(tiny_dataset, tmp_path, caplog)
         return [r.getMessage() for r in caplog.records if r.levelname == "ERROR"][-1]
 
     assert (refusal({"train": {"iterations": 2}}, "--batch-size", "0")
-            == "--batch-size: batch_size must be >= 1, got 0")
-    assert refusal({}, "--seed", "-1") == "--seed: seed must be >= 0, got -1"
+            == "--batch-size must be >= 1, got 0")
+    assert refusal({}, "--seed", "-1") == "--seed must be >= 0, got -1"
     assert (refusal({"model": {"gcn_dim": 4}}, "--perspectives", "0")
-            == "--perspectives: perspectives must be >= 1, got 0")
+            == "--perspectives must be >= 1, got 0")
     # a bad value that is in the file is still blamed on the file
     assert refusal({"train": {"batch_size": 0}}, "--iterations", "2").startswith(
         f"{cfg}: train section: batch_size must be >= 1, got 0")
@@ -657,7 +657,7 @@ def test_non_finite_learning_rate_flag_refused(tiny_dataset, tmp_path, caplog, v
                "--gcn-dim", "4", "--perspectives", "2", "--iterations", "1",
                "--batch-size", "2", "--out", str(tmp_path / "out")])
     assert rc == 1
-    assert (f"--learning-rate: learning_rate must be a finite number >= 0, got {value}"
+    assert (f"--learning-rate must be a finite number >= 0, got {value}"
             in caplog.text)
     assert not (tmp_path / "out").exists()
 

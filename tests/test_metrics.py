@@ -339,6 +339,15 @@ def test_precision_at_k_too_large_rejected():
         precision_at_k([q], 2)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_precision_at_k_refuses_k_below_1(k):
+    """A plain ValueError, which report does not turn into a null metric."""
+    q = _query([("a", 0.9, 0.9), ("b", 0.5, 0.5)])
+    with pytest.raises(ValueError, match=f"^k must be >= 1, got {k}$") as err:
+        precision_at_k([q], k)
+    assert not isinstance(err.value, MetricError)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("metric, args", [
     (auc, lambda bad: ([0.1, bad, 0.3], [1, -1, 1])),

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -47,9 +49,10 @@ def test_converges_on_quadratic():
     assert abs(w.data[0] - 3.0) < 0.1
 
 
-def test_negative_lr_rejected():
-    with pytest.raises(ValueError):
-        Adam({}, lr=-1.0)
+@pytest.mark.parametrize("lr", [-1.0, float("nan"), float("inf")])
+def test_negative_lr_rejected(lr):
+    with pytest.raises(ValueError, match=re.escape(f"lr must be a finite number >= 0, got {lr!r}")):
+        Adam({}, lr=lr)
 
 
 def test_step_is_the_textbook_update_bit_for_bit():
