@@ -2,9 +2,11 @@
 
 Everything is float64 numpy under the hood. A Tensor is a node of a dynamic
 computation graph: ops record their parents and a backward closure, and
-``backward`` replays the graph in reverse topological order. The op set is
-what the matching models run, and the acceptance gradient gate checks each
-op against finite differences; no broadcasting rules beyond numpy's.
+``backward`` replays the graph in reverse topological order. The op set, and
+the one form each op takes, is what the matching models run: every operand
+is a Tensor, and the sequence ops read padded time-major batches (T, S, k)
+with their lengths. The acceptance gradient gate checks each op against
+finite differences; no broadcasting rules beyond numpy's.
 """
 
 import numpy as np
@@ -41,48 +43,24 @@ class Tensor:
 
     # operator sugar; all arithmetic goes through the module-level ops
     def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
+        return add(self, other)
 
     def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
+        return sub(self, other)
 
     def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __neg__(self):
-        return mul(self, _as_tensor(-1.0))
+        return mul(self, other)
 
     def __matmul__(self, other):
         return matmul(self, other)
 
-    def sum(self):
-        return sum_all(self)
-
     def mean(self):
         return mean_all(self)
 
-    def reshape(self, *shape):
-        return reshape(self, shape)
-
     def item(self):
-        return float(self.data.reshape(-1)[0]) if self.data.size == 1 else _fail_scalar(self)
-
-
-def _fail_scalar(t):
-    raise ShapeError(f"item() needs a scalar, got shape {t.shape}")
-
-
-def _as_tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
+        if self.data.size != 1:
+            raise ShapeError(f"item() needs a scalar, got shape {self.shape}")
+        return float(self.data.reshape(-1)[0])
 
 
 def _unbroadcast(grad, shape):
@@ -107,7 +85,6 @@ def _make(data, parents, backward):
 # primitive ops
 
 def add(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
     out = a.data + b.data
 
     def bw(g):
@@ -117,7 +94,6 @@ def add(a, b):
 
 
 def sub(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
     out = a.data - b.data
 
     def bw(g):
@@ -127,7 +103,6 @@ def sub(a, b):
 
 
 def mul(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
     out = a.data * b.data
 
     def bw(g):
@@ -138,7 +113,6 @@ def mul(a, b):
 
 
 def matmul(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ShapeError(f"matmul needs 2-D operands, got {a.shape} @ {b.shape}")
     if a.data.shape[1] != b.data.shape[0]:
@@ -152,7 +126,6 @@ def matmul(a, b):
 
 
 def relu(x):
-    x = _as_tensor(x)
     out = np.maximum(x.data, 0.0)
 
     def bw(g):
@@ -167,7 +140,6 @@ def _sigmoid(z):
 
 
 def sigmoid(x):
-    x = _as_tensor(x)
     s = _sigmoid(x.data)
 
     def bw(g):
@@ -176,18 +148,7 @@ def sigmoid(x):
     return _make(s, (x,), bw)
 
 
-def sum_all(x):
-    x = _as_tensor(x)
-    out = x.data.sum()
-
-    def bw(g):
-        return (np.full_like(x.data, float(g)),)
-
-    return _make(out, (x,), bw)
-
-
 def mean_all(x):
-    x = _as_tensor(x)
     n = x.data.size
     out = x.data.mean()
 
@@ -198,7 +159,6 @@ def mean_all(x):
 
 
 def reshape(x, shape):
-    x = _as_tensor(x)
     out = x.data.reshape(shape)
 
     def bw(g):
@@ -208,7 +168,6 @@ def reshape(x, shape):
 
 
 def concat(tensors, axis=0):
-    tensors = [_as_tensor(t) for t in tensors]
     out = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.data.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
@@ -222,7 +181,6 @@ def concat(tensors, axis=0):
 def gather_rows(x, indices):
     """Select rows x[indices] for an index array of any shape; backward
     scatter-adds into the source."""
-    x = _as_tensor(x)
     idx = np.asarray(indices, dtype=np.intp)
     out = x.data[idx]
 
@@ -237,41 +195,36 @@ def gather_rows(x, indices):
     return _make(out, (x,), bw)
 
 
-def max_rows(x, lengths=None):
+def max_rows(x, lengths):
     """Columnwise maximum over the rows of each sequence; gradient flows to the
     first argmax.
 
-    x is one sequence (T, k), giving (1, k), or S sequences padded to a common
-    length, time-major (T, S, k), with lengths (S,), giving (S, k); rows past a
-    sequence's length are ignored.
+    x is S sequences padded to a common length, time-major (T, S, k), with
+    lengths (S,); gives (S, k). Rows past a sequence's length are ignored.
     """
-    x = _as_tensor(x)
-    seq, lengths = _sequences(x, lengths, "max_rows")
-    valid = np.arange(seq.shape[0])[:, None] < lengths
-    arg = np.argmax(np.where(valid[..., None], seq, -np.inf), axis=0)[None]
-    out = np.take_along_axis(seq, arg, axis=0)[0]
+    lengths = _sequences(x, lengths, "max_rows")
+    valid = np.arange(x.data.shape[0])[:, None] < lengths
+    arg = np.argmax(np.where(valid[..., None], x.data, -np.inf), axis=0)[None]
+    out = np.take_along_axis(x.data, arg, axis=0)[0]
 
     def bw(g):
-        gx = np.zeros_like(seq)
+        gx = np.zeros_like(x.data)
         np.put_along_axis(gx, arg, g[None], axis=0)
-        return (gx.reshape(x.data.shape),)
+        return (gx,)
 
     return _make(out, (x,), bw)
 
 
 def _sequences(x, lengths, op):
-    """x as time-major padded sequences (T, S, k) plus checked lengths (S,)."""
-    if x.data.ndim not in (2, 3):
-        raise ShapeError(f"{op} needs a (T, k) sequence or (T, S, k) sequences, got {x.shape}")
-    seq = x.data[:, None, :] if x.data.ndim == 2 else x.data
-    steps, count, _ = seq.shape
-    if lengths is None:
-        lengths = np.full(count, steps)
+    """The lengths (S,) of x's time-major padded sequences (T, S, k), checked."""
+    if x.data.ndim != 3:
+        raise ShapeError(f"{op} needs (T, S, k) sequences, got {x.shape}")
+    steps, count, _ = x.data.shape
     lengths = np.asarray(lengths, dtype=np.intp)
     if lengths.shape != (count,) or count == 0 or lengths.min() < 1 \
             or lengths.max() > steps:
         raise ShapeError(f"{op}: lengths {lengths.tolist()} do not fit sequences {x.shape}")
-    return seq, lengths
+    return lengths
 
 
 def cosine(a, b):
@@ -280,7 +233,6 @@ def cosine(a, b):
     Norm denominators are clamped at EPS; if either vector is (near) zero the
     result is ~0 and the gradient is defined as exactly 0 there.
     """
-    a, b = _as_tensor(a), _as_tensor(b)
     na = np.sqrt(np.sum(a.data * a.data, axis=-1))
     nb = np.sqrt(np.sum(b.data * b.data, axis=-1))
     dot = np.sum(a.data * b.data, axis=-1)
@@ -302,7 +254,6 @@ def cosine(a, b):
 
 def dropout(x, rate, rng, training):
     """Inverted dropout: scale survivors by 1/(1-rate) at train time."""
-    x = _as_tensor(x)
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
@@ -347,7 +298,6 @@ def backward(loss):
     Gradients accumulate additively, both across multiple uses inside one
     graph and across repeated backward calls (Model.zero_grad resets them).
     """
-    loss = _as_tensor(loss)
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
@@ -393,13 +343,13 @@ def finite_difference_grad(f, params, h=1e-5):
     return grads
 
 
-def bilstm_last(x, wx_f, wh_f, b_f, wx_b, wh_b, b_b, lengths=None):
+def bilstm_last(x, wx_f, wh_f, b_f, wx_b, wh_b, b_b, lengths):
     """Concatenated last hidden states of a forward and a backward LSTM pass.
 
-    x is one sequence (T, k), giving (1, 2*hidden), or S sequences padded to a
-    common length, time-major (T, S, k), with lengths (S,), giving
-    (S, 2*hidden). Sequence s is x[:lengths[s], s]: its backward pass starts at
-    its own last row, and rows past its length are never read.
+    x is S sequences padded to a common length, time-major (T, S, k), with
+    lengths (S,); gives (S, 2*hidden). Sequence s is x[:lengths[s], s]: its
+    backward pass starts at its own last row, and rows past its length are
+    never read.
 
     One fused node for the whole bidirectional recurrence over all sequences.
     The two directions are stacked on a leading axis: the backward pass reads
@@ -410,10 +360,9 @@ def bilstm_last(x, wx_f, wh_f, b_f, wx_b, wh_b, b_b, lengths=None):
     hand-written BPTT. Gate columns are [input, forget, cell, output], as
     stored; the cell gate is tanh, the rest sigmoid.
     """
-    x = _as_tensor(x)
-    params = tuple(_as_tensor(p) for p in (wx_f, wh_f, b_f, wx_b, wh_b, b_b))
-    seq, lengths = _sequences(x, lengths, "bilstm_last")
-    steps, count, k = seq.shape
+    params = (wx_f, wh_f, b_f, wx_b, wh_b, b_b)
+    lengths = _sequences(x, lengths, "bilstm_last")
+    steps, count, k = x.data.shape
     h = params[1].data.shape[0]
     for wx, wh, b in (params[:3], params[3:]):
         if wx.data.shape != (k, 4 * h) or wh.data.shape != (h, 4 * h) \
@@ -430,7 +379,7 @@ def bilstm_last(x, wx_f, wh_f, b_f, wx_b, wh_b, b_b, lengths=None):
     # row t of each sequence's reversed copy; padding maps to itself
     t_col = np.arange(steps)[:, None]
     rev = np.where(t_col < lens, lens - 1 - t_col, t_col)
-    xs = np.stack([seq[:, order], seq[rev, order]]).reshape(2, -1, k)
+    xs = np.stack([x.data[:, order], x.data[rev, order]]).reshape(2, -1, k)
     z_in = (xs @ wx + b).reshape(2, steps, count, 4 * h)
 
     gates = np.zeros((2, steps, count, 4 * h))  # gate activations
@@ -481,7 +430,7 @@ def bilstm_last(x, wx_f, wh_f, b_f, wx_b, wh_b, b_b, lengths=None):
         gxs[rev, cols] += gxd[1]
         gx = np.empty_like(gxs)
         gx[:, order] = gxs
-        return (gx.reshape(x.data.shape), gwx[0], gwh[0], gb[0], gwx[1], gwh[1], gb[1])
+        return (gx, gwx[0], gwh[0], gb[0], gwx[1], gwh[1], gb[1])
 
     return _make(out, (x,) + params, bw)
 
@@ -494,7 +443,6 @@ def weighted_cosine(x1, x2, w):
     (N, P, d) intermediates. Same EPS clamping and zero-vector gradient
     convention as ``cosine``.
     """
-    x1, x2, w = _as_tensor(x1), _as_tensor(x2), _as_tensor(w)
     if x1.data.ndim != 2 or x1.data.shape != x2.data.shape or w.data.ndim != 2 \
             or w.data.shape[1] != x1.data.shape[1]:
         raise ShapeError(
@@ -531,7 +479,6 @@ def block_matmul(blocks, x, where):
     x: (R, d) rows of all graphs stacked; where: (graph, position) index arrays
     of every row of x. Memory grows with G * n * n, not with R * R.
     """
-    x = _as_tensor(x)
     gi, ni = where
     if x.data.ndim != 2 or blocks.ndim != 3 or len(gi) != x.data.shape[0]:
         raise ShapeError(f"block_matmul shapes disagree: blocks {blocks.shape}, x {x.shape}")
@@ -556,7 +503,6 @@ def cross_attention(x, rows1, rows2):
     of a first graph holds sum_j weight_ij x_j over its pair's second graph,
     and conversely.
     """
-    x = _as_tensor(x)
     if x.data.ndim != 2 or rows1.shape[0] != rows2.shape[0]:
         raise ShapeError(f"cross_attention shapes disagree: x {x.shape}, "
                          f"rows {rows1.shape}, {rows2.shape}")

@@ -50,7 +50,11 @@ def check_bounds(values, bounds, error, names=None):
     """Refuse with error the first of values outside its bound in bounds, a
     name -> bound table, naming it (as names renames it) and its value."""
     for name, (phrase, holds) in bounds.items():
-        if not holds(values[name]):
+        try:
+            inside = holds(values[name])
+        except TypeError:  # a value the bound cannot compare, such as a str for a number
+            inside = False
+        if not inside:
             raise error(f"{(names or {}).get(name, name)} must be {phrase}, got {values[name]!r}")
 
 
@@ -213,13 +217,9 @@ def predict(ha, hb, task, params):
 
 
 def loss_mse(predictions, targets):
-    """Mean squared error of a (B,) prediction tensor, or of a list of scalar
-    prediction tensors, against B targets."""
+    """Mean squared error of a (B,) prediction tensor against B targets."""
     if len(targets) == 0:
         raise ValueError("empty batch")
-    if isinstance(predictions, (list, tuple)):
-        predictions = ad.concat([ad.reshape(p, (1,)) for p in predictions], axis=0) \
-            if predictions else Tensor(np.empty(0))
     if predictions.shape != (len(targets),):
         raise ValueError("batch length mismatch")
     diff = predictions - Tensor(np.asarray(targets, dtype=np.float64))

@@ -77,35 +77,36 @@ def _op_cases(rng):
     w = lambda shape: Tensor(rng.normal(size=shape))  # fixed mixing weights
     cases = []
     a, b, wab = t((2, 3)), t((2, 3)), w((2, 3))
-    cases.append(([a, b], lambda: ((a + b) * wab).sum()))
-    cases.append(([a, b], lambda: ((a - b) * wab).sum()))
-    cases.append(([a, b], lambda: (a * b * wab).sum()))
+    cases.append(([a, b], lambda: ((a + b) * wab).mean()))
+    cases.append(([a, b], lambda: ((a - b) * wab).mean()))
+    cases.append(([a, b], lambda: (a * b * wab).mean()))
     r, c = t((1, 3)), t((2, 1))
-    cases.append(([a, r], lambda: ((a + r) * wab).sum()))  # broadcast add
-    cases.append(([a, c], lambda: (a * c * wab).sum()))    # broadcast mul
+    cases.append(([a, r], lambda: ((a + r) * wab).mean()))  # broadcast add
+    cases.append(([a, c], lambda: (a * c * wab).mean()))    # broadcast mul
     m1, m2, wm = t((2, 3)), t((3, 4)), w((2, 4))
-    cases.append(([m1, m2], lambda: ((m1 @ m2) * wm).sum()))
+    cases.append(([m1, m2], lambda: ((m1 @ m2) * wm).mean()))
     x = Tensor(rng.normal(size=(2, 3)) + np.sign(rng.normal(size=(2, 3))) * 0.2,
                requires_grad=True)
-    cases.append(([x], lambda: (ad.relu(x) * wab).sum()))
-    cases.append(([a], lambda: (ad.sigmoid(a) * wab).sum()))
-    cases.append(([a], lambda: a.sum()))
+    cases.append(([x], lambda: (ad.relu(x) * wab).mean()))
+    cases.append(([a], lambda: (ad.sigmoid(a) * wab).mean()))
     cases.append(([a], lambda: a.mean()))
-    w32, w43, w33, w13, w2 = (w(s) for s in ((3, 2), (4, 3), (3, 3), (1, 3), (2,)))
-    cases.append(([a], lambda: (ad.reshape(a, (3, 2)) * w32).sum()))
-    cases.append(([a, b], lambda: (ad.concat([a, b], axis=0) * w43).sum()))
-    cases.append(([a], lambda: (ad.gather_rows(a, [1, 0, 1]) * w33).sum()))
-    cases.append(([a], lambda: (ad.max_rows(a) * w13).sum()))
-    cases.append(([a, b], lambda: (ad.cosine(a, b) * w2).sum()))
+    w32, w43, w33, w2 = (w(s) for s in ((3, 2), (4, 3), (3, 3), (2,)))
+    cases.append(([a], lambda: (ad.reshape(a, (3, 2)) * w32).mean()))
+    cases.append(([a, b], lambda: (ad.concat([a, b], axis=0) * w43).mean()))
+    cases.append(([a], lambda: (ad.gather_rows(a, [1, 0, 1]) * w33).mean()))
+    # max_rows and bilstm_last: padded batches of sequences of unequal length
+    xm, w23 = t((3, 2, 3)), w((2, 3))
+    cases.append(([xm], lambda: (ad.max_rows(xm, [3, 2]) * w23).mean()))
+    cases.append(([a, b], lambda: (ad.cosine(a, b) * w2).mean()))
     seed = int(rng.integers(1 << 30))
     cases.append(([a], lambda: (ad.dropout(
-        a, 0.3, np.random.default_rng(seed), True) * wab).sum()))
-    xs = t((4, 3))
+        a, 0.3, np.random.default_rng(seed), True) * wab).mean()))
+    xs = t((4, 2, 3))
     lp = [t(s) for s in ((3, 8), (2, 8), (1, 8), (3, 8), (2, 8), (1, 8))]
-    wl = w((1, 4))
-    cases.append((([xs] + lp), lambda: (ad.bilstm_last(xs, *lp) * wl).sum()))
+    wl = w((2, 4))
+    cases.append((([xs] + lp), lambda: (ad.bilstm_last(xs, *lp, lengths=[2, 4]) * wl).mean()))
     wc, w24 = t((4, 3)), w((2, 4))
-    cases.append(([a, b, wc], lambda: (ad.weighted_cosine(a, b, wc) * w24).sum()))
+    cases.append(([a, b, wc], lambda: (ad.weighted_cosine(a, b, wc) * w24).mean()))
     # block_matmul: graphs of 2, 3 and 1 nodes, each block in its top-left corner
     sizes = (2, 3, 1)
     blocks = np.zeros((3, 3, 3))
@@ -113,14 +114,14 @@ def _op_cases(rng):
         blocks[k, :n, :n] = rng.normal(size=(n, n))
     where = (np.repeat(np.arange(3), sizes), np.concatenate([np.arange(n) for n in sizes]))
     xg, w62 = t((6, 2)), w((6, 2))
-    cases.append(([xg], lambda: (ad.block_matmul(blocks, xg, where) * w62).sum()))
+    cases.append(([xg], lambda: (ad.block_matmul(blocks, xg, where) * w62).mean()))
     # cross_attention: pairs of 3 against 2 and 1 against 2 nodes, padded with -1,
     # each of the 8 shuffled rows on exactly one pair side
     perm = rng.permutation(8)
     rows1 = np.array([[perm[0], perm[1], perm[2]], [perm[5], -1, -1]])
     rows2 = np.array([[perm[3], perm[4]], [perm[6], perm[7]]])
     xp, w83 = t((8, 3)), w((8, 3))
-    cases.append(([xp], lambda: (ad.cross_attention(xp, rows1, rows2) * w83).sum()))
+    cases.append(([xp], lambda: (ad.cross_attention(xp, rows1, rows2) * w83).mean()))
     return cases
 
 
@@ -135,7 +136,7 @@ def _pipeline_fd(seed):
     params = [model.params[k] for k in sorted(model.params)]
 
     def build():
-        return loss_mse([model.forward_pair(g1, g2)], [0.7])
+        return loss_mse(model.forward_batch([(g1, g2)]), [0.7])
 
     return _fd_case(params, build)
 

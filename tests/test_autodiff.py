@@ -40,7 +40,7 @@ def test_matmul_gradient_fd():
     rng = np.random.default_rng(0)
     a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-    fd_check(lambda: ad.matmul(a, b).sum(), [a, b], tol=1e-6)
+    fd_check(lambda: ad.matmul(a, b).mean(), [a, b], tol=1e-6)
 
 
 def test_relu_values():
@@ -106,19 +106,19 @@ def test_dropout_bad_rate(rng):
 
 def test_backward_sum_gives_ones():
     w = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-    backward(w.sum())
+    backward((w * Tensor(6.0)).mean())  # six times the mean of six entries: their sum
     assert np.array_equal(w.grad, np.ones((2, 3)))
 
 
 def test_backward_half_norm_squared():
     w = Tensor([1.0, -2.0, 3.0], requires_grad=True)
-    backward((0.5 * (w * w)).sum())
+    backward((w * w * Tensor(1.5)).mean())  # half the squared norm of three entries
     assert np.allclose(w.grad, w.data)
 
 
 def test_backward_accumulates_across_uses():
     x = Tensor([2.0], requires_grad=True)
-    backward((x + x).sum())
+    backward((x + x).mean())
     assert np.array_equal(x.grad, [2.0])
 
 
@@ -126,19 +126,21 @@ def test_backward_requires_scalar():
     x = Tensor([1.0, 2.0], requires_grad=True)
     with pytest.raises(ad.ShapeError):
         backward(x)
+    with pytest.raises(ad.ShapeError, match=r"item\(\) needs a scalar, got shape \(2,\)"):
+        x.item()
 
 
 def test_backward_accumulates_across_calls():
     x = Tensor([1.0], requires_grad=True)
-    backward(x.sum())
-    backward(x.sum())
+    backward(x.mean())
+    backward(x.mean())
     assert np.array_equal(x.grad, [2.0])
 
 
 def test_backward_keeps_gradients_on_leaves_only():
     x = Tensor([1.0, -2.0], requires_grad=True)
     y = x * x  # an op output: backward reads its gradient but keeps none
-    loss = (3.0 * y).sum()
+    loss = (y * Tensor(6.0)).mean()  # 3 y summed over the two entries
     backward(loss)
     backward(loss)
     assert y.grad is None and loss.grad is None
@@ -152,18 +154,19 @@ def test_primitive_gradients_fd(seed):
     b = Tensor(rng.uniform(-2, 2, size=(3, 4)), requires_grad=True)
     c = Tensor(rng.uniform(-2, 2, size=(4, 2)), requires_grad=True)
     cases = [
-        (lambda: (a + b).sum(), [a, b]),
-        (lambda: (a - b).sum(), [a, b]),
+        (lambda: (a + b).mean(), [a, b]),
+        (lambda: (a - b).mean(), [a, b]),
         (lambda: (a * b).mean(), [a, b]),
-        (lambda: ad.matmul(a, c).sum(), [a, c]),
-        (lambda: ad.sigmoid(a).sum(), [a]),
-        (lambda: ad.cosine(a, b).sum(), [a, b]),
+        (lambda: ad.matmul(a, c).mean(), [a, c]),
+        (lambda: ad.sigmoid(a).mean(), [a]),
+        (lambda: ad.cosine(a, b).mean(), [a, b]),
         (lambda: ad.concat([a, b], axis=1).mean(), [a, b]),
-        (lambda: ad.gather_rows(a, [0, 2, 2]).sum(), [a]),
+        (lambda: ad.gather_rows(a, [0, 2, 2]).mean(), [a]),
         (lambda: ad.reshape(a, (4, 3)).mean(), [a]),
-        # relu and max_rows away from their kinks
-        (lambda: ad.relu(a + 5.0).sum(), [a]),
-        (lambda: ad.max_rows(ad.matmul(a, c)).sum(), [a, c]),
+        # relu and max_rows away from their kinks; max_rows over the two
+        # columns of a @ c as sequences of 3 and 2 rows
+        (lambda: ad.relu(a + Tensor(5.0)).mean(), [a]),
+        (lambda: ad.max_rows(ad.reshape(ad.matmul(a, c), (3, 2, 1)), [3, 2]).mean(), [a, c]),
     ]
     for build, params in cases:
         for p in params:
@@ -175,15 +178,15 @@ def test_broadcast_gradients_fd():
     rng = np.random.default_rng(7)
     a = Tensor(rng.uniform(-2, 2, size=(3, 1, 4)), requires_grad=True)
     b = Tensor(rng.uniform(-2, 2, size=(1, 2, 4)), requires_grad=True)
-    fd_check(lambda: (a * b).sum(), [a, b])
-    fd_check(lambda: ad.cosine(a, b).sum(), [a, b])
+    fd_check(lambda: (a * b).mean(), [a, b])
+    fd_check(lambda: ad.cosine(a, b).mean(), [a, b])
 
 
 def test_forward_determinism():
     def run(seed):
         rng = np.random.default_rng(seed)
         x = Tensor(rng.normal(size=(5, 5)), requires_grad=True)
-        y = ad.dropout(ad.sigmoid(ad.matmul(x, x)), 0.3, rng, training=True).sum()
+        y = ad.dropout(ad.sigmoid(ad.matmul(x, x)), 0.3, rng, training=True).mean()
         backward(y)
         return y.item(), x.grad.copy()
 
@@ -197,19 +200,19 @@ def test_forward_determinism():
 def test_bilstm_last_gradients_fd(seed):
     rng = np.random.default_rng(100 + seed)
     steps, k, h = 5, 3, 2
-    x = Tensor(rng.normal(size=(steps, k)), requires_grad=True)
+    x = Tensor(rng.normal(size=(steps, 1, k)), requires_grad=True)  # one sequence
     params = [Tensor(rng.normal(size=s) * 0.5, requires_grad=True)
               for s in ((k, 4 * h), (h, 4 * h), (1, 4 * h)) * 2]
     mix = Tensor(rng.normal(size=(1, 2 * h)))
-    fd_check(lambda: (ad.bilstm_last(x, *params) * mix).sum(), [x] + params)
+    fd_check(lambda: (ad.bilstm_last(x, *params, lengths=[steps]) * mix).mean(), [x] + params)
 
 
 def test_bilstm_last_reverses_cleanly():
     # a single step means forward and backward directions see the same input
     rng = np.random.default_rng(0)
-    x = Tensor(rng.normal(size=(1, 3)))
+    x = Tensor(rng.normal(size=(1, 1, 3)))
     p = [Tensor(rng.normal(size=s)) for s in ((3, 8), (2, 8), (1, 8))]
-    out = ad.bilstm_last(x, *p, *p)
+    out = ad.bilstm_last(x, *p, *p, lengths=[1])
     fw, bw = out.data[0, :2], out.data[0, 2:]
     assert np.allclose(fw, bw)
 
@@ -221,7 +224,7 @@ def test_weighted_cosine_gradients_fd(seed):
     x2 = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
     w = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
     mix = Tensor(rng.normal(size=(4, 5)))
-    fd_check(lambda: (ad.weighted_cosine(x1, x2, w) * mix).sum(), [x1, x2, w])
+    fd_check(lambda: (ad.weighted_cosine(x1, x2, w) * mix).mean(), [x1, x2, w])
 
 
 def test_weighted_cosine_matches_composed():
@@ -241,7 +244,7 @@ def test_weighted_cosine_zero_vector_is_flat():
     x2 = Tensor(np.ones((1, 3)), requires_grad=True)
     w = Tensor(np.ones((2, 3)), requires_grad=True)
     out = ad.weighted_cosine(x1, x2, w)
-    backward(out.sum())
+    backward(out.mean())
     assert np.allclose(out.data, 0.0)
     assert np.allclose(x1.grad, 0.0)
     assert np.allclose(x2.grad, 0.0)
@@ -264,7 +267,7 @@ def test_bilstm_last_sequences_gradients_fd(seed):
     x = Tensor(rng.normal(size=(steps, len(lengths), k)), requires_grad=True)
     params = lstm_params(rng, k, h)
     mix = Tensor(rng.normal(size=(len(lengths), 2 * h)))
-    fd_check(lambda: (ad.bilstm_last(x, *params, lengths=lengths) * mix).sum(),
+    fd_check(lambda: (ad.bilstm_last(x, *params, lengths=lengths) * mix).mean(),
              [x] + params)
     # rows past a sequence's length get no gradient
     for s, n in enumerate(lengths):
@@ -279,7 +282,7 @@ def test_bilstm_last_sequences_match_single_calls():
     params = lstm_params(rng, k, h)
     out = ad.bilstm_last(Tensor(x), *params, lengths=lengths).data
     for s, n in enumerate(lengths):
-        one = ad.bilstm_last(Tensor(x[:n, s]), *params).data
+        one = ad.bilstm_last(Tensor(x[:n, s:s + 1]), *params, lengths=[n]).data
         assert np.allclose(out[s], one[0], rtol=0, atol=1e-12)
 
 
@@ -330,6 +333,11 @@ def test_bilstm_last_lengths_checked():
     for bad in ([4], [0, 2], [5, 1]):
         with pytest.raises(ad.ShapeError, match="lengths"):
             ad.bilstm_last(x, *params, lengths=bad)
+    # one unbatched (T, k) sequence is refused: both ops read (T, S, k) batches
+    with pytest.raises(ad.ShapeError, match=r"needs \(T, S, k\) sequences, got \(4, 3\)"):
+        ad.bilstm_last(Tensor(x.data[:, 0]), *params, lengths=[4])
+    with pytest.raises(ad.ShapeError, match=r"needs \(T, S, k\) sequences, got \(4, 3\)"):
+        ad.max_rows(Tensor(x.data[:, 0]), [4])
 
 
 def test_max_rows_sequences_match_single_calls_and_fd():
@@ -338,9 +346,9 @@ def test_max_rows_sequences_match_single_calls_and_fd():
     x = Tensor(rng.normal(size=(3, 3, 4)), requires_grad=True)
     out = ad.max_rows(x, lengths).data
     for s, n in enumerate(lengths):
-        assert np.array_equal(out[s], ad.max_rows(Tensor(x.data[:n, s])).data[0])
+        assert np.array_equal(out[s], ad.max_rows(Tensor(x.data[:n, s:s + 1]), [n]).data[0])
     mix = Tensor(rng.normal(size=(3, 4)))
-    fd_check(lambda: (ad.max_rows(x, lengths) * mix).sum(), [x])
+    fd_check(lambda: (ad.max_rows(x, lengths) * mix).mean(), [x])
 
 
 @pytest.mark.parametrize("indices", [
@@ -356,9 +364,13 @@ def test_gather_rows_backward_is_the_add_at_scatter_bit_for_bit(indices):
     x = Tensor(rng.normal(size=(240, 64)), requires_grad=True)
     g = rng.normal(size=indices.shape + (64,))
     g[..., ::7] = -0.0  # 0.0 + -0.0 is 0.0 in add.at
+    # the mean over the rows read and one constant, so an empty read has a
+    # mean too: each row read gets g / (g.size + 1), as mean_all's backward
+    # and mul's backward round it
+    read = ad.reshape(ad.gather_rows(x, indices) * Tensor(g), (-1,))
+    backward(ad.concat([read, Tensor([0.0])]).mean())
     want = np.zeros_like(x.data)
-    np.add.at(want, indices, g)
-    backward((ad.gather_rows(x, indices) * Tensor(g)).sum())
+    np.add.at(want, indices, np.full(g.shape, 1.0 / (g.size + 1)) * g)
     assert x.grad.tobytes() == want.tobytes()
 
 
@@ -376,7 +388,7 @@ def test_block_matmul_matches_dense_and_fd():
     assert np.allclose(ad.block_matmul(blocks, x, where).data, dense @ x.data,
                        rtol=0, atol=1e-12)
     mix = Tensor(rng.normal(size=(6, 4)))
-    fd_check(lambda: (ad.block_matmul(blocks, x, where) * mix).sum(), [x])
+    fd_check(lambda: (ad.block_matmul(blocks, x, where) * mix).mean(), [x])
 
 
 def test_cross_attention_gradients_fd():
@@ -386,7 +398,7 @@ def test_cross_attention_gradients_fd():
     rows1 = np.array([[0, -1], [4, 5], [7, -1]])
     rows2 = np.array([[1, 2, 3], [6, -1, -1], [8, -1, -1]])
     mix = Tensor(rng.normal(size=(9, 3)))
-    fd_check(lambda: (ad.cross_attention(x, rows1, rows2) * mix).sum(), [x])
+    fd_check(lambda: (ad.cross_attention(x, rows1, rows2) * mix).mean(), [x])
 
 
 def test_cross_attention_zero_node_is_flat():
@@ -394,6 +406,6 @@ def test_cross_attention_zero_node_is_flat():
     # nothing attended and nothing to attend, the whole pair is flat
     x = Tensor(np.array([[0.0, 0.0], [1.0, 2.0], [3.0, -1.0]]), requires_grad=True)
     out = ad.cross_attention(x, np.array([[0]]), np.array([[1, 2]]))
-    backward((out * Tensor(np.ones((3, 2)))).sum())
+    backward((out * Tensor(np.ones((3, 2)))).mean())
     assert np.array_equal(out.data, np.zeros((3, 2)))
     assert np.array_equal(x.grad, np.zeros((3, 2)))

@@ -32,6 +32,12 @@ EDGES = {
     **{f"one of {choices}": (list(choices), ["x"]) for choices in (MODES, TASKS, AGGREGATORS)},
 }
 
+# per bound phrase that compares numbers: a value it cannot compare, refused all
+# the same; argparse types the ged flags, so only the other tables can be given one
+UNCOMPARABLE = {">= 0": "0", ">= 1": "1", ">= 0 or None": "0", "a finite number >= 0": "0",
+                "a finite number > 0": "1", "in [0, 1]": "0", "in [0, 1)": "0",
+                "(min, max) with 1 <= min <= max <= 10": ("1", 2)}
+
 
 def run_ged(tmp_path, flags):
     """cmd_ged on two one-node graphs, with the given flag values."""
@@ -64,6 +70,8 @@ def test_each_bound_refuses_outside_and_accepts_its_edge(tmp_path, table, name):
     shown = f"--{name}" if table == "ged" else name  # ged's refusals name the flag
     phrase = bounds[name][0]
     inside, outside = EDGES[phrase]
+    if table != "ged" and phrase in UNCOMPARABLE:
+        outside = outside + [UNCOMPARABLE[phrase]]
     for value in outside:
         message = f"{shown} must be {phrase}, got {value!r}"
         with pytest.raises(error, match=f"^{re.escape(message)}$"):

@@ -251,7 +251,7 @@ def test_predict_classification_identical():
 
 def test_predict_classification_opposite():
     h = Tensor([[1.0, -2.0, 0.5]])
-    got = predict(h, -1.0 * h, "classification", {}).item()
+    got = predict(h, h * Tensor(-1.0), "classification", {}).item()
     assert abs(got + 1.0) < 1e-12
 
 
@@ -269,17 +269,17 @@ def test_predict_regression_zero_weights():
 
 
 def test_loss_mse_values():
-    zero = loss_mse([Tensor(0.2), Tensor(0.8)], [0.2, 0.8])
+    zero = loss_mse(Tensor([0.2, 0.8]), [0.2, 0.8])
     assert zero.item() == 0.0
-    one = loss_mse([Tensor(0.0)], [1.0])
+    one = loss_mse(Tensor([0.0]), [1.0])
     assert one.item() == 1.0
-    hand = loss_mse([Tensor(0.2), Tensor(0.8)], [0.0, 1.0])
+    hand = loss_mse(Tensor([0.2, 0.8]), [0.0, 1.0])
     assert abs(hand.item() - 0.04) < 1e-12
 
 
 def test_loss_mse_empty_batch():
-    with pytest.raises(ValueError):
-        loss_mse([], [])
+    with pytest.raises(ValueError, match="empty batch"):
+        loss_mse(Tensor(np.empty(0)), [])
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +358,7 @@ def test_end_to_end_gradient_fd(mode, agg, task):
     target = 0.7 if task == "regression" else 1.0
 
     def build():
-        pred = m.forward_pair(g1, g2, training=False)
-        return loss_mse([pred], [target])
+        return loss_mse(m.forward_batch([(g1, g2)], training=False), [target])
 
     loss = build()
     m.zero_grad()
@@ -381,8 +380,8 @@ def test_training_mode_gradient_fd_with_dropout():
     m = Model(cfg, rng=np.random.default_rng(5))
 
     def build():
-        pred = m.forward_pair(g1, g2, training=True, rng=np.random.default_rng(99))
-        return loss_mse([pred], [0.4])
+        pred = m.forward_batch([(g1, g2)], training=True, rng=np.random.default_rng(99))
+        return loss_mse(pred, [0.4])
 
     loss = build()
     m.zero_grad()
@@ -429,15 +428,14 @@ def test_forward_batch_equals_batches_of_one(mode, agg, task, pairs, training, s
         m.zero_grad()
         scores = run()
         backward(loss_mse(scores, targets))
-        values = scores.data if isinstance(scores, Tensor) else [p.item() for p in scores]
-        return np.asarray(values), {k: p.grad.copy() for k, p in m.params.items()}
+        return scores.data, {k: p.grad.copy() for k, p in m.params.items()}
 
     # at train time both draw the reading orders pair by pair from one stream
     batch, batch_grads = scores_and_grads(lambda: m.forward_batch(
         pairs, training=training, rng=np.random.default_rng(seed)))
     loop_rng = np.random.default_rng(seed)
-    single, single_grads = scores_and_grads(lambda: [
-        m.forward_pair(g1, g2, training=training, rng=loop_rng) for g1, g2 in pairs])
+    single, single_grads = scores_and_grads(lambda: ad.concat([
+        m.forward_batch([pair], training=training, rng=loop_rng) for pair in pairs]))
     assert np.max(np.abs(batch - single)) <= 1e-12
     # relative to the parameter's largest gradient entry, and absolute (1e-12)
     # below 1e-2: a gradient that is zero in exact arithmetic, such as that of

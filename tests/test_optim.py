@@ -44,7 +44,7 @@ def test_converges_on_quadratic():
     opt = Adam({"w": w}, lr=0.1)
     for _ in range(100):
         diff = w - Tensor([3.0])
-        backward((diff * diff).sum())
+        backward((diff * diff).mean())
         opt.step()
     assert abs(w.data[0] - 3.0) < 0.1
 
