@@ -75,10 +75,10 @@ def _unbroadcast(grad, shape):
 
 
 def _make(data, parents, backward):
-    rg = any(p.requires_grad for p in parents)
-    return Tensor(data, requires_grad=rg,
-                  _parents=parents if rg else (),
-                  _backward=backward if rg else None)
+    for p in parents:
+        if p.requires_grad:
+            return Tensor(data, requires_grad=True, _parents=parents, _backward=backward)
+    return Tensor(data)
 
 
 # ---------------------------------------------------------------------------
@@ -134,13 +134,8 @@ def relu(x):
     return _make(out, (x,), bw)
 
 
-def _sigmoid(z):
-    # tanh form: stable at both tails, one ufunc pass
-    return 0.5 * (1.0 + np.tanh(0.5 * z))
-
-
 def sigmoid(x):
-    s = _sigmoid(x.data)
+    s = 0.5 * (1.0 + np.tanh(0.5 * x.data))  # stable at both tails, one ufunc pass
 
     def bw(g):
         return (g * s * (1.0 - s),)
@@ -150,6 +145,8 @@ def sigmoid(x):
 
 def mean_all(x):
     n = x.data.size
+    if n == 0:
+        raise ShapeError(f"mean of an empty tensor, shape {x.shape}")
     out = x.data.mean()
 
     def bw(g):
@@ -352,13 +349,17 @@ def bilstm_last(x, wx_f, wh_f, b_f, wx_b, wh_b, b_b, lengths):
     never read.
 
     One fused node for the whole bidirectional recurrence over all sequences.
-    The two directions are stacked on a leading axis: the backward pass reads
-    each sequence reversed, and the sequences are sorted by decreasing length,
-    so each timestep is one (2, active, h) @ (2, h, 4h) product over the
-    sequences still running, and a finished sequence's state is left as it
-    was. The forward math is plain numpy, and the backward pass is
-    hand-written BPTT. Gate columns are [input, forget, cell, output], as
-    stored; the cell gate is tanh, the rest sigmoid.
+    The backward pass reads each sequence reversed, and the sequences are
+    sorted by decreasing length, so each timestep is one (2, active, h) @
+    (2, h, 4h) product over both directions of the sequences still running.
+    The history is time-major, (T, 2, S, .), with the state entering each
+    step; a sequence's last state is read at its length. Gate columns are
+    [input, forget, cell, output], as stored; the cell gate is tanh, the rest
+    sigmoid(z) = 0.5 + 0.5 tanh(z / 2): their columns of the weights and bias
+    are halved once per call, and a step takes one tanh of all four gates,
+    then one scale and shift. Halving and the 0.5 affine map are exact in
+    binary floating point outside the subnormal range. The forward math is
+    plain numpy, and the backward pass is hand-written BPTT.
     """
     params = (wx_f, wh_f, b_f, wx_b, wh_b, b_b)
     lengths = _sequences(x, lengths, "bilstm_last")
@@ -370,67 +371,66 @@ def bilstm_last(x, wx_f, wh_f, b_f, wx_b, wh_b, b_b, lengths):
             raise ShapeError(
                 f"bilstm_last weight shapes disagree: x {x.shape}, wx {wx.shape}, "
                 f"wh {wh.shape}, b {b.shape}")
-    wx, wh, b = (np.stack([f.data, r.data]) for f, r in zip(params[:3], params[3:]))
+    # t + -0.0 is t, -0.0 included, so the cell gate's shift leaves it as it is
+    scale, shift = np.repeat([[0.5, 0.5, 1.0, 0.5], [0.5, 0.5, -0.0, 0.5]], h, axis=1)
 
     order = np.argsort(-lengths, kind="stable")
+    rank = np.argsort(order)  # each sequence's sorted position
     lens = lengths[order]
-    active = [int(np.count_nonzero(lens > t)) for t in range(steps)]
+    t_col = np.arange(steps)[:, None]
+    active = (lens > t_col).sum(axis=1).tolist()  # sequences running at each step
     cols = np.arange(count)
     # row t of each sequence's reversed copy; padding maps to itself
-    t_col = np.arange(steps)[:, None]
     rev = np.where(t_col < lens, lens - 1 - t_col, t_col)
-    xs = np.stack([x.data[:, order], x.data[rev, order]]).reshape(2, -1, k)
-    z_in = (xs @ wx + b).reshape(2, steps, count, 4 * h)
+    xs = (x.data[:, order].reshape(-1, k), x.data[rev, order].reshape(-1, k))
+    z_in = np.empty((2, steps, count, 4 * h))
+    for d, (wx, b) in enumerate(((wx_f, b_f), (wx_b, b_b))):
+        np.matmul(xs[d], wx.data, out=z_in[d].reshape(-1, 4 * h))
+        z_in[d] += b.data
+    z_in *= scale
+    wh = np.stack([wh_f.data, wh_b.data])
+    wh *= scale
 
-    gates = np.zeros((2, steps, count, 4 * h))  # gate activations
-    cs = np.zeros((2, steps, count, h))         # cell state after each step
-    ss = np.zeros((2, steps, count, h))         # hidden state entering each step
-    s = np.zeros((2, count, h))
-    c = np.zeros((2, count, h))
-    for t in range(steps):
-        n = active[t]
-        ss[:, t, :n] = s[:, :n]
-        z = s[:, :n] @ wh
-        z += z_in[:, t, :n]
-        a = gates[:, t, :n]
-        a[..., :2 * h] = _sigmoid(z[..., :2 * h])
-        a[..., 2 * h:3 * h] = np.tanh(z[..., 2 * h:3 * h])
-        a[..., 3 * h:] = _sigmoid(z[..., 3 * h:])
-        c[:, :n] = a[..., h:2 * h] * c[:, :n] + a[..., :h] * a[..., 2 * h:3 * h]
-        cs[:, t, :n] = c[:, :n]
-        s[:, :n] = a[..., 3 * h:] * np.tanh(c[:, :n])
-    out = np.empty((count, 2 * h))
-    out[order] = np.concatenate([s[0], s[1]], axis=1)
+    gates = np.zeros((steps, 2, count, 4 * h))  # gate activations
+    cs = np.zeros((steps + 1, 2, count, h))     # cell state entering each step
+    ss = np.zeros((steps + 1, 2, count, h))     # hidden state entering each step
+    for t, n in enumerate(active):
+        a = np.matmul(ss[t, :, :n], wh, out=gates[t, :, :n])
+        a += z_in[:, t, :n]
+        np.tanh(a, out=a)
+        a *= scale
+        a += shift
+        c = np.multiply(a[..., h:2 * h], cs[t, :, :n], out=cs[t + 1, :, :n])
+        c += a[..., :h] * a[..., 2 * h:3 * h]
+        np.multiply(np.tanh(c, out=ss[t + 1, :, :n]), a[..., 3 * h:], out=ss[t + 1, :, :n])
+    out = ss[lens, :, cols].reshape(count, 2 * h)[rank]
+    ss[lens, :, cols] = 0.0  # a finished sequence enters no further step
 
     def bw(grad):
         ds = np.stack([grad[order, :h], grad[order, h:]])
         dc = np.zeros((2, count, h))
         dz_all = np.zeros((2, steps, count, 4 * h))
-        wh_t = wh.transpose(0, 2, 1)
+        wh_t = np.stack([wh_f.data, wh_b.data]).transpose(0, 2, 1)
         for t in range(steps - 1, -1, -1):
             n = active[t]
-            a = gates[:, t, :n]
+            a = gates[t, :, :n]
             gi, gf, gc, go = (a[..., j * h:(j + 1) * h] for j in range(4))
-            tc = np.tanh(cs[:, t, :n])
+            tc = np.tanh(cs[t + 1, :, :n])
             dcn = dc[:, :n] + ds[:, :n] * go * (1.0 - tc * tc)
-            c_prev = cs[:, t - 1, :n] if t > 0 else 0.0
             dz = dz_all[:, t, :n]
             dz[..., :h] = dcn * gc * gi * (1.0 - gi)
-            dz[..., h:2 * h] = dcn * c_prev * gf * (1.0 - gf)
+            dz[..., h:2 * h] = dcn * cs[t, :, :n] * gf * (1.0 - gf)
             dz[..., 2 * h:3 * h] = dcn * gi * (1.0 - gc * gc)
             dz[..., 3 * h:] = ds[:, :n] * tc * go * (1.0 - go)
             ds[:, :n] = dz @ wh_t
             dc[:, :n] = dcn * gf
         dz_all = dz_all.reshape(2, -1, 4 * h)
-        gwx = xs.transpose(0, 2, 1) @ dz_all
-        gwh = ss.reshape(2, -1, h).transpose(0, 2, 1) @ dz_all
-        gb = dz_all.sum(axis=1, keepdims=True)
-        gxd = (dz_all @ wx.transpose(0, 2, 1)).reshape(2, steps, count, k)
-        gxs = gxd[0]
-        gxs[rev, cols] += gxd[1]
-        gx = np.empty_like(gxs)
-        gx[:, order] = gxs
-        return (gx, gwx[0], gwh[0], gb[0], gwx[1], gwh[1], gb[1])
+        gw = [(xs[d].T @ dz, ss[:steps, d].reshape(-1, h).T @ dz, dz.sum(axis=0, keepdims=True))
+              for d, dz in enumerate(dz_all)]
+        gxs, gxr = ((dz @ wx.data.T).reshape(steps, count, k)
+                    for dz, wx in zip(dz_all, (wx_f, wx_b)))
+        gxs[rev, cols] += gxr
+        return (gxs[:, rank], *gw[0], *gw[1])
 
     return _make(out, (x,) + params, bw)
 

@@ -108,9 +108,9 @@ def ged_exact(g1, g2, costs=None, node_budget=10, timeout=10.0):
     Below full depth it adds two admissible bounds:
 
     - nodes: every unmapped g1 node and free g2 node takes part in some node
-      edit, and at most the label-multiset intersection of the two sides can
-      be free substitutions, so ``max(n1, n2) - common`` edits remain, each
-      costing at least the cheapest node operation;
+      edit, at most the label-multiset intersection of the two sides can be
+      free substitutions, and n2 >= m - depth >= n1 as n <= m, so at least
+      ``n2 - common`` edits remain, each at least the cheapest node operation;
     - edges: an uncharged g1 edge is internal (both ends unmapped) or crosses
       to the prefix. A kept internal edge maps onto a g2 edge with both ends
       free and a kept crossing edge onto one with one end free and one used,
@@ -182,7 +182,7 @@ def ged_exact(g1, g2, costs=None, node_budget=10, timeout=10.0):
                 h = n2 * costs.node_insert + (internal2 + cross2) * costs.edge_insert
             else:
                 common = sum(map(min, tail1[depth], free_counts))
-                h = ((max(n - depth, n2) - common) * min_node_cost
+                h = ((n2 - common) * min_node_cost
                      + (abs(internal1[depth] - internal2) + abs(cross1[depth] - cross2))
                      * min_edge_cost)
             h_memo[key] = h

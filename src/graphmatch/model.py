@@ -51,8 +51,8 @@ def check_bounds(values, bounds, error, names=None):
     name -> bound table, naming it (as names renames it) and its value."""
     for name, (phrase, holds) in bounds.items():
         try:
-            inside = holds(values[name])
-        except TypeError:  # a value the bound cannot compare, such as a str for a number
+            inside = bool(holds(values[name]))
+        except (TypeError, ValueError):  # no order (a str) or no truth value (an array)
             inside = False
         if not inside:
             raise error(f"{(names or {}).get(name, name)} must be {phrase}, got {values[name]!r}")
@@ -144,7 +144,7 @@ def init_params(config: ModelConfig, rng) -> dict:
 
 def consecutive(sizes):
     """Row-index arrays of consecutive groups of the given sizes."""
-    return np.split(np.arange(sum(sizes)), np.cumsum(sizes)[:-1])
+    return [np.arange(end - size, end) for size, end in zip(sizes, np.cumsum(sizes).tolist())]
 
 
 def padded(seqs):

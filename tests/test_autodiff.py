@@ -122,6 +122,11 @@ def test_backward_accumulates_across_uses():
     assert np.array_equal(x.grad, [2.0])
 
 
+def test_mean_of_an_empty_tensor_is_refused():
+    with pytest.raises(ad.ShapeError, match=r"mean of an empty tensor, shape \(0, 3\)"):
+        Tensor(np.zeros((0, 3)), requires_grad=True).mean()
+
+
 def test_backward_requires_scalar():
     x = Tensor([1.0, 2.0], requires_grad=True)
     with pytest.raises(ad.ShapeError):
@@ -324,6 +329,100 @@ def test_bilstm_last_matches_reference_lstm():
     moved = ad.bilstm_last(Tensor(x), *params, lengths=lengths).data
     assert np.array_equal(moved[:, :h], out[:, :h])
     assert not np.allclose(moved[:, h:], out[:, h:])
+
+
+def bilstm_last_reference(x, params, lengths):
+    """An earlier ``bilstm_last`` on arrays: direction-major history, weights
+    stacked per call, sigmoid as 0.5 * (1 + tanh(0.5 z)) and tanh for the cell
+    gate. Returns the output and its hand-written BPTT backward."""
+    lengths = np.asarray(lengths, dtype=np.intp)
+    steps, count, k = x.shape
+    h = params[1].shape[0]
+    sig = lambda z: 0.5 * (1.0 + np.tanh(0.5 * z))  # noqa: E731
+    wx, wh, b = (np.stack([f, r]) for f, r in zip(params[:3], params[3:]))
+    order = np.argsort(-lengths, kind="stable")
+    lens = lengths[order]
+    active = [int(np.count_nonzero(lens > t)) for t in range(steps)]
+    cols = np.arange(count)
+    t_col = np.arange(steps)[:, None]
+    rev = np.where(t_col < lens, lens - 1 - t_col, t_col)
+    xs = np.stack([x[:, order], x[rev, order]]).reshape(2, -1, k)
+    z_in = (xs @ wx + b).reshape(2, steps, count, 4 * h)
+    gates = np.zeros((2, steps, count, 4 * h))
+    cs = np.zeros((2, steps, count, h))
+    ss = np.zeros((2, steps, count, h))
+    s = np.zeros((2, count, h))
+    c = np.zeros((2, count, h))
+    for t in range(steps):
+        n = active[t]
+        ss[:, t, :n] = s[:, :n]
+        z = s[:, :n] @ wh
+        z += z_in[:, t, :n]
+        a = gates[:, t, :n]
+        a[..., :2 * h] = sig(z[..., :2 * h])
+        a[..., 2 * h:3 * h] = np.tanh(z[..., 2 * h:3 * h])
+        a[..., 3 * h:] = sig(z[..., 3 * h:])
+        c[:, :n] = a[..., h:2 * h] * c[:, :n] + a[..., :h] * a[..., 2 * h:3 * h]
+        cs[:, t, :n] = c[:, :n]
+        s[:, :n] = a[..., 3 * h:] * np.tanh(c[:, :n])
+    out = np.empty((count, 2 * h))
+    out[order] = np.concatenate([s[0], s[1]], axis=1)
+
+    def bw(grad):
+        ds = np.stack([grad[order, :h], grad[order, h:]])
+        dc = np.zeros((2, count, h))
+        dz_all = np.zeros((2, steps, count, 4 * h))
+        wh_t = wh.transpose(0, 2, 1)
+        for t in range(steps - 1, -1, -1):
+            n = active[t]
+            a = gates[:, t, :n]
+            gi, gf, gc, go = (a[..., j * h:(j + 1) * h] for j in range(4))
+            tc = np.tanh(cs[:, t, :n])
+            dcn = dc[:, :n] + ds[:, :n] * go * (1.0 - tc * tc)
+            c_prev = cs[:, t - 1, :n] if t > 0 else 0.0
+            dz = dz_all[:, t, :n]
+            dz[..., :h] = dcn * gc * gi * (1.0 - gi)
+            dz[..., h:2 * h] = dcn * c_prev * gf * (1.0 - gf)
+            dz[..., 2 * h:3 * h] = dcn * gi * (1.0 - gc * gc)
+            dz[..., 3 * h:] = ds[:, :n] * tc * go * (1.0 - go)
+            ds[:, :n] = dz @ wh_t
+            dc[:, :n] = dcn * gf
+        dz_all = dz_all.reshape(2, -1, 4 * h)
+        gwx = xs.transpose(0, 2, 1) @ dz_all
+        gwh = ss.reshape(2, -1, h).transpose(0, 2, 1) @ dz_all
+        gb = dz_all.sum(axis=1, keepdims=True)
+        gxd = (dz_all @ wx.transpose(0, 2, 1)).reshape(2, steps, count, k)
+        gxs = gxd[0]
+        gxs[rev, cols] += gxd[1]
+        gx = np.empty_like(gxs)
+        gx[:, order] = gxs
+        return (gx, gwx[0], gwh[0], gb[0], gwx[1], gwh[1], gb[1])
+
+    return out, bw
+
+
+@pytest.mark.parametrize("steps, lengths, k, h", [
+    (1, [1], 3, 2),                     # one step of one sequence
+    (6, [6], 4, 4),                     # one sequence
+    (1, [1, 1, 1], 5, 3),               # one step
+    (5, [5, 5, 5, 5], 3, 7),            # all lengths equal
+    (5, [1, 2, 3, 4, 5], 6, 2),         # every length from 1 to T
+    (8, [3, 8, 1, 8, 5, 2, 8], 64, 64), # the acceptance model's width
+    (7, [2, 7, 4, 7], 16, 48),
+])
+@pytest.mark.parametrize("x_scale, w_scale", [(0.05, 0.05), (0.05, 5.0), (5.0, 0.05),
+                                              (5.0, 5.0), (1.0, 0.5)])
+def test_bilstm_last_is_the_reference_bit_for_bit(steps, lengths, k, h, x_scale, w_scale):
+    rng = np.random.default_rng([steps, k, h, len(lengths)])
+    x = rng.normal(size=(steps, len(lengths), k)) * x_scale
+    params = [rng.normal(size=s) * w_scale for s in ((k, 4 * h), (h, 4 * h), (1, 4 * h)) * 2]
+    out = ad.bilstm_last(Tensor(x, requires_grad=True),
+                         *(Tensor(p, requires_grad=True) for p in params), lengths=lengths)
+    want, want_bw = bilstm_last_reference(x, params, lengths)
+    assert out.data.tobytes() == want.tobytes()
+    grad = rng.normal(size=want.shape)
+    for got, ref in zip(out._backward(grad), want_bw(grad), strict=True):
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
 def test_bilstm_last_lengths_checked():

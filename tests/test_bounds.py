@@ -8,6 +8,7 @@ import math
 import re
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from graphmatch.cli import build_parser, cmd_ged
@@ -32,11 +33,15 @@ EDGES = {
     **{f"one of {choices}": (list(choices), ["x"]) for choices in (MODES, TASKS, AGGREGATORS)},
 }
 
-# per bound phrase that compares numbers: a value it cannot compare, refused all
-# the same; argparse types the ged flags, so only the other tables can be given one
-UNCOMPARABLE = {">= 0": "0", ">= 1": "1", ">= 0 or None": "0", "a finite number >= 0": "0",
-                "a finite number > 0": "1", "in [0, 1]": "0", "in [0, 1)": "0",
-                "(min, max) with 1 <= min <= max <= 10": ("1", 2)}
+# per bound phrase that compares numbers: values it cannot compare (a str) or
+# whose comparison has no truth value (an array), refused all the same; argparse
+# types the ged flags, so only the other tables can be given one. Two numbers in
+# an array are a valid (min, max), so the range bound gets no array.
+ARRAY = np.array([3, 4])
+UNCOMPARABLE = {">= 0": ["0", ARRAY], ">= 1": ["1", ARRAY], ">= 0 or None": ["0", ARRAY],
+                "a finite number >= 0": ["0", ARRAY], "a finite number > 0": ["1", ARRAY],
+                "in [0, 1]": ["0", ARRAY], "in [0, 1)": ["0", ARRAY],
+                "(min, max) with 1 <= min <= max <= 10": [("1", 2)]}
 
 
 def run_ged(tmp_path, flags):
@@ -71,7 +76,7 @@ def test_each_bound_refuses_outside_and_accepts_its_edge(tmp_path, table, name):
     phrase = bounds[name][0]
     inside, outside = EDGES[phrase]
     if table != "ged" and phrase in UNCOMPARABLE:
-        outside = outside + [UNCOMPARABLE[phrase]]
+        outside = outside + UNCOMPARABLE[phrase]
     for value in outside:
         message = f"{shown} must be {phrase}, got {value!r}"
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
