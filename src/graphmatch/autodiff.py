@@ -4,9 +4,9 @@ Everything is float64 numpy under the hood. A Tensor is a node of a dynamic
 computation graph: ops record their parents and a backward closure, and
 ``backward`` replays the graph in reverse topological order. The op set, and
 the one form each op takes, is what the matching models run: every operand
-is a Tensor, and the sequence ops read padded time-major batches (T, S, k)
-with their lengths. The acceptance gradient gate checks each op against
-finite differences; no broadcasting rules beyond numpy's.
+is a Tensor, and the sequence ops read rows (R, k) through a time-major index
+(T, S) padded with -1, as cross_attention does. The acceptance gradient gate
+checks each op against finite differences; no broadcasting beyond numpy's.
 """
 
 import numpy as np
@@ -192,36 +192,47 @@ def gather_rows(x, indices):
     return _make(out, (x,), bw)
 
 
-def max_rows(x, lengths):
+def max_rows(x, index):
     """Columnwise maximum over the rows of each sequence; gradient flows to the
     first argmax.
 
-    x is S sequences padded to a common length, time-major (T, S, k), with
-    lengths (S,); gives (S, k). Rows past a sequence's length are ignored.
+    x: (R, k) rows; index: (T, S) the rows of S sequences, time-major, padded
+    with -1, as ``_sequences`` checks it; gives (S, k).
     """
-    lengths = _sequences(x, lengths, "max_rows")
-    valid = np.arange(x.data.shape[0])[:, None] < lengths
-    arg = np.argmax(np.where(valid[..., None], x.data, -np.inf), axis=0)[None]
-    out = np.take_along_axis(x.data, arg, axis=0)[0]
+    index, _ = _sequences(x, index, "max_rows")
+    valid = (index >= 0)[..., None]
+    arg = np.argmax(np.where(valid, x.data[index], -np.inf), axis=0)  # (S, k) steps
+    rows = index[arg, np.arange(index.shape[1])[:, None]]
+    cols = np.arange(x.data.shape[1])
+    out = x.data[rows, cols]
 
     def bw(g):
         gx = np.zeros_like(x.data)
-        np.put_along_axis(gx, arg, g[None], axis=0)
+        gx[rows, cols] = g
         return (gx,)
 
     return _make(out, (x,), bw)
 
 
-def _sequences(x, lengths, op):
-    """The lengths (S,) of x's time-major padded sequences (T, S, k), checked."""
-    if x.data.ndim != 3:
-        raise ShapeError(f"{op} needs (T, S, k) sequences, got {x.shape}")
-    steps, count, _ = x.data.shape
-    lengths = np.asarray(lengths, dtype=np.intp)
-    if lengths.shape != (count,) or count == 0 or lengths.min() < 1 \
-            or lengths.max() > steps:
-        raise ShapeError(f"{op}: lengths {lengths.tolist()} do not fit sequences {x.shape}")
-    return lengths
+def _sequences(x, index, op):
+    """The index (T, S) of S time-major sequences of rows of x (R, k), padded
+    with -1, as an array, and their lengths (S,). None is empty or padded before
+    its end, and none reads a row twice, so backward assigns each row's gradient."""
+    index = np.asarray(index)
+    if x.data.ndim != 2 or index.ndim != 2 or index.size == 0:
+        raise ShapeError(f"{op} needs (R, k) rows and a nonempty (T, S) index, "
+                         f"got {x.shape} and {index.shape}")
+    valid = index != -1
+    if (valid[1:] > valid[:-1]).any():
+        raise ShapeError(f"{op}: index has padding before a sequence's end")
+    if not valid[0].all():
+        raise ShapeError(f"{op}: index has an empty sequence")
+    read = np.sort(index[valid])
+    if read[0] < 0 or read[-1] >= x.data.shape[0]:
+        raise ShapeError(f"{op}: index reads a row out of range of {x.shape[0]} rows")
+    if (read[1:] == read[:-1]).any():
+        raise ShapeError(f"{op}: index reads a row twice")
+    return index, valid.sum(axis=0)
 
 
 def cosine(a, b):
@@ -317,36 +328,13 @@ def backward(loss):
                 grads[id(p)] = pg
 
 
-def finite_difference_grad(f, params, h=1e-5):
-    """Central finite differences of scalar f() w.r.t. each tensor in params.
-
-    f must be deterministic and must read current .data of the params.
-    Returns a list of arrays matching the parameter shapes.
-    """
-    grads = []
-    for p in params:
-        g = np.zeros_like(p.data)
-        flat = p.data.reshape(-1)
-        gflat = g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            fp = f()
-            flat[i] = orig - h
-            fm = f()
-            flat[i] = orig
-            gflat[i] = (fp - fm) / (2.0 * h)
-        grads.append(g)
-    return grads
-
-
-def bilstm_last(x, wx_f, wh_f, b_f, wx_b, wh_b, b_b, lengths):
+def bilstm_last(x, wx_f, wh_f, b_f, wx_b, wh_b, b_b, index):
     """Concatenated last hidden states of a forward and a backward LSTM pass.
 
-    x is S sequences padded to a common length, time-major (T, S, k), with
-    lengths (S,); gives (S, 2*hidden). Sequence s is x[:lengths[s], s]: its
-    backward pass starts at its own last row, and rows past its length are
-    never read.
+    x: (R, k) rows; index: (T, S) the rows of S sequences, time-major, padded
+    with -1, as ``_sequences`` checks it; gives (S, 2*hidden). Sequence s
+    reads the rows index[:, s] up to its padding, and its backward pass starts
+    at its own last row.
 
     One fused node for the whole bidirectional recurrence over all sequences.
     The backward pass reads each sequence reversed, and the sequences are
@@ -362,8 +350,9 @@ def bilstm_last(x, wx_f, wh_f, b_f, wx_b, wh_b, b_b, lengths):
     plain numpy, and the backward pass is hand-written BPTT.
     """
     params = (wx_f, wh_f, b_f, wx_b, wh_b, b_b)
-    lengths = _sequences(x, lengths, "bilstm_last")
-    steps, count, k = x.data.shape
+    index, lengths = _sequences(x, index, "bilstm_last")
+    steps, count = index.shape
+    k = x.data.shape[1]
     h = params[1].data.shape[0]
     for wx, wh, b in (params[:3], params[3:]):
         if wx.data.shape != (k, 4 * h) or wh.data.shape != (h, 4 * h) \
@@ -378,11 +367,14 @@ def bilstm_last(x, wx_f, wh_f, b_f, wx_b, wh_b, b_b, lengths):
     rank = np.argsort(order)  # each sequence's sorted position
     lens = lengths[order]
     t_col = np.arange(steps)[:, None]
-    active = (lens > t_col).sum(axis=1).tolist()  # sequences running at each step
+    live = t_col < lens  # (T, S): the steps that read a row
+    active = live.sum(axis=1).tolist()  # sequences running at each step
     cols = np.arange(count)
-    # row t of each sequence's reversed copy; padding maps to itself
-    rev = np.where(t_col < lens, lens - 1 - t_col, t_col)
-    xs = (x.data[:, order].reshape(-1, k), x.data[rev, order].reshape(-1, k))
+    # step t of each sequence's reversed copy; padding maps to itself
+    rev = np.where(live, lens - 1 - t_col, t_col)
+    index = index[:, order]
+    # padding reads x's last row: its projection is never used, its gradient is 0
+    xs = (x.data[index].reshape(-1, k), x.data[index[rev, cols]].reshape(-1, k))
     z_in = np.empty((2, steps, count, 4 * h))
     for d, (wx, b) in enumerate(((wx_f, b_f), (wx_b, b_b))):
         np.matmul(xs[d], wx.data, out=z_in[d].reshape(-1, 4 * h))
@@ -430,7 +422,9 @@ def bilstm_last(x, wx_f, wh_f, b_f, wx_b, wh_b, b_b, lengths):
         gxs, gxr = ((dz @ wx.data.T).reshape(steps, count, k)
                     for dz, wx in zip(dz_all, (wx_f, wx_b)))
         gxs[rev, cols] += gxr
-        return (gxs[:, rank], *gw[0], *gw[1])
+        gx = np.zeros_like(x.data)
+        gx[index[live]] = gxs[live]
+        return (gx, *gw[0], *gw[1])
 
     return _make(out, (x,) + params, bw)
 

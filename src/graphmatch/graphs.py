@@ -39,6 +39,13 @@ class Graph:
         return self.features.shape[1]
 
 
+def _integer(x):
+    """operator.index(x), but for a bool: JSON's true is no node index or label."""
+    if isinstance(x, bool):
+        raise TypeError(f"{x!r} is a bool")
+    return operator.index(x)
+
+
 def make_graph(graph_id, features, edges, labels=None, group=None):
     """Build and validate a Graph, deduplicating undirected edges."""
     feats = np.asarray(features, dtype=np.float64)
@@ -52,7 +59,7 @@ def make_graph(graph_id, features, edges, labels=None, group=None):
     dupes = 0
     for e in edges:
         try:
-            u, v = (operator.index(x) for x in e)
+            u, v = (_integer(x) for x in e)
         except (TypeError, ValueError):
             raise GraphError(f"graph {graph_id!r}: edge {e!r} is not a pair of "
                              f"integer node indices") from None
@@ -68,7 +75,7 @@ def make_graph(graph_id, features, edges, labels=None, group=None):
         log.warning("graph %r: dropped %d duplicate edge(s)", graph_id, dupes)
     if labels is not None:
         try:
-            labels = tuple(operator.index(x) for x in labels)
+            labels = tuple(_integer(x) for x in labels)
         except TypeError:
             raise GraphError(f"graph {graph_id!r}: labels must be integers") from None
         if len(labels) != n:

@@ -182,22 +182,20 @@ def node_graph_match(x, rows1, rows2, w):
 
 
 def aggregate(h, aggregator, params, prefix, seqs):
-    """One vector per row sequence of h; (len(seqs), L).
+    """One vector per row sequence of h, no row in two; (len(seqs), L).
 
     max/fcmax are order-free; bilstm reads each sequence in the order given.
     """
     if aggregator == "fcmax":
         h = (h @ params["fcmax.weight"]) + params["fcmax.bias"]
     index = padded(seqs).T  # time-major
-    lengths = np.count_nonzero(index >= 0, axis=0)
-    x = ad.gather_rows(h, np.maximum(index, 0))  # padding is never read
     if aggregator != "bilstm":
-        return ad.max_rows(x, lengths)
-    return ad.bilstm_last(x,
+        return ad.max_rows(h, index)
+    return ad.bilstm_last(h,
                           params[f"{prefix}.fw.wx"], params[f"{prefix}.fw.wh"],
                           params[f"{prefix}.fw.b"],
                           params[f"{prefix}.bw.wx"], params[f"{prefix}.bw.wh"],
-                          params[f"{prefix}.bw.b"], lengths=lengths)
+                          params[f"{prefix}.bw.b"], index=index)
 
 
 def predict(ha, hb, task, params):

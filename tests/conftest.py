@@ -11,6 +11,29 @@ def rel_err(got, want):
     return np.max(np.abs(got - want)) / denom
 
 
+def finite_difference_grad(f, params, h=1e-5):
+    """Central finite differences of scalar f() w.r.t. each tensor in params.
+
+    f must be deterministic and must read current .data of the params.
+    Returns a list of arrays matching the parameter shapes.
+    """
+    grads = []
+    for p in params:
+        g = np.zeros_like(p.data)
+        flat = p.data.reshape(-1)
+        gflat = g.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            fp = f()
+            flat[i] = orig - h
+            fm = f()
+            flat[i] = orig
+            gflat[i] = (fp - fm) / (2.0 * h)
+        grads.append(g)
+    return grads
+
+
 def random_graph(rng, n_min=2, n_max=5, feature_dim=3, n_labels=2, labeled=True,
                  edge_prob=0.5, gid="g"):
     n = int(rng.integers(n_min, n_max + 1))

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from graphmatch import autodiff as ad
-from graphmatch.autodiff import Tensor, backward, finite_difference_grad
+from graphmatch.autodiff import Tensor, backward
 from graphmatch.data import gen_clone_dataset, gen_ged_dataset
 from graphmatch.ged import ged_bruteforce, ged_exact
 from graphmatch.graphs import make_graph
@@ -23,6 +23,8 @@ from graphmatch.metrics import mse_metric, spearman_rho
 from graphmatch.model import (Model, ModelConfig, load_checkpoint, loss_mse,
                               save_checkpoint)
 from graphmatch.training import TrainConfig, evaluate_pairs, train
+
+from conftest import finite_difference_grad
 
 GRAD_TOL = 1e-4
 FD_STEP = 1e-5
@@ -94,17 +96,20 @@ def _op_cases(rng):
     cases.append(([a], lambda: (ad.reshape(a, (3, 2)) * w32).mean()))
     cases.append(([a, b], lambda: (ad.concat([a, b], axis=0) * w43).mean()))
     cases.append(([a], lambda: (ad.gather_rows(a, [1, 0, 1]) * w33).mean()))
-    # max_rows and bilstm_last: padded batches of sequences of unequal length
-    xm, w23 = t((3, 2, 3)), w((2, 3))
-    cases.append(([xm], lambda: (ad.max_rows(xm, [3, 2]) * w23).mean()))
+    # max_rows and bilstm_last: rows read through a time-major index padded
+    # with -1, sequences of unequal length, rows out of order and some unread
+    xm, w23 = t((6, 3)), w((2, 3))
+    im = np.array([[4, 1], [0, 5], [2, -1]])
+    cases.append(([xm], lambda: (ad.max_rows(xm, im) * w23).mean()))
     cases.append(([a, b], lambda: (ad.cosine(a, b) * w2).mean()))
     seed = int(rng.integers(1 << 30))
     cases.append(([a], lambda: (ad.dropout(
         a, 0.3, np.random.default_rng(seed), True) * wab).mean()))
-    xs = t((4, 2, 3))
+    xs = t((8, 3))
+    il = np.array([[6, 2], [0, 4], [-1, 1], [-1, 7]])
     lp = [t(s) for s in ((3, 8), (2, 8), (1, 8), (3, 8), (2, 8), (1, 8))]
     wl = w((2, 4))
-    cases.append((([xs] + lp), lambda: (ad.bilstm_last(xs, *lp, lengths=[2, 4]) * wl).mean()))
+    cases.append((([xs] + lp), lambda: (ad.bilstm_last(xs, *lp, index=il) * wl).mean()))
     wc, w24 = t((4, 3)), w((2, 4))
     cases.append(([a, b, wc], lambda: (ad.weighted_cosine(a, b, wc) * w24).mean()))
     # block_matmul: graphs of 2, 3 and 1 nodes, each block in its top-left corner
@@ -157,10 +162,10 @@ def test_gradient_suite():
 
 def test_gradient_suite_covers_every_op(monkeypatch):
     """Gate 1 checks every op: each public function of autodiff, but for
-    backward and finite_difference_grad, is called by some _op_cases build."""
+    backward, is called by some _op_cases build."""
     ops = [name for name, f in vars(ad).items()
            if inspect.isfunction(f) and f.__module__ == ad.__name__ and not name.startswith("_")
-           and name not in ("backward", "finite_difference_grad")]
+           and name != "backward"]
     called = set()
 
     def recorded(name, op):

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphmatch import autodiff as ad
-from graphmatch.autodiff import Tensor, backward, finite_difference_grad
+from graphmatch.autodiff import Tensor, backward
 from graphmatch.model import ModelConfig, init_params
 
-from conftest import rel_err
+from conftest import finite_difference_grad, rel_err
 
 
 def fd_check(build, tensors, tol=1e-4, h=1e-5):
@@ -171,7 +173,8 @@ def test_primitive_gradients_fd(seed):
         # relu and max_rows away from their kinks; max_rows over the two
         # columns of a @ c as sequences of 3 and 2 rows
         (lambda: ad.relu(a + Tensor(5.0)).mean(), [a]),
-        (lambda: ad.max_rows(ad.reshape(ad.matmul(a, c), (3, 2, 1)), [3, 2]).mean(), [a, c]),
+        (lambda: ad.max_rows(ad.reshape(ad.matmul(a, c), (6, 1)),
+                             [[0, 1], [2, 3], [4, -1]]).mean(), [a, c]),
     ]
     for build, params in cases:
         for p in params:
@@ -205,19 +208,20 @@ def test_forward_determinism():
 def test_bilstm_last_gradients_fd(seed):
     rng = np.random.default_rng(100 + seed)
     steps, k, h = 5, 3, 2
-    x = Tensor(rng.normal(size=(steps, 1, k)), requires_grad=True)  # one sequence
+    x = Tensor(rng.normal(size=(steps, k)), requires_grad=True)
     params = [Tensor(rng.normal(size=s) * 0.5, requires_grad=True)
               for s in ((k, 4 * h), (h, 4 * h), (1, 4 * h)) * 2]
     mix = Tensor(rng.normal(size=(1, 2 * h)))
-    fd_check(lambda: (ad.bilstm_last(x, *params, lengths=[steps]) * mix).mean(), [x] + params)
+    one = np.arange(steps)[:, None]  # one sequence of every row
+    fd_check(lambda: (ad.bilstm_last(x, *params, index=one) * mix).mean(), [x] + params)
 
 
 def test_bilstm_last_reverses_cleanly():
     # a single step means forward and backward directions see the same input
     rng = np.random.default_rng(0)
-    x = Tensor(rng.normal(size=(1, 1, 3)))
+    x = Tensor(rng.normal(size=(1, 3)))
     p = [Tensor(rng.normal(size=s)) for s in ((3, 8), (2, 8), (1, 8))]
-    out = ad.bilstm_last(x, *p, *p, lengths=[1])
+    out = ad.bilstm_last(x, *p, *p, index=[[0]])
     fw, bw = out.data[0, :2], out.data[0, 2:]
     assert np.allclose(fw, bw)
 
@@ -264,30 +268,42 @@ def lstm_params(rng, k, h):
             for s in ((k, 4 * h), (h, 4 * h), (1, 4 * h)) * 2]
 
 
+def ragged_index(rng, lengths, rows):
+    """A time-major index (max(lengths), S), padded with -1, whose sequences
+    of the given lengths read distinct rows of range(rows) in random order."""
+    index = np.full((max(lengths), len(lengths)), -1)
+    read = iter(rng.permutation(rows))
+    for s, n in enumerate(lengths):
+        index[:n, s] = [next(read) for _ in range(n)]
+    return index
+
+
 @pytest.mark.parametrize("seed", range(2))
 def test_bilstm_last_sequences_gradients_fd(seed):
     rng = np.random.default_rng(300 + seed)
-    steps, k, h = 4, 3, 2
+    k, h = 3, 2
     lengths = [2, 4, 1, 4]  # unequal, including a single step
-    x = Tensor(rng.normal(size=(steps, len(lengths), k)), requires_grad=True)
+    x = Tensor(rng.normal(size=(sum(lengths) + 2, k)), requires_grad=True)
+    index = ragged_index(rng, lengths, len(x.data))
     params = lstm_params(rng, k, h)
     mix = Tensor(rng.normal(size=(len(lengths), 2 * h)))
-    fd_check(lambda: (ad.bilstm_last(x, *params, lengths=lengths) * mix).mean(),
+    fd_check(lambda: (ad.bilstm_last(x, *params, index=index) * mix).mean(),
              [x] + params)
-    # rows past a sequence's length get no gradient
-    for s, n in enumerate(lengths):
-        assert np.array_equal(x.grad[n:, s], np.zeros((steps - n, k)))
+    # rows no sequence reads get no gradient
+    unread = np.setdiff1d(np.arange(len(x.data)), index)
+    assert len(unread) == 2 and np.array_equal(x.grad[unread], np.zeros((2, k)))
 
 
 def test_bilstm_last_sequences_match_single_calls():
     rng = np.random.default_rng(5)
-    steps, k, h = 5, 3, 4
+    k, h = 3, 4
     lengths = [3, 5, 1]
-    x = rng.normal(size=(steps, len(lengths), k))
+    x = Tensor(rng.normal(size=(sum(lengths), k)))
+    index = ragged_index(rng, lengths, len(x.data))
     params = lstm_params(rng, k, h)
-    out = ad.bilstm_last(Tensor(x), *params, lengths=lengths).data
+    out = ad.bilstm_last(x, *params, index=index).data
     for s, n in enumerate(lengths):
-        one = ad.bilstm_last(Tensor(x[:n, s:s + 1]), *params, lengths=[n]).data
+        one = ad.bilstm_last(x, *params, index=index[:n, s:s + 1]).data
         assert np.allclose(out[s], one[0], rtol=0, atol=1e-12)
 
 
@@ -307,9 +323,10 @@ def reference_lstm_last(x, wx, wh, b):
 
 def test_bilstm_last_matches_reference_lstm():
     rng = np.random.default_rng(8)
-    steps, k, h = 5, 4, 4  # the sgnn BiLSTM reads gcn_dim rows into gcn_dim units
+    k, h = 4, 4  # the sgnn BiLSTM reads gcn_dim rows into gcn_dim units
     lengths = [3, 5, 1, 2]
-    x = rng.normal(size=(steps, len(lengths), k))
+    x = rng.normal(size=(sum(lengths), k))
+    index = ragged_index(rng, lengths, len(x))
     # model initialisation, so the forget bias of 1 sits where the kernel reads it
     config = ModelConfig(feature_dim=1, gcn_dim=h, mode="sgnn", sgnn_aggregator="bilstm",
                          task="classification")
@@ -318,15 +335,15 @@ def test_bilstm_last_matches_reference_lstm():
     # a nonzero bias in every gate as well
     for p in params[2], params[5]:
         p.data += rng.normal(size=p.data.shape)
-    out = ad.bilstm_last(Tensor(x), *params, lengths=lengths).data
+    out = ad.bilstm_last(Tensor(x), *params, index=index).data
     fw, bw = ([p.data for p in params[:3]], [p.data for p in params[3:]])
     for s, n in enumerate(lengths):
-        seq = x[:n, s]
+        seq = x[index[:n, s]]
         assert np.allclose(out[s, :h], reference_lstm_last(seq, *fw), rtol=0, atol=1e-12)
         assert np.allclose(out[s, h:], reference_lstm_last(seq[::-1], *bw),
                            rtol=0, atol=1e-12)
     params[4].data += 0.5
-    moved = ad.bilstm_last(Tensor(x), *params, lengths=lengths).data
+    moved = ad.bilstm_last(Tensor(x), *params, index=index).data
     assert np.array_equal(moved[:, :h], out[:, :h])
     assert not np.allclose(moved[:, h:], out[:, h:])
 
@@ -401,6 +418,26 @@ def bilstm_last_reference(x, params, lengths):
     return out, bw
 
 
+def sequence_rows(rng, x, lengths, unread=2):
+    """Padded time-major sequences x (T, S, k) of the given lengths as rows
+    (R, k) and an index (T, S): the rows read sit in random order among
+    ``unread`` random rows that no sequence reads."""
+    index = ragged_index(rng, lengths, sum(lengths) + unread)
+    assert index.shape == x.shape[:2]
+    rows = rng.normal(size=(sum(lengths) + unread, x.shape[2]))
+    rows[index[index >= 0]] = x[index >= 0]
+    return rows, index
+
+
+def assert_rows_are(gx, want, index):
+    """gx (R, k) holds the padded gradient want (T, S, k) at the rows index
+    reads, byte for byte, and exactly 0.0 at every row it does not read."""
+    read = index[index >= 0]
+    assert gx[read].tobytes() == want[index >= 0].tobytes()
+    unread = np.setdiff1d(np.arange(len(gx)), read)
+    assert gx[unread].tobytes() == np.zeros((len(unread), gx.shape[1])).tobytes()
+
+
 @pytest.mark.parametrize("steps, lengths, k, h", [
     (1, [1], 3, 2),                     # one step of one sequence
     (6, [6], 4, 4),                     # one sequence
@@ -416,38 +453,100 @@ def test_bilstm_last_is_the_reference_bit_for_bit(steps, lengths, k, h, x_scale,
     rng = np.random.default_rng([steps, k, h, len(lengths)])
     x = rng.normal(size=(steps, len(lengths), k)) * x_scale
     params = [rng.normal(size=s) * w_scale for s in ((k, 4 * h), (h, 4 * h), (1, 4 * h)) * 2]
-    out = ad.bilstm_last(Tensor(x, requires_grad=True),
-                         *(Tensor(p, requires_grad=True) for p in params), lengths=lengths)
+    rows, index = sequence_rows(rng, x, lengths)
+    out = ad.bilstm_last(Tensor(rows, requires_grad=True),
+                         *(Tensor(p, requires_grad=True) for p in params), index=index)
     want, want_bw = bilstm_last_reference(x, params, lengths)
     assert out.data.tobytes() == want.tobytes()
     grad = rng.normal(size=want.shape)
-    for got, ref in zip(out._backward(grad), want_bw(grad), strict=True):
+    (gx, *gw), (want_gx, *want_gw) = out._backward(grad), want_bw(grad)
+    assert_rows_are(gx, want_gx, index)
+    for got, ref in zip(gw, want_gw, strict=True):
         assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
-def test_bilstm_last_lengths_checked():
+def max_rows_reference(x, lengths):
+    """An earlier ``max_rows`` on a padded time-major batch x (T, S, k) and its
+    lengths (S,): the output and its backward."""
+    valid = np.arange(len(x))[:, None] < np.asarray(lengths)
+    arg = np.argmax(np.where(valid[..., None], x, -np.inf), axis=0)[None]
+
+    def bw(g):
+        gx = np.zeros_like(x)
+        np.put_along_axis(gx, arg, g[None], axis=0)
+        return (gx,)
+
+    return np.take_along_axis(x, arg, axis=0)[0], bw
+
+
+@st.composite
+def ragged_layouts(draw):
+    """Sequence lengths, rows no sequence reads, row width, LSTM width, a seed,
+    and whether rows hold small integers, so that maxima tie.
+
+    The LSTM width starts at 2: at width 1, one sequence of 6 rows makes the
+    recurrent weight gradient a (1, 6) @ (6, 4) product, which BLAS rounds
+    apart from the reference's batched one, for the padded-batch op too."""
+    return (draw(st.lists(st.integers(1, 6), min_size=1, max_size=5)),
+            draw(st.integers(0, 3)), draw(st.integers(1, 4)), draw(st.integers(2, 4)),
+            draw(st.integers(0, 2 ** 32 - 1)), draw(st.booleans()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(ragged_layouts())
+def test_sequence_ops_on_ragged_layouts_are_the_references_bit_for_bit(layout):
+    lengths, unread, k, h, seed, ties = layout
+    rng = np.random.default_rng(seed)
+    size = (sum(lengths) + unread, k)
+    rows = rng.integers(-2, 3, size=size) * 1.0 if ties else rng.normal(size=size)
+    index = ragged_index(rng, lengths, len(rows))
+    batch = rows[np.maximum(index, 0)]  # the padded batch, as gathered before
+    params = [rng.normal(size=s) for s in ((k, 4 * h), (h, 4 * h), (1, 4 * h)) * 2]
+    lstm = [Tensor(p, requires_grad=True) for p in params]
+    x = Tensor(rows, requires_grad=True)
+    for out, (want, want_bw) in (
+            (ad.max_rows(x, index), max_rows_reference(batch, lengths)),
+            (ad.bilstm_last(x, *lstm, index=index),
+             bilstm_last_reference(batch, params, lengths))):
+        assert out.data.tobytes() == want.tobytes()
+        grad = rng.normal(size=want.shape)
+        (gx, *gw), (want_gx, *want_gw) = out._backward(grad), want_bw(grad)
+        assert_rows_are(gx, want_gx, index)
+        for got, ref in zip(gw, want_gw, strict=True):
+            assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("op", ["max_rows", "bilstm_last"])
+@pytest.mark.parametrize("index, match", [
+    ([[-1, 0]], "an empty sequence"),
+    ([[0, -1], [1, 2]], "padding before a sequence's end"),
+    ([[0, 1], [2, 1]], "reads a row twice"),
+    ([[0, 8]], "reads a row out of range of 8 rows"),
+    ([0, 1], r"needs \(R, k\) rows and a nonempty \(T, S\) index"),
+    (np.zeros((0, 2), dtype=np.intp), r"needs \(R, k\) rows and a nonempty \(T, S\) index"),
+], ids=["empty-sequence", "padding-inside", "row-twice", "out-of-range", "1-D", "empty"])
+def test_sequence_index_checked(op, index, match):
     rng = np.random.default_rng(0)
     params = lstm_params(rng, 3, 2)
-    x = Tensor(rng.normal(size=(4, 2, 3)))
-    for bad in ([4], [0, 2], [5, 1]):
-        with pytest.raises(ad.ShapeError, match="lengths"):
-            ad.bilstm_last(x, *params, lengths=bad)
-    # one unbatched (T, k) sequence is refused: both ops read (T, S, k) batches
-    with pytest.raises(ad.ShapeError, match=r"needs \(T, S, k\) sequences, got \(4, 3\)"):
-        ad.bilstm_last(Tensor(x.data[:, 0]), *params, lengths=[4])
-    with pytest.raises(ad.ShapeError, match=r"needs \(T, S, k\) sequences, got \(4, 3\)"):
-        ad.max_rows(Tensor(x.data[:, 0]), [4])
+    run = {"max_rows": lambda x: ad.max_rows(x, index),
+           "bilstm_last": lambda x: ad.bilstm_last(x, *params, index=index)}[op]
+    with pytest.raises(ad.ShapeError, match=f"^{op}.*{match}"):
+        run(Tensor(rng.normal(size=(8, 3))))
+    # a padded batch (T, S, k) is refused: both ops read rows through the index
+    with pytest.raises(ad.ShapeError, match=r"needs \(R, k\) rows"):
+        run(Tensor(rng.normal(size=(4, 2, 3))))
 
 
 def test_max_rows_sequences_match_single_calls_and_fd():
     rng = np.random.default_rng(6)
     lengths = [1, 3, 2]
-    x = Tensor(rng.normal(size=(3, 3, 4)), requires_grad=True)
-    out = ad.max_rows(x, lengths).data
+    x = Tensor(rng.normal(size=(8, 4)), requires_grad=True)
+    index = ragged_index(rng, lengths, len(x.data))
+    out = ad.max_rows(x, index).data
     for s, n in enumerate(lengths):
-        assert np.array_equal(out[s], ad.max_rows(Tensor(x.data[:n, s:s + 1]), [n]).data[0])
+        assert np.array_equal(out[s], ad.max_rows(x, index[:n, s:s + 1]).data[0])
     mix = Tensor(rng.normal(size=(3, 4)))
-    fd_check(lambda: (ad.max_rows(x, lengths) * mix).mean(), [x])
+    fd_check(lambda: (ad.max_rows(x, index) * mix).mean(), [x])
 
 
 @pytest.mark.parametrize("indices", [

@@ -101,6 +101,16 @@ def test_numeric_duplicate_ids_rejected(tmp_path):
         load_dataset(tmp_path / "graphs.jsonl")
 
 
+def test_boolean_edge_and_label_rejected(tmp_path):
+    # true and false would otherwise load as edge (0, 1) and label 1
+    path = tmp_path / "graphs.jsonl"
+    write_jsonl(path, [{"id": "b", "nodes": [[1.0]], "edges": []},
+                       {"id": "a", "nodes": [[1.0], [2.0]], "edges": [[True, False]],
+                        "labels": [True, 2]}])
+    with pytest.raises(DatasetError, match=re.escape(f"{path}:2: graph 'a': edge [True, False]")):
+        load_dataset(path)
+
+
 def test_numeric_split_ids_match_numeric_graph_ids(tmp_path):
     write_jsonl(tmp_path / "graphs.jsonl",
                 [{"id": i, "nodes": [[1.0]], "edges": []} for i in (1, 2)])

@@ -97,6 +97,9 @@ def test_label_length_checked():
     (np.array([[0.0], [np.nan]]), [], None),
     (np.array([[np.inf], [0.0]]), [], None),
     (np.zeros((2, 0)), [(0, 1)], None),         # zero-width features
+    (np.zeros((2, 1)), [[True, False]], None),  # JSON's true is not node 1
+    (np.zeros((2, 1)), [[0, True]], None),
+    (np.zeros((2, 1)), [], [True, 2]),          # nor label 1
 ])
 def test_malformed_graph_rejected(feats, edges, labels):
     with pytest.raises(GraphError, match="graph 'a'"):

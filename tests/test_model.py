@@ -10,13 +10,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphmatch import autodiff as ad
-from graphmatch.autodiff import Tensor, backward, finite_difference_grad
+from graphmatch.autodiff import Tensor, backward
 from graphmatch.graphs import make_graph, normalized_adjacency
 from graphmatch.model import (ConfigError, Model, ModelConfig, aggregate, encode_arrays,
                               init_params, load_checkpoint, loss_mse, node_graph_match, padded,
                               param_shapes, predict, save_checkpoint)
 
-from conftest import random_graph, rel_err
+from conftest import finite_difference_grad, random_graph, rel_err
 
 
 def tiny_config(**kw):

@@ -19,8 +19,8 @@ from graphmatch.model import (AGGREGATORS, MODES, TASKS, ConfigError, Model, Mod
                               config_from_dict, encode_arrays, load_checkpoint,
                               save_checkpoint)
 from graphmatch.optim import Adam
-from graphmatch.training import (TrainConfig, TrainingError, _save_train_state,
-                                 sample_classification_pairs, train)
+from graphmatch.training import (TrainConfig, TrainingError, _batch_step,
+                                 _save_train_state, sample_classification_pairs, train)
 
 
 def tiny_model(task="regression", feature_dim=3, **kw):
@@ -193,6 +193,38 @@ def test_run_file_bytes_are_pinned(tmp_path, reg_dataset, monkeypatch):
         assert hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest() == want, (
             f"{name}: pinned under OpenBLAS core {RUN_FILE_BLAS_CORE}, "
             f"ran under {openblas_core()}")
+
+
+class CountedAt:
+    """A ufunc whose ``at`` method counts its calls."""
+
+    def __init__(self, ufunc):
+        self.ufunc, self.at_calls = ufunc, 0
+
+    def __call__(self, *args, **kwargs):
+        return self.ufunc(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.ufunc, name)
+
+    def at(self, *args, **kwargs):
+        self.at_calls += 1
+        return self.ufunc.at(*args, **kwargs)
+
+
+def test_train_steps_scatter_without_add_at(reg_dataset, monkeypatch):
+    """No row is read twice in a train step, padding included, so no backward
+    scatter takes the np.add.at path."""
+    add = CountedAt(np.add)
+    monkeypatch.setattr(np, "add", add)
+    model = acceptance_model()
+    optimizer = Adam(model.params, lr=5e-3)
+    rng = np.random.default_rng(0)
+    pairs = reg_dataset.pairs_for_split("train")
+    for _ in range(10):
+        batch = [pairs[int(i)] for i in rng.integers(0, len(pairs), size=16)]
+        _batch_step(model, reg_dataset, batch, optimizer, rng)
+    assert add.at_calls == 0
 
 
 def test_writing_a_train_state_holds_little_beyond_the_file(tmp_path):
