@@ -4,9 +4,10 @@ Everything is float64 numpy under the hood. A Tensor is a node of a dynamic
 computation graph: ops record their parents and a backward closure, and
 ``backward`` replays the graph in reverse topological order. The op set, and
 the one form each op takes, is what the matching models run: every operand
-is a Tensor, and the sequence ops read rows (R, k) through a time-major index
-(T, S) padded with -1, as cross_attention does. The acceptance gradient gate
-checks each op against finite differences; no broadcasting beyond numpy's.
+is a Tensor, and max_rows, bilstm_last and cross_attention read rows (R, k)
+through one time-major index (T, S) padded with -1, which ``_sequences``
+checks. The acceptance gradient gate checks each op against finite
+differences; no broadcasting beyond numpy's.
 """
 
 import numpy as np
@@ -215,10 +216,13 @@ def max_rows(x, index):
 
 
 def _sequences(x, index, op):
-    """The index (T, S) of S time-major sequences of rows of x (R, k), padded
-    with -1, as an array, and their lengths (S,). None is empty or padded before
-    its end, and none reads a row twice, so backward assigns each row's gradient."""
+    """The integer index (T, S) of S time-major sequences of rows of x (R, k),
+    padded with -1, as an array, and their lengths (S,). None is empty or padded
+    before its end, and none reads a row twice, so backward assigns each row's
+    gradient."""
     index = np.asarray(index)
+    if not np.issubdtype(index.dtype, np.integer):
+        raise ShapeError(f"{op}: index of dtype {index.dtype} is not integer")
     if x.data.ndim != 2 or index.ndim != 2 or index.size == 0:
         raise ShapeError(f"{op} needs (R, k) rows and a nonempty (T, S) index, "
                          f"got {x.shape} and {index.shape}")
@@ -343,11 +347,12 @@ def bilstm_last(x, wx_f, wh_f, b_f, wx_b, wh_b, b_b, index):
     The history is time-major, (T, 2, S, .), with the state entering each
     step; a sequence's last state is read at its length. Gate columns are
     [input, forget, cell, output], as stored; the cell gate is tanh, the rest
-    sigmoid(z) = 0.5 + 0.5 tanh(z / 2): their columns of the weights and bias
-    are halved once per call, and a step takes one tanh of all four gates,
-    then one scale and shift. Halving and the 0.5 affine map are exact in
-    binary floating point outside the subnormal range. The forward math is
-    plain numpy, and the backward pass is hand-written BPTT.
+    sigmoid(z) = 0.5 + 0.5 tanh(z / 2): a step halves their columns of the
+    pre-activation, takes one tanh of all four gates, then one scale and
+    shift; both directions share one unscaled stack of the recurrent weights.
+    Halving and the 0.5 affine map are exact in binary floating point outside
+    the subnormal range. The forward math is plain numpy, and the backward
+    pass is hand-written BPTT.
     """
     params = (wx_f, wh_f, b_f, wx_b, wh_b, b_b)
     index, lengths = _sequences(x, index, "bilstm_last")
@@ -379,9 +384,7 @@ def bilstm_last(x, wx_f, wh_f, b_f, wx_b, wh_b, b_b, index):
     for d, (wx, b) in enumerate(((wx_f, b_f), (wx_b, b_b))):
         np.matmul(xs[d], wx.data, out=z_in[d].reshape(-1, 4 * h))
         z_in[d] += b.data
-    z_in *= scale
     wh = np.stack([wh_f.data, wh_b.data])
-    wh *= scale
 
     gates = np.zeros((steps, 2, count, 4 * h))  # gate activations
     cs = np.zeros((steps + 1, 2, count, h))     # cell state entering each step
@@ -389,6 +392,7 @@ def bilstm_last(x, wx_f, wh_f, b_f, wx_b, wh_b, b_b, index):
     for t, n in enumerate(active):
         a = np.matmul(ss[t, :, :n], wh, out=gates[t, :, :n])
         a += z_in[:, t, :n]
+        a *= scale
         np.tanh(a, out=a)
         a *= scale
         a += shift
@@ -402,7 +406,7 @@ def bilstm_last(x, wx_f, wh_f, b_f, wx_b, wh_b, b_b, index):
         ds = np.stack([grad[order, :h], grad[order, h:]])
         dc = np.zeros((2, count, h))
         dz_all = np.zeros((2, steps, count, 4 * h))
-        wh_t = np.stack([wh_f.data, wh_b.data]).transpose(0, 2, 1)
+        wh_t = wh.transpose(0, 2, 1)
         for t in range(steps - 1, -1, -1):
             n = active[t]
             a = gates[t, :, :n]
@@ -486,24 +490,39 @@ def block_matmul(blocks, x, where):
                  lambda g: (apply(blocks.transpose(0, 2, 1), g),))
 
 
-def cross_attention(x, rows1, rows2):
+def cross_attention(x, index):
     """Each node's attention-weighted summary of the other graph of its pair.
 
-    x: (R, d) node rows of every pair side; rows1: (B, n) the rows of each
-    pair's first graph, padded with -1; rows2: (B, m) likewise for the second
-    graph. Every row of x belongs to exactly one pair side. The attention
-    weight of node i on node j of the other graph is their cosine, under the
-    same EPS clamp and zero-gradient rule as ``cosine``. Returns (R, d): row i
-    of a first graph holds sum_j weight_ij x_j over its pair's second graph,
-    and conversely.
+    x: (R, d) node rows of every pair side; index: (T, 2B) the rows of B pairs'
+    graphs, time-major, padded with -1, as ``_sequences`` checks it: pair p's
+    first graph in column p and its second in column B + p, so no row is on
+    both sides. The attention weight of node i on node j of the other graph
+    is their cosine, under the same EPS clamp and zero-gradient rule as
+    ``cosine``. Returns (R, d): row i of a first graph holds sum_j weight_ij
+    x_j over its pair's second graph, and conversely; a row not read holds 0.
     """
-    if x.data.ndim != 2 or rows1.shape[0] != rows2.shape[0]:
-        raise ShapeError(f"cross_attention shapes disagree: x {x.shape}, "
-                         f"rows {rows1.shape}, {rows2.shape}")
-    v1, v2 = rows1 >= 0, rows2 >= 0
-    r1, r2 = rows1[v1], rows2[v2]
-    a = np.where(v1[..., None], x.data[np.maximum(rows1, 0)], 0.0)  # (B, n, d)
-    b = np.where(v2[..., None], x.data[np.maximum(rows2, 0)], 0.0)  # (B, m, d)
+    index, lengths = _sequences(x, index, "cross_attention")
+    count, odd = divmod(index.shape[1], 2)
+    if odd:
+        raise ShapeError(f"cross_attention: index has an odd column count, {index.shape[1]}")
+    n, m = lengths[:count].max(), lengths[count:].max()
+    live = index >= 0
+    read = index[live]
+    shape = (2 * count, len(index), x.data.shape[1])  # every pair side's rows
+
+    def sides(rows):  # rows (R, d) as each pair's (B, n, d) and (B, m, d), 0 on padding
+        s = np.zeros(shape)
+        s.transpose(1, 0, 2)[live] = rows[read]
+        return s[:count, :n], s[count:, :m]
+
+    def scatter(first, second):  # the inverse of sides; a row not read gets 0
+        s = np.zeros(shape)
+        s[:count, :n], s[count:, :m] = first, second
+        rows = np.zeros_like(x.data)
+        rows[read] = s.transpose(1, 0, 2)[live]
+        return rows
+
+    a, b = sides(x.data)
     na = np.sqrt(np.sum(a * a, axis=-1))
     nb = np.sqrt(np.sum(b * b, axis=-1))
     cna = np.maximum(na, EPS)[:, :, None]
@@ -512,15 +531,10 @@ def cross_attention(x, rows1, rows2):
     # rounds exactly as ``cosine`` rounds it
     alpha = np.sum(a[:, :, None] * b[:, None], axis=-1) / (cna * cnb)  # 0 on padding
     alpha_t = np.ascontiguousarray(alpha.transpose(0, 2, 1))  # as alpha of the swapped pair
-    out = np.zeros_like(x.data)
-    out[r1] = (alpha @ b)[v1]
-    out[r2] = (alpha_t @ a)[v2]
+    out = scatter(alpha @ b, alpha_t @ a)
 
     def bw(g):
-        g2 = np.zeros(a.shape)
-        g2[v1] = g[r1]
-        g1 = np.zeros(b.shape)
-        g1[v2] = g[r2]
+        g2, g1 = sides(g)
         dalpha = g2 @ b.transpose(0, 2, 1) + a @ g1.transpose(0, 2, 1)
         ga = alpha @ g1
         gb = alpha.transpose(0, 2, 1) @ g2
@@ -532,10 +546,6 @@ def cross_attention(x, rows1, rows2):
         ga += ginv @ b - galpha.sum(axis=2)[..., None] * a / (cna * cna)
         gb += ginv.transpose(0, 2, 1) @ a \
             - galpha.sum(axis=1)[..., None] * b / (cnb * cnb).transpose(0, 2, 1)
-        gx = np.zeros_like(x.data)
-        gx[r1] = ga[v1]
-        gx[r2] = gb[v2]
-        return (gx,)
+        return (scatter(ga, gb),)
 
     return _make(out, (x,), bw)
-

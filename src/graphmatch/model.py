@@ -139,8 +139,8 @@ def init_params(config: ModelConfig, rng) -> dict:
 #
 # A batch is laid out as stacked rows: node rows of every graph one after the
 # other, and a sequence of nodes is an array of row indices. Ragged groups of
-# rows (the nodes of each pair side, the sequences an aggregator reads) are
-# handed to the fused ops as index arrays padded with -1.
+# rows (the nodes of each pair side, the sequences an aggregator reads) reach
+# the fused ops as one time-major ``padded`` index, sequence i in column i.
 
 def consecutive(sizes):
     """Row-index arrays of consecutive groups of the given sizes."""
@@ -148,10 +148,10 @@ def consecutive(sizes):
 
 
 def padded(seqs):
-    """(len(seqs), longest) index array of the row sequences, padded with -1."""
-    out = np.full((len(seqs), max(len(q) for q in seqs)), -1, dtype=np.intp)
+    """Time-major (longest, len(seqs)) index of the row sequences, padded with -1."""
+    out = np.full((max(len(q) for q in seqs), len(seqs)), -1, dtype=np.intp)
     for i, q in enumerate(seqs):
-        out[i, :len(q)] = q
+        out[:len(q), i] = q
     return out
 
 
@@ -174,28 +174,25 @@ def gcn_forward(graphs, params, config, training, rng):
     return h
 
 
-def node_graph_match(x, rows1, rows2, w):
+def node_graph_match(x, index, w):
     """Cross-level matching features (R, P) of pair-node rows x (R, d): every
     node against the attentive summary of the other graph of its pair, under
-    each perspective row of w. rows1/rows2 as in ``ad.cross_attention``."""
-    return ad.weighted_cosine(x, ad.cross_attention(x, rows1, rows2), w)
+    each perspective row of w. index: the (T, 2B) ``padded`` index of the B
+    pairs' first graphs, then their second graphs, as ``ad.cross_attention`` reads it."""
+    return ad.weighted_cosine(x, ad.cross_attention(x, index), w)
 
 
-def aggregate(h, aggregator, params, prefix, seqs):
-    """One vector per row sequence of h, no row in two; (len(seqs), L).
+def aggregate(h, aggregator, params, prefix, index):
+    """One vector per sequence of rows of h, (S, L): the columns of a (T, S) index.
 
     max/fcmax are order-free; bilstm reads each sequence in the order given.
     """
     if aggregator == "fcmax":
         h = (h @ params["fcmax.weight"]) + params["fcmax.bias"]
-    index = padded(seqs).T  # time-major
     if aggregator != "bilstm":
         return ad.max_rows(h, index)
-    return ad.bilstm_last(h,
-                          params[f"{prefix}.fw.wx"], params[f"{prefix}.fw.wh"],
-                          params[f"{prefix}.fw.b"],
-                          params[f"{prefix}.bw.wx"], params[f"{prefix}.bw.wh"],
-                          params[f"{prefix}.bw.b"], index=index)
+    return ad.bilstm_last(h, *(params[f"{prefix}.{d}.{name}"] for d in ("fw", "bw")
+                               for name in ("wx", "wh", "b")), index=index)
 
 
 def predict(ha, hb, task, params):
@@ -305,8 +302,8 @@ class Model:
                 if use_sgnn and cfg.sgnn_aggregator == "bilstm":
                     for k in pair:
                         sgnn_seqs[k] = nodes[k][rng.permutation(len(nodes[k]))]
-        sg = aggregate(h, cfg.sgnn_aggregator, self.params, "sgnn_lstm", sgnn_seqs) \
-            if use_sgnn else None
+        sg = aggregate(h, cfg.sgnn_aggregator, self.params, "sgnn_lstm",
+                       padded(sgnn_seqs)) if use_sgnn else None
         return Encoded(h, nodes, sg, orders if training else None)
 
     def pair_stage(self, enc, slots):
@@ -321,11 +318,12 @@ class Model:
             sides = slots.reshape(-1)
             x = ad.gather_rows(enc.h, np.concatenate([enc.nodes[k] for k in sides]))
             rows = consecutive([len(enc.nodes[k]) for k in sides])
-            m = node_graph_match(x, padded(rows[0::2]), padded(rows[1::2]),
-                                 self.params["perspective.weight"])
+            index = padded(rows[0::2] + rows[1::2])  # first graphs, then second graphs
+            m = node_graph_match(x, index, self.params["perspective.weight"])
             if enc.orders is not None:
                 rows = [r[enc.orders[k]] for r, k in zip(rows, sides)]
-            ng = aggregate(m, "bilstm", self.params, "ngmn_lstm", rows[0::2] + rows[1::2])
+                index = padded(rows[0::2] + rows[1::2])
+            ng = aggregate(m, "bilstm", self.params, "ngmn_lstm", index)
             heads_a.append(ad.gather_rows(ng, np.arange(count)))
             heads_b.append(ad.gather_rows(ng, np.arange(count, 2 * count)))
         if enc.sg is not None:

@@ -120,13 +120,15 @@ def _op_cases(rng):
     where = (np.repeat(np.arange(3), sizes), np.concatenate([np.arange(n) for n in sizes]))
     xg, w62 = t((6, 2)), w((6, 2))
     cases.append(([xg], lambda: (ad.block_matmul(blocks, xg, where) * w62).mean()))
-    # cross_attention: pairs of 3 against 2 and 1 against 2 nodes, padded with -1,
-    # each of the 8 shuffled rows on exactly one pair side
+    # cross_attention: pairs of 3 against 2 and 1 against 2 nodes, each of the 8
+    # shuffled rows on exactly one pair side, in a time-major index padded with
+    # -1: the first graphs in columns 0-1, the second graphs in columns 2-3
     perm = rng.permutation(8)
-    rows1 = np.array([[perm[0], perm[1], perm[2]], [perm[5], -1, -1]])
-    rows2 = np.array([[perm[3], perm[4]], [perm[6], perm[7]]])
+    ip = np.array([[perm[0], perm[5], perm[3], perm[6]],
+                   [perm[1], -1, perm[4], perm[7]],
+                   [perm[2], -1, -1, -1]])
     xp, w83 = t((8, 3)), w((8, 3))
-    cases.append(([xp], lambda: (ad.cross_attention(xp, rows1, rows2) * w83).mean()))
+    cases.append(([xp], lambda: (ad.cross_attention(xp, ip) * w83).mean()))
     return cases
 
 

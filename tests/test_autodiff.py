@@ -516,25 +516,40 @@ def test_sequence_ops_on_ragged_layouts_are_the_references_bit_for_bit(layout):
             assert got.tobytes() == ref.tobytes()
 
 
-@pytest.mark.parametrize("op", ["max_rows", "bilstm_last"])
-@pytest.mark.parametrize("index, match", [
-    ([[-1, 0]], "an empty sequence"),
-    ([[0, -1], [1, 2]], "padding before a sequence's end"),
-    ([[0, 1], [2, 1]], "reads a row twice"),
-    ([[0, 8]], "reads a row out of range of 8 rows"),
-    ([0, 1], r"needs \(R, k\) rows and a nonempty \(T, S\) index"),
-    (np.zeros((0, 2), dtype=np.intp), r"needs \(R, k\) rows and a nonempty \(T, S\) index"),
-], ids=["empty-sequence", "padding-inside", "row-twice", "out-of-range", "1-D", "empty"])
+INDEX_OPS = ["max_rows", "bilstm_last", "cross_attention"]
+# every malformed index has two columns, one pair to cross_attention
+INDEX_FAULTS = [
+    ("empty-sequence", [[-1, 0]], "an empty sequence"),
+    ("padding-inside", [[0, -1], [1, 2]], "padding before a sequence's end"),
+    ("row-twice", [[0, 1], [2, 1]], "reads a row twice"),
+    ("out-of-range", [[0, 8]], "reads a row out of range of 8 rows"),
+    ("1-D", [0, 1], r"needs \(R, k\) rows and a nonempty \(T, S\) index"),
+    ("empty", np.zeros((0, 2), dtype=np.intp),
+     r"needs \(R, k\) rows and a nonempty \(T, S\) index"),
+    ("float", [[0.0, 1.0]], "index of dtype float64 is not integer"),
+    ("bool", [[True, False]], "index of dtype bool is not integer"),
+]
+
+
+@pytest.mark.parametrize("op, index, match", [
+    pytest.param(op, index, match, id=f"{name}-{op}")
+    for name, index, match in INDEX_FAULTS for op in INDEX_OPS
+] + [  # one pair whose graphs share row 1; three graphs, not pairs
+    pytest.param("cross_attention", [[0, 1], [1, 2]], "reads a row twice",
+                 id="both-sides-cross_attention"),
+    pytest.param("cross_attention", [[0, 1, 2]], "an odd column count, 3",
+                 id="odd-columns-cross_attention")])
 def test_sequence_index_checked(op, index, match):
     rng = np.random.default_rng(0)
     params = lstm_params(rng, 3, 2)
-    run = {"max_rows": lambda x: ad.max_rows(x, index),
-           "bilstm_last": lambda x: ad.bilstm_last(x, *params, index=index)}[op]
+    run = {"max_rows": ad.max_rows, "cross_attention": ad.cross_attention,
+           "bilstm_last": lambda x, i: ad.bilstm_last(x, *params, index=i)}[op]
     with pytest.raises(ad.ShapeError, match=f"^{op}.*{match}"):
-        run(Tensor(rng.normal(size=(8, 3))))
-    # a padded batch (T, S, k) is refused: both ops read rows through the index
+        run(Tensor(rng.normal(size=(8, 3))), index)
+    # a padded batch (T, S, k) is refused, under a sound index: every op reads
+    # rows through the index
     with pytest.raises(ad.ShapeError, match=r"needs \(R, k\) rows"):
-        run(Tensor(rng.normal(size=(4, 2, 3))))
+        run(Tensor(rng.normal(size=(4, 2, 3))), [[0, 1]])
 
 
 def test_max_rows_sequences_match_single_calls_and_fd():
@@ -593,17 +608,17 @@ def test_cross_attention_gradients_fd():
     rng = np.random.default_rng(8)
     # pairs of 1 and 3 nodes, 2 and 1 nodes, 1 and 1 node, stacked in that order
     x = Tensor(rng.normal(size=(9, 3)), requires_grad=True)
-    rows1 = np.array([[0, -1], [4, 5], [7, -1]])
-    rows2 = np.array([[1, 2, 3], [6, -1, -1], [8, -1, -1]])
+    # time-major: the first graphs in columns 0-2, the second graphs in 3-5
+    index = np.array([[0, 4, 7, 1, 6, 8], [-1, 5, -1, 2, -1, -1], [-1, -1, -1, 3, -1, -1]])
     mix = Tensor(rng.normal(size=(9, 3)))
-    fd_check(lambda: (ad.cross_attention(x, rows1, rows2) * mix).mean(), [x])
+    fd_check(lambda: (ad.cross_attention(x, index) * mix).mean(), [x])
 
 
 def test_cross_attention_zero_node_is_flat():
     # a zero node's cosines are 0 with zero gradient, as with ``cosine``: with
     # nothing attended and nothing to attend, the whole pair is flat
     x = Tensor(np.array([[0.0, 0.0], [1.0, 2.0], [3.0, -1.0]]), requires_grad=True)
-    out = ad.cross_attention(x, np.array([[0]]), np.array([[1, 2]]))
+    out = ad.cross_attention(x, np.array([[0, 1], [-1, 2]]))
     backward((out * Tensor(np.ones((3, 2)))).mean())
     assert np.array_equal(out.data, np.zeros((3, 2)))
     assert np.array_equal(x.grad, np.zeros((3, 2)))

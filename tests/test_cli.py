@@ -109,7 +109,7 @@ def test_gen_clone_files(tmp_path):
     rc = main(["gen", "clone", "--groups", "5", "--variants", "2",
                "--budget", "1", "--seed", "3", "--out", str(out)])
     assert rc == 0
-    graphs = [json.loads(l) for l in (out / "graphs.jsonl").open()]
+    graphs = [json.loads(l) for l in (out / "graphs.jsonl").read_text().splitlines()]
     assert len(graphs) == 10
     assert all("group" in g for g in graphs)
 

@@ -83,31 +83,31 @@ def test_gcn_output_shape_finite(rng):
 # matching layers
 
 def one_pair(x1, x2):
-    """Rows of one pair's two graphs stacked, with the side index arrays."""
+    """Rows of one pair's two graphs stacked, with the pair's (T, 2) index."""
     n = len(x1)
     x = Tensor(np.concatenate([np.asarray(x1, float), np.asarray(x2, float)]))
-    return x, padded([np.arange(n)]), padded([n + np.arange(len(x2))])
+    return x, padded([np.arange(n), n + np.arange(len(x2))])
 
 
 def test_cross_attention_identity_diag(rng):
     # orthonormal rows attend only to themselves: the weights are the identity
     h = np.linalg.qr(rng.normal(size=(6, 4)))[0].T
-    x, r1, r2 = one_pair(h, h)
-    out = ad.cross_attention(x, r1, r2)
+    x, index = one_pair(h, h)
+    out = ad.cross_attention(x, index)
     assert np.allclose(out.data, np.concatenate([h, h]), atol=1e-12)
 
 
 def test_cross_attention_orthogonal_rows():
-    x, r1, r2 = one_pair([[1.0, 0.0]], [[0.0, 2.0]])
-    assert np.array_equal(ad.cross_attention(x, r1, r2).data, np.zeros((2, 2)))
+    x, index = one_pair([[1.0, 0.0]], [[0.0, 2.0]])
+    assert np.array_equal(ad.cross_attention(x, index).data, np.zeros((2, 2)))
 
 
 def test_beta_is_exact_transpose(rng):
     # the second graph's weights are the transpose of the first graph's
     h1, h2 = rng.normal(size=(3, 5)), rng.normal(size=(4, 5))
     alpha = ad.cosine(Tensor(h1[:, None]), Tensor(h2[None])).data
-    x, r1, r2 = one_pair(h1, h2)
-    out = ad.cross_attention(x, r1, r2).data
+    x, index = one_pair(h1, h2)
+    out = ad.cross_attention(x, index).data
     assert np.allclose(out[:3], alpha @ h2, atol=1e-12)
     assert np.allclose(out[3:], alpha.T @ h1, atol=1e-12)
 
@@ -121,14 +121,14 @@ def test_attentive_embedding_scaling(rng):
 
 
 def test_attentive_embedding_zero_weights():
-    x, r1, r2 = one_pair([[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
-    assert np.array_equal(ad.cross_attention(x, r1, r2).data[0], [0.0, 0.0, 0.0])
+    x, index = one_pair([[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
+    assert np.array_equal(ad.cross_attention(x, index).data[0], [0.0, 0.0, 0.0])
 
 
 def test_attentive_embedding_hand_case():
-    x, r1, r2 = one_pair([[1.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]])
+    x, index = one_pair([[1.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]])
     c = 1.0 / np.sqrt(2.0)
-    assert np.allclose(ad.cross_attention(x, r1, r2).data, [[c, c], [c, c], [c, c]])
+    assert np.allclose(ad.cross_attention(x, index).data, [[c, c], [c, c], [c, c]])
 
 
 def test_cross_attention_batch_equals_single_pairs(rng):
@@ -137,7 +137,7 @@ def test_cross_attention_batch_equals_single_pairs(rng):
     start = np.cumsum([0] + [len(q) for q in h])
     rows = [start[i] + np.arange(len(q)) for i, q in enumerate(h)]
     # pairs (0, 1) and (2, 3); graph 4 pairs with nothing and is left alone
-    both = ad.cross_attention(x, padded([rows[0], rows[2]]), padded([rows[1], rows[3]])).data
+    both = ad.cross_attention(x, padded([rows[0], rows[2], rows[1], rows[3]])).data
     for i, j in ((0, 1), (2, 3)):
         one = ad.cross_attention(*one_pair(h[i], h[j])).data
         assert np.allclose(both[np.concatenate([rows[i], rows[j]])], one, atol=1e-12)
@@ -174,23 +174,23 @@ def test_multi_perspective_range(rng):
 
 
 def test_node_graph_match_identical_one_node_graphs():
-    x, r1, r2 = one_pair([[2.0, 3.0]], [[2.0, 3.0]])
+    x, index = one_pair([[2.0, 3.0]], [[2.0, 3.0]])
     w = Tensor(np.abs(np.random.default_rng(0).normal(size=(4, 2))) + 0.1)
-    m = node_graph_match(x, r1, r2, w)
+    m = node_graph_match(x, index, w)
     # attentive summary is a positive multiple of the node itself
     assert np.allclose(m.data, 1.0)
 
 
 def test_node_graph_match_swap_symmetry(rng):
-    x, r1, r2 = one_pair(rng.normal(size=(3, 4)), rng.normal(size=(5, 4)))
+    x, index = one_pair(rng.normal(size=(3, 4)), rng.normal(size=(5, 4)))
     w = Tensor(rng.normal(size=(6, 4)))
-    assert np.array_equal(node_graph_match(x, r1, r2, w).data,
-                          node_graph_match(x, r2, r1, w).data)
+    assert np.array_equal(node_graph_match(x, index, w).data,
+                          node_graph_match(x, index[:, ::-1], w).data)
 
 
 def test_node_graph_match_shapes(rng):
-    x, r1, r2 = one_pair(rng.normal(size=(3, 4)), rng.normal(size=(5, 4)))
-    m = node_graph_match(x, r1, r2, Tensor(rng.normal(size=(7, 4))))
+    x, index = one_pair(rng.normal(size=(3, 4)), rng.normal(size=(5, 4)))
+    m = node_graph_match(x, index, Tensor(rng.normal(size=(7, 4))))
     assert m.shape == (8, 7)
 
 
@@ -198,7 +198,7 @@ def test_node_graph_match_shapes(rng):
 # aggregation
 
 def test_max_aggregator():
-    out = aggregate(Tensor([[1.0, 5.0], [3.0, 2.0]]), "max", {}, "", [np.arange(2)])
+    out = aggregate(Tensor([[1.0, 5.0], [3.0, 2.0]]), "max", {}, "", padded([np.arange(2)]))
     assert np.array_equal(out.data, [[3.0, 5.0]])
 
 
@@ -208,8 +208,8 @@ def test_max_and_fcmax_permutation_invariant(rng):
     params = {"fcmax.weight": Tensor(rng.normal(size=(4, 4))),
               "fcmax.bias": Tensor(rng.normal(size=(1, 4)))}
     for agg in ("max", "fcmax"):
-        a = aggregate(Tensor(h), agg, params, "", [np.arange(6)])
-        b = aggregate(Tensor(h[perm]), agg, params, "", [np.arange(6)])
+        a = aggregate(Tensor(h), agg, params, "", padded([np.arange(6)]))
+        b = aggregate(Tensor(h[perm]), agg, params, "", padded([np.arange(6)]))
         assert np.array_equal(a.data, b.data)
 
 
@@ -220,7 +220,7 @@ def test_bilstm_aggregator_shape(rng):
               Model(cfg, rng=np.random.default_rng(0)).params.items()
               if k.startswith("sgnn_lstm")}
     out = aggregate(Tensor(rng.normal(size=(4, 100))), "bilstm", params,
-                    "sgnn_lstm", [rng.permutation(4)])
+                    "sgnn_lstm", padded([rng.permutation(4)]))
     assert out.shape == (1, 200)
     assert np.all(np.isfinite(out.data))
 
@@ -234,10 +234,10 @@ def test_aggregate_sequences_match_one_at_a_time(rng):
     h = Tensor(rng.normal(size=(9, 4)))
     seqs = [np.array([4, 2, 0]), np.array([7]), np.array([1, 8, 3, 5, 6])]
     for agg in ("max", "fcmax", "bilstm"):
-        out = aggregate(h, agg, params, "sgnn_lstm", seqs).data
+        out = aggregate(h, agg, params, "sgnn_lstm", padded(seqs)).data
         for i, q in enumerate(seqs):
             one = aggregate(ad.gather_rows(h, q), agg, params, "sgnn_lstm",
-                            [np.arange(len(q))]).data
+                            padded([np.arange(len(q))])).data
             assert np.allclose(out[i], one[0], rtol=0, atol=1e-12), agg
 
 

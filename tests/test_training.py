@@ -150,7 +150,7 @@ def test_best_checkpoint_monotone_and_saved(tmp_path, reg_dataset):
     loaded, extra = load_checkpoint(report.best_checkpoint)
     assert extra["val_loss"] == best_seen
     # log file mirrors the records
-    lines = [json.loads(l) for l in open(tmp_path / "log.jsonl")]
+    lines = [json.loads(l) for l in (tmp_path / "log.jsonl").read_text().splitlines()]
     assert lines == report.records
 
 
