@@ -264,11 +264,11 @@ def cosine(a, b):
     return _make(out, (a, b), bw)
 
 
-def dropout(x, rate, rng, training):
-    """Inverted dropout: scale survivors by 1/(1-rate) at train time."""
+def dropout(x, rate, rng):
+    """Inverted dropout, mask drawn from rng, survivors scaled by 1/(1-rate); x if rng is None."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
+    if rng is None or rate == 0.0:
         return x
     keep = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
     out = x.data * keep
@@ -421,8 +421,9 @@ def bilstm_last(x, wx_f, wh_f, b_f, wx_b, wh_b, b_b, index):
             ds[:, :n] = dz @ wh_t
             dc[:, :n] = dcn * gf
         dz_all = dz_all.reshape(2, -1, 4 * h)
-        gw = [(xs[d].T @ dz, ss[:steps, d].reshape(-1, h).T @ dz, dz.sum(axis=0, keepdims=True))
-              for d, dz in enumerate(dz_all)]
+        # contiguous state rows: BLAS rounds a strided view (one sequence at width 1) apart
+        gw = [(xs[d].T @ dz, np.ascontiguousarray(ss[:steps, d]).reshape(-1, h).T @ dz,
+               dz.sum(axis=0, keepdims=True)) for d, dz in enumerate(dz_all)]
         gxs, gxr = ((dz @ wx.data.T).reshape(steps, count, k)
                     for dz, wx in zip(dz_all, (wx_f, wx_b)))
         gxs[rev, cols] += gxr

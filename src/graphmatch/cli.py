@@ -202,7 +202,7 @@ def cmd_score(args):
     for path in (args.g1, args.g2):
         graphs.append(_load_single_graph(path))
         _check_width(args.checkpoint, model, graphs[-1].feature_dim, f"graph file {path}")
-    score = model.forward_pair(*graphs, training=False).item()
+    score = model.forward_pair(*graphs).item()
     print(f"{score:.6f}")
     return 0
 

@@ -104,10 +104,8 @@ def normalized_adjacency(g: Graph):
     a = adjacency_matrix(g)
     np.fill_diagonal(a, 1.0)
     dinv = 1.0 / np.sqrt(a.sum(axis=1))
-    out = a * dinv[:, None] * dinv[None, :]
-    # enforce exact symmetry against float rounding of the two scalings
-    out = (out + out.T) / 2.0
-    return out
+    # exactly symmetric: a is 0 or 1, so a[u, v] * dinv[u] is exact and the last product commutes
+    return a * dinv[:, None] * dinv[None, :]
 
 
 @dataclass(frozen=True)

@@ -155,10 +155,10 @@ def padded(seqs):
     return out
 
 
-def gcn_forward(graphs, params, config, training, rng):
+def gcn_forward(graphs, params, config, rng):
     """Stacked graph convolutions relu(A (relu(A x W0) ...) Wt) over all graphs
-    at once, with dropout after each layer at train time; (sum of nodes, gcn_dim)
-    node rows in graph order."""
+    at once, with dropout after each layer drawn from rng (none if rng is None);
+    (sum of nodes, gcn_dim) node rows in graph order."""
     sizes = [g.num_nodes for g in graphs]
     distinct = {id(g): g for g in graphs}  # a graph in several slots is one object
     adjacency = {key: normalized_adjacency(g) for key, g in distinct.items()}
@@ -170,7 +170,7 @@ def gcn_forward(graphs, params, config, training, rng):
     h = Tensor(np.concatenate([g.features for g in graphs]))
     for t in range(config.gcn_layers):
         h = ad.relu(ad.block_matmul(blocks, h, where) @ params[f"gcn.{t}.weight"])
-        h = ad.dropout(h, config.dropout, rng, training)
+        h = ad.dropout(h, config.dropout, rng)
     return h
 
 
@@ -225,8 +225,8 @@ def loss_mse(predictions, targets):
 class Encoded:
     """Per-graph stage output over a list of graph slots: GCN node rows h of
     all slots stacked, the row indices of each slot, the graph-level vector of
-    each slot (None without the sgnn branch) and, at train time, each slot's
-    node-graph reading order (None: index order)."""
+    each slot (None without the sgnn branch) and, from a train pass, each
+    slot's node-graph reading order (None: index order)."""
     h: Tensor
     nodes: list
     sg: Tensor | None
@@ -257,45 +257,44 @@ class Model:
             params = init_params(config, rng)
         self.params = params
 
-    def encode(self, g, training, rng):
-        """GCN node embeddings (N, gcn_dim) of one graph."""
-        return gcn_forward([g], self.params, self.config, training, rng)
+    def encode(self, g, rng=None):
+        """GCN node embeddings (N, gcn_dim) of one graph; dropout drawn from rng if given."""
+        return gcn_forward([g], self.params, self.config, rng)
 
     def forward_pair(self, g1, g2, training=False, rng=None):
-        """Similarity score for one pair of graphs; scalar Tensor."""
-        return ad.reshape(self.forward_batch([(g1, g2)], training, rng), ())
+        """Similarity score of one pair, scalar Tensor; a train pass draws from rng or seed 0."""
+        rng = (np.random.default_rng(0) if rng is None else rng) if training else None
+        return ad.reshape(self.forward_batch([(g1, g2)], rng), ())
 
-    def forward_batch(self, pairs, training=False, rng=None):
+    def forward_batch(self, pairs, rng=None):
         """Similarity scores (B,) for a list of (g1, g2) graph pairs: the
-        per-graph stage over the pair sides, one slot each (at train time with
-        its own dropout mask and reading orders), then the per-pair stage."""
+        per-graph stage over the pair sides, one slot each, then the per-pair stage.
+        The pass trains exactly when rng is a generator, which draws each slot's masks."""
         if not pairs:
             raise ValueError("empty batch")
-        if rng is None:
-            rng = np.random.default_rng(0)
         graphs = [g for pair in pairs for g in pair]
         slots = np.arange(len(graphs)).reshape(-1, 2)
-        return self.pair_stage(self.graph_stage(graphs, training, rng), slots)
+        return self.pair_stage(self.graph_stage(graphs, rng), slots)
 
-    def graph_stage(self, graphs, training=False, rng=None):
+    def graph_stage(self, graphs, rng=None):
         """Everything about each graph slot that no pair changes: GCN node rows,
-        the graph-level (sgnn) vector and, at train time, the reading orders.
+        the graph-level (sgnn) vector and, in a train pass, the reading orders.
 
-        At train time the slots are pair sides, two per pair, and the orders
-        are drawn pair by pair (node-graph branch g1, g2, then graph-level
-        branch g1, g2) after the dropout masks; at eval every bilstm reads
-        its nodes in index order.
+        A train pass (rng a generator) takes the slots as pair sides, two per
+        pair, and draws the orders pair by pair (node-graph branch g1, g2, then
+        graph-level branch g1, g2) after the dropout masks; in an eval pass
+        (rng None) every bilstm reads its nodes in index order.
         """
         cfg = self.config
         for g in graphs:
             if g.feature_dim != cfg.feature_dim:
                 raise ConfigError(f"graph {g.id!r} feature width {g.feature_dim} does not "
                                   f"match model feature_dim {cfg.feature_dim}")
-        h = gcn_forward(graphs, self.params, cfg, training, rng)
+        h = gcn_forward(graphs, self.params, cfg, rng)
         nodes = consecutive([g.num_nodes for g in graphs])  # rows of h per slot
         use_sgnn = cfg.mode in ("sgnn", "mgmn")
-        orders, sgnn_seqs = [], list(nodes)
-        if training:
+        orders, sgnn_seqs = (None if rng is None else []), list(nodes)
+        if rng is not None:
             for pair in np.arange(len(graphs)).reshape(-1, 2):
                 if cfg.mode in ("ngmn", "mgmn"):
                     orders += [rng.permutation(len(nodes[k])) for k in pair]
@@ -304,15 +303,15 @@ class Model:
                         sgnn_seqs[k] = nodes[k][rng.permutation(len(nodes[k]))]
         sg = aggregate(h, cfg.sgnn_aggregator, self.params, "sgnn_lstm",
                        padded(sgnn_seqs)) if use_sgnn else None
-        return Encoded(h, nodes, sg, orders if training else None)
+        return Encoded(h, nodes, sg, orders)
 
     def pair_stage(self, enc, slots):
-        """Scores (B,) of the pairs whose sides are the (B, 2) slot indices into
-        a graph_stage output: cross-level node-graph matching, its BiLSTM and
-        the prediction head."""
+        """Scores (B,) of the pairs whose sides are the (B, 2) slot indices into a
+        graph_stage output: cross-level node-graph matching and its BiLSTM, then the
+        head on the two halves of one table of the 2B sides, first graphs then second."""
         cfg = self.config
         count = len(slots)
-        heads_a, heads_b = [], []
+        per_side = []
         if cfg.mode in ("ngmn", "mgmn"):
             # pair-node rows: pair 0's first graph, pair 0's second, pair 1's first, ...
             sides = slots.reshape(-1)
@@ -323,15 +322,12 @@ class Model:
             if enc.orders is not None:
                 rows = [r[enc.orders[k]] for r, k in zip(rows, sides)]
                 index = padded(rows[0::2] + rows[1::2])
-            ng = aggregate(m, "bilstm", self.params, "ngmn_lstm", index)
-            heads_a.append(ad.gather_rows(ng, np.arange(count)))
-            heads_b.append(ad.gather_rows(ng, np.arange(count, 2 * count)))
+            per_side.append(aggregate(m, "bilstm", self.params, "ngmn_lstm", index))
         if enc.sg is not None:
-            heads_a.append(ad.gather_rows(enc.sg, slots[:, 0]))
-            heads_b.append(ad.gather_rows(enc.sg, slots[:, 1]))
-        ha = heads_a[0] if len(heads_a) == 1 else ad.concat(heads_a, axis=1)
-        hb = heads_b[0] if len(heads_b) == 1 else ad.concat(heads_b, axis=1)
-        return predict(ha, hb, cfg.task, self.params)
+            per_side.append(ad.gather_rows(enc.sg, slots.T.reshape(-1)))
+        table = per_side[0] if len(per_side) == 1 else ad.concat(per_side, axis=1)
+        return predict(ad.gather_rows(table, np.arange(count)),
+                       ad.gather_rows(table, np.arange(count, 2 * count)), cfg.task, self.params)
 
     def zero_grad(self):
         for p in self.params.values():

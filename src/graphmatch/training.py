@@ -96,7 +96,7 @@ def sample_classification_pairs(groups, train_ids, rng):
 
 def _batch_step(model, dataset, batch, optimizer, rng):
     preds = model.forward_batch([(dataset.graph(p.g1), dataset.graph(p.g2)) for p in batch],
-                                training=True, rng=rng)
+                                rng)
     loss = loss_mse(preds, [pair.target for pair in batch])
     value = loss.item()
     if not np.isfinite(value):

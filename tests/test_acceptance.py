@@ -104,7 +104,7 @@ def _op_cases(rng):
     cases.append(([a, b], lambda: (ad.cosine(a, b) * w2).mean()))
     seed = int(rng.integers(1 << 30))
     cases.append(([a], lambda: (ad.dropout(
-        a, 0.3, np.random.default_rng(seed), True) * wab).mean()))
+        a, 0.3, np.random.default_rng(seed)) * wab).mean()))
     xs = t((8, 3))
     il = np.array([[6, 2], [0, 4], [-1, 1], [-1, 7]])
     lp = [t(s) for s in ((3, 8), (2, 8), (1, 8), (3, 8), (2, 8), (1, 8))]

@@ -85,25 +85,25 @@ def test_cosine_zero_vector_is_zero_with_zero_grad():
 
 def test_dropout_rate_zero_identity(rng):
     x = Tensor(rng.normal(size=(4, 4)))
-    out = ad.dropout(x, 0.0, rng, training=True)
+    out = ad.dropout(x, 0.0, rng)
     assert np.array_equal(out.data, x.data)
 
 
 def test_dropout_eval_identity(rng):
     x = Tensor(rng.normal(size=(4, 4)))
-    out = ad.dropout(x, 0.1, rng, training=False)
+    out = ad.dropout(x, 0.1, None)
     assert np.array_equal(out.data, x.data)
 
 
 def test_dropout_preserves_mean(rng):
     x = Tensor(np.ones(100000))
-    out = ad.dropout(x, 0.5, rng, training=True)
+    out = ad.dropout(x, 0.5, rng)
     assert abs(out.data.mean() - 1.0) < 0.02
 
 
 def test_dropout_bad_rate(rng):
     with pytest.raises(ValueError):
-        ad.dropout(Tensor([1.0]), 1.0, rng, training=True)
+        ad.dropout(Tensor([1.0]), 1.0, rng)
 
 
 def test_backward_sum_gives_ones():
@@ -194,7 +194,7 @@ def test_forward_determinism():
     def run(seed):
         rng = np.random.default_rng(seed)
         x = Tensor(rng.normal(size=(5, 5)), requires_grad=True)
-        y = ad.dropout(ad.sigmoid(ad.matmul(x, x)), 0.3, rng, training=True).mean()
+        y = ad.dropout(ad.sigmoid(ad.matmul(x, x)), 0.3, rng).mean()
         backward(y)
         return y.item(), x.grad.copy()
 
@@ -446,6 +446,7 @@ def assert_rows_are(gx, want, index):
     (5, [1, 2, 3, 4, 5], 6, 2),         # every length from 1 to T
     (8, [3, 8, 1, 8, 5, 2, 8], 64, 64), # the acceptance model's width
     (7, [2, 7, 4, 7], 16, 48),
+    (6, [6], 3, 1),                     # one sequence at LSTM width 1
 ])
 @pytest.mark.parametrize("x_scale, w_scale", [(0.05, 0.05), (0.05, 5.0), (5.0, 0.05),
                                               (5.0, 5.0), (1.0, 0.5)])
@@ -482,13 +483,9 @@ def max_rows_reference(x, lengths):
 @st.composite
 def ragged_layouts(draw):
     """Sequence lengths, rows no sequence reads, row width, LSTM width, a seed,
-    and whether rows hold small integers, so that maxima tie.
-
-    The LSTM width starts at 2: at width 1, one sequence of 6 rows makes the
-    recurrent weight gradient a (1, 6) @ (6, 4) product, which BLAS rounds
-    apart from the reference's batched one, for the padded-batch op too."""
+    and whether rows hold small integers, so that maxima tie."""
     return (draw(st.lists(st.integers(1, 6), min_size=1, max_size=5)),
-            draw(st.integers(0, 3)), draw(st.integers(1, 4)), draw(st.integers(2, 4)),
+            draw(st.integers(0, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 4)),
             draw(st.integers(0, 2 ** 32 - 1)), draw(st.booleans()))
 
 

@@ -54,7 +54,7 @@ def test_gcn_zero_features_give_zero_embedding(rng):
     g = make_graph("z", np.zeros((1, 3)), [])
     cfg = tiny_config()
     m = Model(cfg, rng=rng)
-    h = m.encode(g, training=False, rng=rng)
+    h = m.encode(g)
     assert np.array_equal(h.data, np.zeros((1, cfg.gcn_dim)))
 
 
@@ -64,8 +64,8 @@ def test_gcn_permutation_equivariance(rng):
     pg = permuted_graph(g, perm)
     cfg = tiny_config(dropout=0.0)
     m = Model(cfg, rng=np.random.default_rng(3))
-    h = m.encode(g, training=False, rng=rng)
-    hp = m.encode(pg, training=False, rng=rng)
+    h = m.encode(g)
+    hp = m.encode(pg)
     assert np.allclose(hp.data, h.data[perm], atol=1e-12)
 
 
@@ -74,7 +74,7 @@ def test_gcn_output_shape_finite(rng):
     cfg = ModelConfig(feature_dim=3, gcn_layers=3, gcn_dim=100, perspectives=5,
                       mode="sgnn", sgnn_aggregator="max")
     m = Model(cfg, rng=np.random.default_rng(0))
-    h = m.encode(g, training=True, rng=rng)
+    h = m.encode(g, rng=rng)
     assert h.shape == (5, 100)
     assert np.all(np.isfinite(h.data))
 
@@ -358,7 +358,7 @@ def test_end_to_end_gradient_fd(mode, agg, task):
     target = 0.7 if task == "regression" else 1.0
 
     def build():
-        return loss_mse(m.forward_batch([(g1, g2)], training=False), [target])
+        return loss_mse(m.forward_batch([(g1, g2)]), [target])
 
     loss = build()
     m.zero_grad()
@@ -380,7 +380,7 @@ def test_training_mode_gradient_fd_with_dropout():
     m = Model(cfg, rng=np.random.default_rng(5))
 
     def build():
-        pred = m.forward_batch([(g1, g2)], training=True, rng=np.random.default_rng(99))
+        pred = m.forward_batch([(g1, g2)], rng=np.random.default_rng(99))
         return loss_mse(pred, [0.4])
 
     loss = build()
@@ -432,10 +432,10 @@ def test_forward_batch_equals_batches_of_one(mode, agg, task, pairs, training, s
 
     # at train time both draw the reading orders pair by pair from one stream
     batch, batch_grads = scores_and_grads(lambda: m.forward_batch(
-        pairs, training=training, rng=np.random.default_rng(seed)))
-    loop_rng = np.random.default_rng(seed)
+        pairs, rng=np.random.default_rng(seed) if training else None))
+    loop_rng = np.random.default_rng(seed) if training else None
     single, single_grads = scores_and_grads(lambda: ad.concat([
-        m.forward_batch([pair], training=training, rng=loop_rng) for pair in pairs]))
+        m.forward_batch([pair], rng=loop_rng) for pair in pairs]))
     assert np.max(np.abs(batch - single)) <= 1e-12
     # relative to the parameter's largest gradient entry, and absolute (1e-12)
     # below 1e-2: a gradient that is zero in exact arithmetic, such as that of
@@ -470,7 +470,7 @@ def test_checkpoints_of_the_per_pair_model_score_the_same(tmp_path):
         assert np.max(np.abs(batch - rec["scores"])) <= 1e-12, name
         assert np.max(np.abs(np.asarray(single) - rec["scores"])) <= 1e-12, name
         model.config.dropout = 0.0
-        train = model.forward_batch(pairs, training=True, rng=np.random.default_rng(7)).data
+        train = model.forward_batch(pairs, rng=np.random.default_rng(7)).data
         assert np.max(np.abs(train - rec["train_scores_dropout0_seed7"])) <= 1e-12, name
 
 
@@ -485,9 +485,23 @@ def test_eval_batch_encodes_each_graph_once(rng, monkeypatch):
     m = Model(tiny_config(), rng=np.random.default_rng(0))
     pairs = [(g1, g2), (g1, g3), (g3, g1)]
     m.forward_batch(pairs)
-    m.forward_batch(pairs[:2], training=True, rng=rng)
+    m.forward_batch(pairs[:2], rng=rng)
     assert [[g.id for g in gs] for gs in encoded] == [["a", "b", "a", "c", "c", "a"],
                                                      ["a", "b", "a", "c"]]
+
+
+def test_an_eval_pass_builds_no_generator(rng, monkeypatch):
+    """A pass trains exactly when it is handed a generator: an eval pass makes
+    none, and only forward_pair's train pass without one seeds its own."""
+    g1, g2 = (random_graph(rng, gid=k) for k in "ab")
+    m = Model(tiny_config(), rng=np.random.default_rng(0))
+    made, real = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: made.append(a) or real(*a))
+    m.forward_pair(g1, g2)
+    m.forward_batch([(g1, g2), (g2, g1)])
+    assert made == []
+    m.forward_pair(g1, g2, training=True)
+    assert made == [(0,)]
 
 
 def test_forward_batch_rejects_empty_batch():
