@@ -6,8 +6,9 @@ computation graph: ops record their parents and a backward closure, and
 the one form each op takes, is what the matching models run: every operand
 is a Tensor, and max_rows, bilstm_last and cross_attention read rows (R, k)
 through one time-major index (T, S) padded with -1, which ``_sequences``
-checks. The acceptance gradient gate checks each op against finite
-differences; no broadcasting beyond numpy's.
+checks. Every cosine is scored by one rule, ``_cosine``. The acceptance
+gradient gate checks each op against finite differences; no broadcasting
+beyond numpy's.
 """
 
 import numpy as np
@@ -239,31 +240,6 @@ def _sequences(x, index, op):
     return index, valid.sum(axis=0)
 
 
-def cosine(a, b):
-    """Cosine similarity along the last axis, numpy-broadcast over the rest.
-
-    Norm denominators are clamped at EPS; if either vector is (near) zero the
-    result is ~0 and the gradient is defined as exactly 0 there.
-    """
-    na = np.sqrt(np.sum(a.data * a.data, axis=-1))
-    nb = np.sqrt(np.sum(b.data * b.data, axis=-1))
-    dot = np.sum(a.data * b.data, axis=-1)
-    cna = np.maximum(na, EPS)
-    cnb = np.maximum(nb, EPS)
-    out = dot / (cna * cnb)
-
-    def bw(g):
-        valid = (na >= EPS) & (nb >= EPS)
-        gv = np.where(valid, g, 0.0)[..., None]
-        inv = 1.0 / (cna * cnb)[..., None]
-        c = out[..., None]
-        ga = gv * (b.data * inv - c * a.data / (cna * cna)[..., None])
-        gb = gv * (a.data * inv - c * b.data / (cnb * cnb)[..., None])
-        return (_unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape))
-
-    return _make(out, (a, b), bw)
-
-
 def dropout(x, rate, rng):
     """Inverted dropout, mask drawn from rng, survivors scaled by 1/(1-rate); x if rng is None."""
     if not 0.0 <= rate < 1.0:
@@ -434,13 +410,22 @@ def bilstm_last(x, wx_f, wh_f, b_f, wx_b, wh_b, b_b, index):
     return _make(out, (x,) + params, bw)
 
 
+def _cosine(dot, sq1, sq2):
+    """The one cosine rule, from dot products and both sides' squared norms:
+    each norm is clamped at EPS, so a (near) zero vector scores ~0 and gets no
+    gradient. Returns the cosine, the clamped norms and where gradient flows."""
+    n1, n2 = np.sqrt(sq1), np.sqrt(sq2)
+    cn1, cn2 = np.maximum(n1, EPS), np.maximum(n2, EPS)
+    return dot / (cn1 * cn2), cn1, cn2, (n1 >= EPS) & (n2 >= EPS)
+
+
 def weighted_cosine(x1, x2, w):
     """Cosine of x1 and x2 rows under each squared reweighting row of w.
 
     x1, x2: (N, d); w: (P, d). out[n, k] = cos(x1[n] * w[k], x2[n] * w[k]),
     computed with three (N, d) x (d, P) products instead of materializing
-    (N, P, d) intermediates. Same EPS clamping and zero-vector gradient
-    convention as ``cosine``.
+    (N, P, d) intermediates, by the rule of ``_cosine``. A single all-ones row
+    of w gives the plain cosine of each row pair.
     """
     if x1.data.ndim != 2 or x1.data.shape != x2.data.shape or w.data.ndim != 2 \
             or w.data.shape[1] != x1.data.shape[1]:
@@ -450,15 +435,9 @@ def weighted_cosine(x1, x2, w):
     p12 = x1.data * x2.data
     p11 = x1.data * x1.data
     p22 = x2.data * x2.data
-    dot = p12 @ w2.T
-    n1 = np.sqrt(p11 @ w2.T)
-    n2 = np.sqrt(p22 @ w2.T)
-    cn1 = np.maximum(n1, EPS)
-    cn2 = np.maximum(n2, EPS)
-    out = dot / (cn1 * cn2)
+    out, cn1, cn2, valid = _cosine(p12 @ w2.T, p11 @ w2.T, p22 @ w2.T)
 
     def bw(g):
-        valid = (n1 >= EPS) & (n2 >= EPS)
         gv = np.where(valid, g, 0.0)
         ginv = gv / (cn1 * cn2)
         g11 = gv * out / (cn1 * cn1)
@@ -498,9 +477,9 @@ def cross_attention(x, index):
     graphs, time-major, padded with -1, as ``_sequences`` checks it: pair p's
     first graph in column p and its second in column B + p, so no row is on
     both sides. The attention weight of node i on node j of the other graph
-    is their cosine, under the same EPS clamp and zero-gradient rule as
-    ``cosine``. Returns (R, d): row i of a first graph holds sum_j weight_ij
-    x_j over its pair's second graph, and conversely; a row not read holds 0.
+    is their cosine, by the rule of ``_cosine``. Returns (R, d): row i of a
+    first graph holds sum_j weight_ij x_j over its pair's second graph, and
+    conversely; a row not read holds 0.
     """
     index, lengths = _sequences(x, index, "cross_attention")
     count, odd = divmod(index.shape[1], 2)
@@ -524,13 +503,12 @@ def cross_attention(x, index):
         return rows
 
     a, b = sides(x.data)
-    na = np.sqrt(np.sum(a * a, axis=-1))
-    nb = np.sqrt(np.sum(b * b, axis=-1))
-    cna = np.maximum(na, EPS)[:, :, None]
-    cnb = np.maximum(nb, EPS)[:, None, :]
-    # the product-and-sum of ``cosine`` rather than a matmul, so each weight
-    # rounds exactly as ``cosine`` rounds it
-    alpha = np.sum(a[:, :, None] * b[:, None], axis=-1) / (cna * cnb)  # 0 on padding
+    # a product-and-sum: a matmul rounds the weights differently and is cheap
+    # enough to drop gate 6's cost ratio under its bound (CHANGES.md line 8);
+    # padded rows are zero, so ``_cosine`` gives them weight 0 and no gradient
+    alpha, cna, cnb, valid = _cosine(np.sum(a[:, :, None] * b[:, None], axis=-1),
+                                     np.sum(a * a, axis=-1)[:, :, None],
+                                     np.sum(b * b, axis=-1)[:, None, :])
     alpha_t = np.ascontiguousarray(alpha.transpose(0, 2, 1))  # as alpha of the swapped pair
     out = scatter(alpha @ b, alpha_t @ a)
 
@@ -539,8 +517,6 @@ def cross_attention(x, index):
         dalpha = g2 @ b.transpose(0, 2, 1) + a @ g1.transpose(0, 2, 1)
         ga = alpha @ g1
         gb = alpha.transpose(0, 2, 1) @ g2
-        # padded rows are zero, so their norm is below EPS
-        valid = (na >= EPS)[:, :, None] & (nb >= EPS)[:, None, :]
         gv = np.where(valid, dalpha, 0.0)
         ginv = gv / (cna * cnb)
         galpha = gv * alpha

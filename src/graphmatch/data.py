@@ -14,6 +14,7 @@ ground-truth score matrix into the three files above.
 
 import json
 import logging
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -22,7 +23,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .ged import ged_exact
-from .graphs import LabeledPair, make_graph
+from .graphs import GraphError, LabeledPair, as_id, make_graph
 from .model import AT_LEAST_0, AT_LEAST_0_OR_NONE, AT_LEAST_1, IN_0_1, check_bounds
 
 log = logging.getLogger(__name__)
@@ -120,8 +121,18 @@ def _jsonl(path, build):
             line = raw.decode("utf-8").strip()
             if line:
                 yield lineno, build(json.loads(line))
-        except (ValueError, KeyError, TypeError) as e:
+        except (ValueError, KeyError, TypeError, OverflowError) as e:
             raise DatasetError(f"{path}:{lineno}: {e}") from e
+
+
+def _pair(rec):
+    """A pairs.jsonl record: ids read by ``as_id``, y a finite number, no bool."""
+    y = rec["y"]
+    if isinstance(y, bool) or not isinstance(y, (int, float)):
+        raise TypeError(f"target y {y!r} is not a number")
+    if not math.isfinite(y):
+        raise ValueError(f"target y must be finite, got {y}")
+    return LabeledPair(as_id(rec["g1"], "g1"), as_id(rec["g2"], "g2"), float(y))
 
 
 def load_dataset(graphs_path, pairs_path=None, split_path=None):
@@ -144,11 +155,7 @@ def load_dataset(graphs_path, pairs_path=None, split_path=None):
 
     pairs = []
     if pairs_path is not None:
-        for lineno, p in _jsonl(pairs_path, lambda rec: LabeledPair(
-                str(rec["g1"]), str(rec["g2"]), float(rec["y"]))):
-            if not np.isfinite(p.target):
-                raise DatasetError(f"{pairs_path}:{lineno}: target y must be finite, "
-                                   f"got {p.target}")
+        for lineno, p in _jsonl(pairs_path, _pair):
             for gid in (p.g1, p.g2):
                 if gid not in graphs:
                     raise DatasetError(f"{pairs_path}:{lineno}: unknown graph id {gid!r}")
@@ -167,7 +174,10 @@ def load_dataset(graphs_path, pairs_path=None, split_path=None):
             if not isinstance(ids, list):
                 raise DatasetError(f"{split_path}: split {name!r} must be a list of ids, "
                                    f"got {type(ids).__name__}")
-            split[name] = [str(gid) for gid in ids]
+            try:
+                split[name] = [as_id(gid) for gid in ids]
+            except GraphError as e:
+                raise DatasetError(f"{split_path}: split {name!r}: {e}") from None
     try:
         return Dataset(graphs=graphs, pairs=pairs, split=split)
     except DatasetError as e:  # only a split file can misplace a graph

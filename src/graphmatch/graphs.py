@@ -46,8 +46,19 @@ def _integer(x):
     return operator.index(x)
 
 
+def as_id(x, what="id"):
+    """A graph or group id: a str, or an integer (not a bool) as its digits."""
+    if isinstance(x, str):
+        return x
+    try:
+        return str(_integer(x))
+    except TypeError:
+        raise GraphError(f"{what} {x!r} is not a string or an integer") from None
+
+
 def make_graph(graph_id, features, edges, labels=None, group=None):
     """Build and validate a Graph, deduplicating undirected edges."""
+    graph_id = as_id(graph_id)
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[0] < 1 or feats.shape[1] < 1:
         raise GraphError(f"graph {graph_id!r}: features must be an N x d matrix with "
@@ -81,8 +92,8 @@ def make_graph(graph_id, features, edges, labels=None, group=None):
         if len(labels) != n:
             raise GraphError(f"graph {graph_id!r}: {len(labels)} labels for {n} nodes")
     feats.setflags(write=False)
-    return Graph(id=str(graph_id), features=feats, edges=tuple(sorted(seen)), labels=labels,
-                 group=None if group is None else str(group))
+    return Graph(id=graph_id, features=feats, edges=tuple(sorted(seen)), labels=labels,
+                 group=None if group is None else as_id(group, "group"))
 
 
 def adjacency_matrix(g: Graph):

@@ -198,11 +198,12 @@ def aggregate(h, aggregator, params, prefix, index):
 def predict(ha, hb, task, params):
     """Similarity scores (B,) from the two graph vectors of each pair, (B, L) each.
 
-    classification: plain cosine in [-1, 1].
+    classification: plain cosine in [-1, 1], weighted_cosine's one all-ones perspective.
     regression: sigmoid over a four-layer MLP on the concatenation, in (0, 1).
     """
     if task == "classification":
-        return ad.cosine(ha, hb)
+        ones = Tensor(np.ones((1, ha.shape[1])))
+        return ad.reshape(ad.weighted_cosine(ha, hb, ones), (-1,))
     x = ad.concat([ha, hb], axis=1)
     for i in range(4):
         x = (x @ params[f"mlp.{i}.weight"]) + params[f"mlp.{i}.bias"]

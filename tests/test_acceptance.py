@@ -101,7 +101,9 @@ def _op_cases(rng):
     xm, w23 = t((6, 3)), w((2, 3))
     im = np.array([[4, 1], [0, 5], [2, -1]])
     cases.append(([xm], lambda: (ad.max_rows(xm, im) * w23).mean()))
-    cases.append(([a, b], lambda: (ad.cosine(a, b) * w2).mean()))
+    ones = Tensor(np.ones((1, 3)))  # the classification head's one perspective
+    cases.append(([a, b], lambda: (ad.reshape(ad.weighted_cosine(a, b, ones), (-1,))
+                                   * w2).mean()))
     seed = int(rng.integers(1 << 30))
     cases.append(([a], lambda: (ad.dropout(
         a, 0.3, np.random.default_rng(seed)) * wab).mean()))

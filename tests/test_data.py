@@ -243,6 +243,47 @@ def test_non_finite_target_rejected(tmp_path):
         load_dataset(tmp_path / "graphs.jsonl", tmp_path / "pairs.jsonl")
 
 
+@pytest.mark.parametrize("field, value", [("id", None), ("id", True), ("id", 1.0),
+                                          ("id", [1, 2]), ("group", [0])])
+def test_graph_id_and_group_rule(tmp_path, field, value):
+    # null, true and [1, 2] would otherwise load as graphs "None", "True" and "[1, 2]"
+    write_jsonl(tmp_path / "graphs.jsonl",
+                [{"id": "a", "nodes": [[1.0]], "edges": [], field: value}])
+    with pytest.raises(DatasetError, match=re.escape(
+            f"graphs.jsonl:1: {field} {value!r} is not a string or an integer")):
+        load_dataset(tmp_path / "graphs.jsonl")
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("g1", None, "g1 None is not a string or an integer"),  # would match graph "None"
+    ("g2", False, "g2 False is not a string or an integer"),
+    ("y", True, "target y True is not a number"),  # would load as 1.0
+    ("y", "0.25", "target y '0.25' is not a number"),  # would load as 0.25
+    ("y", 10 ** 400, "int too large to convert to float"),
+], ids=["g1-null", "g2-false", "y-true", "y-string", "y-huge"])
+def test_pair_id_and_target_rule(tmp_path, field, value, message):
+    write_jsonl(tmp_path / "graphs.jsonl",
+                [{"id": i, "nodes": [[1.0]], "edges": []} for i in ("a", "None")])
+    write_jsonl(tmp_path / "pairs.jsonl", [{"g1": "a", "g2": "None", "y": 0.5},
+                                           {"g1": "a", "g2": "None", "y": 0.5, field: value}])
+    with pytest.raises(DatasetError, match=re.escape(f"pairs.jsonl:2: {message}")):
+        load_dataset(tmp_path / "graphs.jsonl", tmp_path / "pairs.jsonl")
+
+
+def test_split_id_that_is_no_string_or_integer_rejected(tmp_path):
+    write_jsonl(tmp_path / "graphs.jsonl", [{"id": "None", "nodes": [[1.0]], "edges": []}])
+    (tmp_path / "split.json").write_text(json.dumps({"train": [None]}))
+    with pytest.raises(DatasetError, match=re.escape(
+            "split.json: split 'train': id None is not a string or an integer")):
+        load_dataset(tmp_path / "graphs.jsonl", split_path=tmp_path / "split.json")
+
+
+def test_huge_integer_feature_names_its_line(tmp_path):
+    write_jsonl(tmp_path / "graphs.jsonl", [{"id": "a", "nodes": [[10 ** 400]], "edges": []}])
+    with pytest.raises(DatasetError, match=r"graphs.jsonl:1: int too large"):
+        load_dataset(tmp_path / "graphs.jsonl")
+
+
 VALID_GRAPHS = [
     {"id": "a", "group": "x", "labels": [0, 1], "nodes": [[1.0, 0.0], [0.0, 1.0]],
      "edges": [[0, 1]]},
