@@ -6,11 +6,12 @@ maps nodes of the smaller graph, in order of descending degree, onto nodes of
 the other graph or onto deletion; leftover nodes of the other are insertions.
 """
 
+import functools
 import heapq
 import itertools
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .model import FINITE_AT_LEAST_0, check_bounds
 
@@ -73,6 +74,33 @@ def _adj_masks(n, edges):
     return adj
 
 
+TABLE_CACHE_SIZE = 256  # graphs whose search tables are kept; gate 4's corpus has 200
+_DEFAULT_COSTS = EditCostScheme()
+
+
+@functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _tables(n, edges, labels):
+    """What ``ged_exact`` reads of one graph, as ``(mapped, other)``. Mapped,
+    in descending-degree order: labels, prefix neighbours, adjacency masks,
+    per depth the internal and crossing edge counts, and each label's count
+    among the nodes >= depth. Other, in the graph's own order: each distinct
+    label's index and count, each node's label index, and adjacency masks."""
+    adj = tuple(_adj_masks(n, edges))
+    order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
+    pos = {v: k for k, v in enumerate(order)}
+    edges1 = [(min(pos[u], pos[v]), max(pos[u], pos[v])) for u, v in edges]
+    lab1 = tuple(labels[v] for v in order)
+    adj1 = _adj_masks(n, edges1)
+    depths = range(n + 1)
+    index = {lab: k for k, lab in enumerate(dict.fromkeys(labels))}
+    mapped = (lab1, tuple(tuple(u for u, v in edges1 if v == i) for i in range(n)), tuple(adj1),
+              tuple(sum(1 for u, _ in edges1 if u >= d) for d in depths),
+              tuple(sum(1 for u, v in edges1 if u < d <= v) for d in depths),
+              {lab: tuple(lab1[d:].count(lab) for d in depths) for lab in index})
+    return mapped, (index, tuple(labels.count(lab) for lab in index),
+                    tuple(index[lab] for lab in labels), adj)
+
+
 def ged_exact(g1, g2, costs=None, node_budget=10, timeout=10.0):
     """Optimal edit distance by A* over prefix node mappings.
 
@@ -100,12 +128,18 @@ def ged_exact(g1, g2, costs=None, node_budget=10, timeout=10.0):
 
     The g2 side statistics of ``used`` (free nodes, free nodes per label,
     free-free and free-used edges) start at ``(m, g2's label counts, |E2|, 0)``
-    and are derived once per mask, from the parent's, when a child first
-    pushes it: j leaves the free nodes and its label's count, its
+    and are derived once per mask, from the parent's, when a non-goal child
+    first pushes it: j leaves the free nodes and its label's count, its
     ``|adj2[j]| - |used & adj2[j]|`` edges to free nodes turn free-used, and
-    its ``|used & adj2[j]|`` edges to used nodes stop being free-used. The
-    pushed heuristic depends only on ``(depth, used)`` and is memoized on it.
-    Below full depth it adds two admissible bounds:
+    its ``|used & adj2[j]|`` edges to used nodes stop being free-used. An
+    expansion counts the common labels ``C = sum_l min(T[l], F[l])`` of the
+    g1 nodes >= depth (T) and the free g2 nodes (F) once, and each child's
+    count follows in O(1), with ``li`` and ``lj`` the label indices of i and
+    j among g2's (``li = -1`` if g2 lacks it): ``C - 1`` if it maps i onto j
+    and ``li == lj``; otherwise ``C - [li >= 0 and T[li] <= F[li]]``, less
+    ``[F[lj] <= T[lj]]`` if it maps i onto j. The tables that depend on one
+    graph only, for either role, are built once per graph (``_tables``).
+    Below full depth the pushed heuristic adds two admissible bounds:
 
     - nodes: every unmapped g1 node and free g2 node takes part in some node
       edit, at most the label-multiset intersection of the two sides can be
@@ -126,7 +160,7 @@ def ged_exact(g1, g2, costs=None, node_budget=10, timeout=10.0):
     p, and these edit sets are disjoint across p. So ``sum_p |c1(p) - c2(p)|``
     is admissible and, by the triangle inequality, at least ``|C1 - C2|``.
     It depends on the whole mapping, not on ``(depth, used)``, so it is applied
-    lazily: a non-goal state is pushed with the memoized key, and on its first
+    lazily: a non-goal state is pushed keyed on the bounds above, and on its first
     pop the gap ``(sum_p |c1(p) - c2(p)| - |C1 - C2|) * min_edge_cost`` is
     computed; if it is positive the state is pushed again, marked refined, at
     ``f + gap``. Only expansions count towards ``nodes_expanded``, and a
@@ -138,83 +172,55 @@ def ged_exact(g1, g2, costs=None, node_budget=10, timeout=10.0):
     popped is optimal under any cost scheme. Priority ties prefer deeper
     mappings, then earlier pushes.
     """
-    costs = costs or EditCostScheme()
+    costs = costs or _DEFAULT_COSTS
     n, m = g1.num_nodes, g2.num_nodes
     if max(n, m) > node_budget:
         raise GedBudgetError(f"graphs of size {n}/{m} exceed node budget {node_budget}")
-    if (m, len(g2.edges)) < (n, len(g1.edges)):  # map the smaller graph
+    node_insert, node_delete = costs.node_insert, costs.node_delete
+    edge_insert, edge_delete = costs.edge_insert, costs.edge_delete
+    if (m, len(g2.edges)) < (n, len(g1.edges)):  # map the smaller, under the transposed scheme
         g1, g2, n, m = g2, g1, m, n
-        costs = replace(costs, node_insert=costs.node_delete, node_delete=costs.node_insert,
-                        edge_insert=costs.edge_delete, edge_delete=costs.edge_insert)
-    degree = [adj.bit_count() for adj in _adj_masks(n, g1.edges)]
-    order = sorted(range(n), key=lambda v: (-degree[v], v))
-    pos = {v: k for k, v in enumerate(order)}
-    edges1 = [(min(pos[u], pos[v]), max(pos[u], pos[v])) for u, v in g1.edges]
-    lab1, lab2 = _labels(g1), _labels(g2)
-    lab1 = tuple(lab1[v] for v in order)
-    adj1, adj2 = _adj_masks(n, edges1), _adj_masks(m, g2.edges)
-    back1 = [[u for u, v in edges1 if v == i] for i in range(n)]  # prefix neighbours
-    sub = [[costs.substitution(a, b) for b in lab2] for a in lab1]
-    min_node_cost = min(costs.node_substitute, costs.node_delete, costs.node_insert)
-    min_edge_cost = min(costs.edge_delete, costs.edge_insert)
-
-    labels2 = list(dict.fromkeys(lab2))
-    label_at2 = [labels2.index(lab) for lab in lab2]
-    deg2 = [adj.bit_count() for adj in adj2]
-    # per depth: count of each g2 label among g1 nodes >= depth, the uncharged
-    # g1 edges internal to those nodes / crossing to the prefix, and per prefix
-    # node p its crossing edges c1(p)
-    tail1 = [[lab1[d:].count(lab) for lab in labels2] for d in range(n + 1)]
-    internal1 = [sum(1 for u, _ in edges1 if u >= d) for d in range(n + 1)]
-    cross1 = [sum(1 for u, v in edges1 if u < d <= v) for d in range(n + 1)]
-    cross1_at = [[(adj1[p] >> d).bit_count() for p in range(d)] for d in range(n + 1)]
+        node_insert, node_delete, edge_insert, edge_delete = (
+            node_delete, node_insert, edge_delete, edge_insert)
+    node_sub = costs.node_substitute
+    min_node_cost = min(node_sub, node_delete, node_insert)
+    min_edge_cost = min(edge_delete, edge_insert)
+    lab1, back1, adj1, internal1, cross1, tails1 = _tables(n, g1.edges, _labels(g1))[0]
+    index2, counts2, label_at2, adj2 = _tables(m, g2.edges, _labels(g2))[1]
+    # per depth: count of each g2 label among g1 nodes >= depth
+    zeros = (0,) * (n + 1)
+    tail1 = list(zip(*(tails1.get(lab, zeros) for lab in index2)))
+    label_at1 = [index2.get(lab, -1) for lab in lab1]
     full = (1 << m) - 1
-
-    free_memo = {0: (m, [lab2.count(lab) for lab in labels2], len(g2.edges), 0)}
-    h_memo = {}
-
-    def heuristic(depth, used):
-        key = used * (n + 1) + depth
-        h = h_memo.get(key)
-        if h is None:
-            n2, free_counts, internal2, cross2 = free_memo[used]
-            if depth == n:
-                h = n2 * costs.node_insert + (internal2 + cross2) * costs.edge_insert
-            else:
-                common = sum(map(min, tail1[depth], free_counts))
-                h = ((n2 - common) * min_node_cost
-                     + (abs(internal1[depth] - internal2) + abs(cross1[depth] - cross2))
-                     * min_edge_cost)
-            h_memo[key] = h
-        return h
-
+    edges2 = len(g2.edges)
+    free_memo = {0: (m, counts2, edges2, 0)}
     DEL = -1
 
-    def crossing_gap(depth, used, mapping):
-        c1_total, c2_total = cross1[depth], free_memo[used][3]
-        if not (c1_total and c2_total):  # one side empty: both bounds agree
-            return 0
-        free = full & ~used
-        per_image = 0
-        for c1, j in zip(cross1_at[depth], mapping):
-            per_image += abs(c1 - (adj2[j] & free).bit_count()) if j != DEL else c1
-        return (per_image - abs(c1_total - c2_total)) * min_edge_cost
-
-    counter = itertools.count()
-    heap = [(heuristic(0, 0), 0, next(counter), 0.0, 0, 0, (), False)]
+    common = sum(map(min, tail1[0], counts2))
+    heap = [((m - common) * min_node_cost + abs(internal1[0] - edges2) * min_edge_cost,
+             0, 0, 0.0, 0, 0, (), False)]
+    tick = 0
+    push, pop = heapq.heappush, heapq.heappop
     deadline = time.monotonic() + timeout
     expanded = 0
     while heap:
-        f, negd, _, g, depth, used, mapping, refined = heapq.heappop(heap)
+        f, negd, _, g, depth, used, mapping, refined = pop(heap)
         if time.monotonic() > deadline:
             raise GedTimeoutError(f)
         if depth == n:
             return GedResult(f, normalized_similarity(f, n, m), expanded)
-        if not refined:
-            gap = crossing_gap(depth, used, mapping)
+        n2, free_counts, internal2, cross2 = free_memo[used]
+        c1_total = cross1[depth]
+        if not refined and c1_total and cross2:  # one side empty: both bounds agree
+            free = full & ~used
+            per_image = 0
+            for adj, j in zip(adj1, mapping):  # the prefix nodes p and their images
+                c1 = (adj >> depth).bit_count()
+                per_image += abs(c1 - (adj2[j] & free).bit_count()) if j != DEL else c1
+            gap = (per_image - abs(c1_total - cross2)) * min_edge_cost
             if gap > 0:
-                heapq.heappush(heap, (f + gap, negd, next(counter), g, depth, used, mapping,
-                                      True))
+                tick += 1
+                push(heap, (f + gap, negd, tick, g, depth, used, mapping, True))
                 continue
         expanded += 1
         i, nd = depth, depth + 1
@@ -223,31 +229,50 @@ def ged_exact(g1, g2, costs=None, node_budget=10, timeout=10.0):
             if mapping[u] != DEL:
                 img |= 1 << mapping[u]
         back = len(back1[i])
-        sub_i = sub[i]
-        n2, free_counts, internal2, cross2 = free_memo[used]
-        # map node i onto each unused g2 node
-        for j in range(m):
-            if used >> j & 1:
-                continue
+        tail, li = tail1[i], label_at1[i]
+        common = sum(map(min, tail, free_counts))
+        lost = li >= 0 and tail[li] <= free_counts[li]  # i leaving the tail lowers C
+        goal = nd == n
+        internal1_nd, cross1_nd = internal1[nd], cross1[nd]
+        # map node i onto each unused g2 node, lowest first
+        free = full & ~used
+        while free:
+            bit = free & -free
+            free ^= bit
+            j = bit.bit_length() - 1
             adj = adj2[j]
             both = (img & adj).bit_count()
             to_used = (used & adj).bit_count()
-            step = (sub_i[j] + costs.edge_delete * (back - both)
-                    + costs.edge_insert * (to_used - both))
-            nu = used | 1 << j
-            if nu not in free_memo:
-                counts = free_counts.copy()
-                counts[label_at2[j]] -= 1
-                to_free = deg2[j] - to_used
-                free_memo[nu] = (n2 - 1, counts, internal2 - to_free, cross2 - to_used + to_free)
-            ng = g + step
-            heapq.heappush(heap, (ng + heuristic(nd, nu), -nd, next(counter),
-                                  ng, nd, nu, mapping + (j,), False))
+            lj = label_at2[j]
+            if lj == li:
+                sub, c = 0.0, common - 1
+            else:
+                sub, c = node_sub, common - lost - (free_counts[lj] <= tail[lj])
+            ng = g + (sub + edge_delete * (back - both) + edge_insert * (to_used - both))
+            nu = used | bit
+            if goal:
+                h = (n2 - 1) * node_insert + (internal2 + cross2 - to_used) * edge_insert
+            else:
+                to_free = adj.bit_count() - to_used
+                i2, c2 = internal2 - to_free, cross2 - to_used + to_free
+                if nu not in free_memo:
+                    counts = list(free_counts)
+                    counts[lj] -= 1
+                    free_memo[nu] = (n2 - 1, counts, i2, c2)
+                h = ((n2 - 1 - c) * min_node_cost
+                     + (abs(internal1_nd - i2) + abs(cross1_nd - c2)) * min_edge_cost)
+            tick += 1
+            push(heap, (ng + h, -nd, tick, ng, nd, nu, mapping + (j,), False))
         # delete node i; its edges to already-processed nodes get charged now,
         # edges to later nodes when those are reached
-        ng = g + costs.node_delete + costs.edge_delete * back
-        heapq.heappush(heap, (ng + heuristic(nd, used), -nd, next(counter),
-                              ng, nd, used, mapping + (DEL,), False))
+        ng = g + node_delete + edge_delete * back
+        if goal:
+            h = n2 * node_insert + (internal2 + cross2) * edge_insert
+        else:
+            h = ((n2 - (common - lost)) * min_node_cost
+                 + (abs(internal1_nd - internal2) + abs(cross1_nd - cross2)) * min_edge_cost)
+        tick += 1
+        push(heap, (ng + h, -nd, tick, ng, nd, used, mapping + (DEL,), False))
     raise RuntimeError("A* exhausted the queue without reaching a goal")
 
 

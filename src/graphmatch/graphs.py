@@ -46,6 +46,13 @@ def _integer(x):
     return operator.index(x)
 
 
+def _holds_bool(x):
+    """Whether x, a nested sequence or an array of numbers, holds a bool."""
+    if isinstance(x, np.ndarray) and x.dtype != object:
+        return x.dtype == np.bool_
+    return not {bool, np.bool_}.isdisjoint(map(type, np.asarray(x, dtype=object).flat))
+
+
 def as_id(x, what="id"):
     """A graph or group id: a str, or an integer (not a bool) as its digits."""
     if isinstance(x, str):
@@ -59,6 +66,8 @@ def as_id(x, what="id"):
 def make_graph(graph_id, features, edges, labels=None, group=None):
     """Build and validate a Graph, deduplicating undirected edges."""
     graph_id = as_id(graph_id)
+    if _holds_bool(features):  # JSON's true would read as 1.0
+        raise GraphError(f"graph {graph_id!r}: features must be numbers, not bools")
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[0] < 1 or feats.shape[1] < 1:
         raise GraphError(f"graph {graph_id!r}: features must be an N x d matrix with "

@@ -111,6 +111,15 @@ def test_boolean_edge_and_label_rejected(tmp_path):
         load_dataset(path)
 
 
+def test_boolean_features_rejected(tmp_path):
+    # [[true, false]] would otherwise load as features [[1.0, 0.0]]
+    path = tmp_path / "graphs.jsonl"
+    write_jsonl(path, [{"id": "a", "nodes": [[True, False]], "edges": []}])
+    with pytest.raises(DatasetError, match=re.escape(
+            f"{path}:1: graph 'a': features must be numbers, not bools")):
+        load_dataset(path)
+
+
 def test_numeric_split_ids_match_numeric_graph_ids(tmp_path):
     write_jsonl(tmp_path / "graphs.jsonl",
                 [{"id": i, "nodes": [[1.0]], "edges": []} for i in (1, 2)])

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphmatch.ged import (EditCostScheme, GedBudgetError, ged_bruteforce, ged_exact,
-                            normalized_similarity)
+from graphmatch import ged
+from graphmatch.ged import (TABLE_CACHE_SIZE, EditCostScheme, GedBudgetError, ged_bruteforce,
+                            ged_exact, normalized_similarity)
 from graphmatch.graphs import make_graph
 
 from conftest import random_graph
@@ -175,14 +177,52 @@ def test_g1_node_order_does_not_change_distance():
 def test_search_expansion_count():
     # index order with the |C1 - C2| crossing bound expanded 11,751 states on
     # this corpus, descending-degree order with the per-image bound 2,139, and
-    # mapping the smaller graph's nodes 1,247
+    # mapping the smaller graph's nodes 1,247; pricing each child from its
+    # parent and caching per-graph tables keep every push, so exactly 1,247
     rng = np.random.default_rng(2024)
     total = 0
     for i in range(40):
         g1 = random_graph(rng, n_min=6, n_max=8, n_labels=3, edge_prob=0.3, gid=f"a{i}")
         g2 = random_graph(rng, n_min=6, n_max=8, n_labels=3, edge_prob=0.3, gid=f"b{i}")
         total += ged_exact(g1, g2).nodes_expanded
-    assert 0 < total <= 1247, total
+    assert total == 1247, total
+
+
+def test_search_is_pinned_state_for_state():
+    # the repr of every result (distance, similarity, expansions) over 200
+    # pairs of 1-9 nodes, a quarter under the default scheme and the rest
+    # under dyadic schemes, hashed; pinned before child bounds were derived
+    # from the parent's and the per-graph tables cached, which must keep
+    # every push, key and tie-break, so the same states pop in the same order
+    rng = np.random.default_rng(3407)
+    results = []
+    for i in range(200):
+        costs = (EditCostScheme() if i % 4 == 0 else
+                 EditCostScheme(*(float(c) for c in rng.choice([0.5, 1.0, 2.0, 3.0], size=5))))
+        graphs = [random_graph(rng, n_min=1, n_max=9, n_labels=4, labeled=i % 5 != 0,
+                               edge_prob=0.3, gid=f"{side}{i}") for side in "ab"]
+        results.append(repr(ged_exact(*graphs, costs)))
+    digest = hashlib.sha256("\n".join(results).encode()).hexdigest()
+    assert digest == "d9cc03345f0bc9a77254a71328dac8fc231fbd12c8cc616508bd577e5f9e2ed3"
+
+
+def test_search_tables_are_cached_once_per_graph():
+    ged._tables.cache_clear()
+    rng = np.random.default_rng(300)
+    corpus = [random_graph(rng, n_min=3, n_max=6, gid=f"g{i}") for i in range(300)]
+    for a, b in zip(corpus, corpus[1:]):
+        ged_exact(a, b)
+    info = ged._tables.cache_info()
+    assert info.maxsize == TABLE_CACHE_SIZE and info.currsize <= info.maxsize
+    # the tables are keyed on (num_nodes, edges, labels), not on the id or features
+    ged._tables.cache_clear()
+    g = make_graph("g", np.zeros((4, 1)), [(0, 1), (1, 2), (2, 3)], [0, 1, 0, 2])
+    twin = make_graph("twin", np.ones((4, 1)), g.edges, g.labels)
+    assert ged_exact(g, twin).distance == 0.0
+    assert ged._tables.cache_info().currsize == 1
+    relabelled = make_graph("r", g.features, g.edges, [3, 3, 3, 3])
+    assert ged_exact(g, relabelled).distance == 4.0
+    assert ged._tables.cache_info().currsize == 2
 
 
 def test_the_smaller_graph_is_the_one_searched():

@@ -106,6 +106,17 @@ def test_malformed_graph_rejected(feats, edges, labels):
         make_graph("a", feats, edges, labels)
 
 
+@pytest.mark.parametrize("feats", [
+    [[True, False]],                   # JSON's true and false are not 1.0 and 0.0
+    [[0.5, 1.0], [2.0, False]],
+    np.array([[True], [False]]),
+    np.array([[1.0, True]], dtype=object),
+])
+def test_bool_features_rejected(feats):
+    with pytest.raises(GraphError, match="graph 'a': features must be numbers, not bools"):
+        make_graph("a", feats, [])
+
+
 def test_adjacency_matrix_symmetric():
     g = make_graph("a", np.zeros((3, 1)), [(0, 2)])
     a = adjacency_matrix(g)
