@@ -12,6 +12,7 @@ released GED benchmarks is provided: translate their per-graph files and
 ground-truth score matrix into the three files above.
 """
 
+import functools
 import json
 import logging
 import math
@@ -218,18 +219,23 @@ def _connected(n, edges):
     return len(seen) == n
 
 
+@functools.lru_cache(maxsize=GED_NODE_BUDGET + 1)
+def _node_pairs(n):
+    """Every (u, v) with u < v < n, row-major."""
+    return tuple((u, v) for u in range(n) for v in range(u + 1, n))
+
+
 def _random_connected_edges(n, edge_prob, rng):
-    """Random spanning tree plus independent extra edges."""
-    edges = set()
-    order = rng.permutation(n)
-    for i in range(1, n):
-        u = int(order[i])
-        v = int(order[rng.integers(0, i)])
-        edges.add((min(u, v), max(u, v)))
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < edge_prob:
-                edges.add((u, v))
+    """Random spanning tree plus independent extra edges: node order[i]
+    joins order[k] for a uniform k < i, then each node pair, row-major, is
+    an edge with probability edge_prob. One vector call per step draws what
+    a scalar call per tree node and per pair would, and leaves the same
+    generator state."""
+    order = rng.permutation(n).tolist()
+    parents = [order[k] for k in rng.integers(0, np.arange(1, n)).tolist()]
+    edges = {(u, v) if u < v else (v, u) for u, v in zip(order[1:], parents)}
+    pairs = _node_pairs(n)
+    edges.update(e for e, x in zip(pairs, rng.random(len(pairs)).tolist()) if x < edge_prob)
     return sorted(edges)
 
 
@@ -241,6 +247,14 @@ def _draw_split(ids, train_frac, val_frac, rng):
     n_val = int(round(val_frac * len(perm)))
     return {"train": perm[:n_train], "val": perm[n_train:n_train + n_val],
             "test": perm[n_train + n_val:]}
+
+
+def _pair_at(k, t):
+    """The k-th (i, j), i < j < t, of the row-major listing of pairs, found
+    from its end: the last q + 1 rows hold the last (q + 1)(q + 2) / 2 pairs."""
+    back = t * (t - 1) // 2 - 1 - k
+    q = (math.isqrt(8 * back + 1) - 1) // 2
+    return t - 2 - q, t - 1 - (back - q * (q + 1) // 2)
 
 
 GED_BOUNDS = {"n_graphs": AT_LEAST_1, "edge_prob": IN_0_1, "seed": AT_LEAST_0,
@@ -263,7 +277,7 @@ def gen_ged_dataset(n_graphs, node_range=(4, 9), edge_prob=0.25, seed=0,
     graphs = {}
     for i in range(n_graphs):
         n = int(rng.integers(lo, hi + 1))
-        labels = [int(x) for x in rng.integers(0, GED_LABELS, size=n)]
+        labels = rng.integers(0, GED_LABELS, size=n).tolist()
         feats = np.eye(GED_LABELS)[labels]
         edges = _random_connected_edges(n, edge_prob, rng)
         g = make_graph(f"g{i:04d}", feats, edges, labels)
@@ -272,11 +286,11 @@ def gen_ged_dataset(n_graphs, node_range=(4, 9), edge_prob=0.25, seed=0,
     split = {k: sorted(v) for k, v in _draw_split(list(graphs), 0.6, 0.2, rng).items()}
 
     train = split["train"]
-    cand_pairs = [(train[i], train[j])
-                  for i in range(len(train)) for j in range(i + 1, len(train))]
-    if max_train_pairs is not None and len(cand_pairs) > max_train_pairs:
-        keep = rng.choice(len(cand_pairs), size=max_train_pairs, replace=False)
-        cand_pairs = [cand_pairs[int(k)] for k in sorted(keep)]
+    t = len(train)
+    keep = range(t * (t - 1) // 2)  # positions in the row-major listing of train pairs
+    if max_train_pairs is not None and len(keep) > max_train_pairs:
+        keep = sorted(rng.choice(len(keep), size=max_train_pairs, replace=False).tolist())
+    cand_pairs = [(train[i], train[j]) for i, j in (_pair_at(k, t) for k in keep)]
     for name in ("val", "test"):
         cands = train
         if eval_candidates is not None and len(train) > eval_candidates:

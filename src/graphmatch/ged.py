@@ -21,11 +21,16 @@ class GedBudgetError(ValueError):
 
 
 class GedTimeoutError(TimeoutError):
-    """Raised when search exceeds its deadline; carries the best lower bound."""
+    """Raised when search exceeds its deadline; carries the best lower bound.
+    ``args`` is ``(best_bound,)``, what ``__init__`` takes, so pickle and copy
+    rebuild the same error."""
 
     def __init__(self, best_bound):
-        super().__init__(f"GED search timed out; best lower bound {best_bound}")
+        super().__init__(best_bound)
         self.best_bound = best_bound
+
+    def __str__(self):
+        return f"GED search timed out; best lower bound {self.best_bound}"
 
 
 @dataclass(frozen=True)
@@ -84,21 +89,35 @@ def _tables(n, edges, labels):
     in descending-degree order: labels, prefix neighbours, adjacency masks,
     per depth the internal and crossing edge counts, and each label's count
     among the nodes >= depth. Other, in the graph's own order: each distinct
-    label's index and count, each node's label index, and adjacency masks."""
+    label's index and count, and per node ``(j, 1 << j, adjacency mask, label
+    index, degree)``. One pass over the edges fills the per-depth counts."""
     adj = tuple(_adj_masks(n, edges))
     order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
-    pos = {v: k for k, v in enumerate(order)}
-    edges1 = [(min(pos[u], pos[v]), max(pos[u], pos[v])) for u, v in edges]
+    pos = [0] * n
+    for k, v in enumerate(order):
+        pos[v] = k
     lab1 = tuple(labels[v] for v in order)
-    adj1 = _adj_masks(n, edges1)
-    depths = range(n + 1)
+    back, adj1 = [[] for _ in range(n)], [0] * n
+    # an edge (u, v), u < v in the new order, is internal at depths <= u and
+    # crossing at u < depth <= v: count it at u, open a span at u + 1 and close it at v + 1
+    starts, spans = [0] * (n + 1), [0] * (n + 1)
+    for a, b in edges:
+        u, v = sorted((pos[a], pos[b]))
+        back[v].append(u)
+        adj1[u] |= 1 << v
+        adj1[v] |= 1 << u
+        starts[u] += 1
+        spans[u + 1] += 1
+        spans[v + 1] -= 1
     index = {lab: k for k, lab in enumerate(dict.fromkeys(labels))}
-    mapped = (lab1, tuple(tuple(u for u, v in edges1 if v == i) for i in range(n)), tuple(adj1),
-              tuple(sum(1 for u, _ in edges1 if u >= d) for d in depths),
-              tuple(sum(1 for u, v in edges1 if u < d <= v) for d in depths),
-              {lab: tuple(lab1[d:].count(lab) for d in depths) for lab in index})
+    tails = {lab: tuple(itertools.accumulate((x == lab for x in reversed(lab1)), initial=0))[::-1]
+             for lab in index}
+    mapped = (lab1, tuple(map(tuple, back)), tuple(adj1),
+              tuple(itertools.accumulate(reversed(starts)))[::-1],
+              tuple(itertools.accumulate(spans)), tails)
     return mapped, (index, tuple(labels.count(lab) for lab in index),
-                    tuple(index[lab] for lab in labels), adj)
+                    tuple((j, 1 << j, adj[j], index[labels[j]], adj[j].bit_count())
+                          for j in range(n)))
 
 
 def ged_exact(g1, g2, costs=None, node_budget=10, timeout=10.0):
@@ -128,8 +147,9 @@ def ged_exact(g1, g2, costs=None, node_budget=10, timeout=10.0):
 
     The g2 side statistics of ``used`` (free nodes, free nodes per label,
     free-free and free-used edges) start at ``(m, g2's label counts, |E2|, 0)``
-    and are derived once per mask, from the parent's, when a non-goal child
-    first pushes it: j leaves the free nodes and its label's count, its
+    and are derived once per mask, from its parent mask's, when a state with
+    that mask first pops (the parent mask popped before): j leaves the free
+    nodes and its label's count, its
     ``|adj2[j]| - |used & adj2[j]|`` edges to free nodes turn free-used, and
     its ``|used & adj2[j]|`` edges to used nodes stop being free-used. An
     expansion counts the common labels ``C = sum_l min(T[l], F[l])`` of the
@@ -171,6 +191,17 @@ def ged_exact(g1, g2, costs=None, node_budget=10, timeout=10.0):
     is its total cost and, every other bound being admissible, the first goal
     popped is optimal under any cost scheme. Priority ties prefer deeper
     mappings, then earlier pushes.
+
+    Three things cut the work per state without changing which states pop,
+    or in what order. A child is pushed with its parent's mapping and its g2
+    node j; its own mapping tuple and its mask's statistics are built when it
+    first pops, so the children that never pop cost only their key. An
+    expansion at the last depth, whose children are all goals, pushes one
+    goal keyed on its cheapest child's cost: a costlier sibling could only
+    pop after it, and the search returns then. And each expansion's
+    last push (the delete child, the one goal, or a refined re-push) is
+    merged with the next pop by ``heapq.heappushpop``; ticks make every key
+    unique, so it returns what the push and a pop would.
     """
     costs = costs or _DEFAULT_COSTS
     n, m = g1.num_nodes, g2.num_nodes
@@ -186,7 +217,7 @@ def ged_exact(g1, g2, costs=None, node_budget=10, timeout=10.0):
     min_node_cost = min(node_sub, node_delete, node_insert)
     min_edge_cost = min(edge_delete, edge_insert)
     lab1, back1, adj1, internal1, cross1, tails1 = _tables(n, g1.edges, _labels(g1))[0]
-    index2, counts2, label_at2, adj2 = _tables(m, g2.edges, _labels(g2))[1]
+    index2, counts2, nodes2 = _tables(m, g2.edges, _labels(g2))[1]
     # per depth: count of each g2 label among g1 nodes >= depth
     zeros = (0,) * (n + 1)
     tail1 = list(zip(*(tails1.get(lab, zeros) for lab in index2)))
@@ -197,31 +228,49 @@ def ged_exact(g1, g2, costs=None, node_budget=10, timeout=10.0):
     DEL = -1
 
     common = sum(map(min, tail1[0], counts2))
-    heap = [((m - common) * min_node_cost + abs(internal1[0] - edges2) * min_edge_cost,
-             0, 0, 0.0, 0, 0, (), False)]
+    # an entry is (f, -depth, tick, g, depth, used, mapping, last): a child
+    # carries its parent's mapping and, as last, the g2 node its last g1 node
+    # maps onto (DEL for a deletion); last is None once mapping is the
+    # state's own (the root and refined re-pushes), and a goal, which pops
+    # only to return its key, carries no more than its key and depth
+    state = ((m - common) * min_node_cost + abs(internal1[0] - edges2) * min_edge_cost,
+             0, 0, 0.0, 0, 0, (), None)
+    heap = []
     tick = 0
-    push, pop = heapq.heappush, heapq.heappop
+    push, pushpop = heapq.heappush, heapq.heappushpop
     deadline = time.monotonic() + timeout
     expanded = 0
-    while heap:
-        f, negd, _, g, depth, used, mapping, refined = pop(heap)
+    while True:
+        f, negd, _, g, depth, used, mapping, last = state
         if time.monotonic() > deadline:
             raise GedTimeoutError(f)
         if depth == n:
             return GedResult(f, normalized_similarity(f, n, m), expanded)
-        n2, free_counts, internal2, cross2 = free_memo[used]
-        c1_total = cross1[depth]
-        if not refined and c1_total and cross2:  # one side empty: both bounds agree
-            free = full & ~used
-            per_image = 0
-            for adj, j in zip(adj1, mapping):  # the prefix nodes p and their images
-                c1 = (adj >> depth).bit_count()
-                per_image += abs(c1 - (adj2[j] & free).bit_count()) if j != DEL else c1
-            gap = (per_image - abs(c1_total - cross2)) * min_edge_cost
-            if gap > 0:
-                tick += 1
-                push(heap, (f + gap, negd, tick, g, depth, used, mapping, True))
-                continue
+        stats = free_memo.get(used)
+        if stats is None:  # first pop of this mask; its parent's, less last, popped before
+            n2, free_counts, internal2, cross2 = free_memo[used & ~(1 << last)]
+            _, _, adj, lj, degree = nodes2[last]
+            to_used = (used & adj).bit_count()
+            to_free = degree - to_used
+            free_counts = list(free_counts)
+            free_counts[lj] -= 1
+            stats = free_memo[used] = (n2 - 1, free_counts, internal2 - to_free,
+                                       cross2 - to_used + to_free)
+        n2, free_counts, internal2, cross2 = stats
+        if last is not None:
+            mapping += (last,)
+            c1_total = cross1[depth]
+            if c1_total and cross2:  # one side empty: both bounds agree
+                free = full & ~used
+                per_image = 0
+                for adj, j in zip(adj1, mapping):  # the prefix nodes p and their images
+                    c1 = (adj >> depth).bit_count()
+                    per_image += abs(c1 - (nodes2[j][2] & free).bit_count()) if j != DEL else c1
+                gap = (per_image - abs(c1_total - cross2)) * min_edge_cost
+                if gap > 0:
+                    tick += 1
+                    state = pushpop(heap, (f + gap, negd, tick, g, depth, used, mapping, None))
+                    continue
         expanded += 1
         i, nd = depth, depth + 1
         img = 0
@@ -229,51 +278,50 @@ def ged_exact(g1, g2, costs=None, node_budget=10, timeout=10.0):
             if mapping[u] != DEL:
                 img |= 1 << mapping[u]
         back = len(back1[i])
-        tail, li = tail1[i], label_at1[i]
+        li = label_at1[i]
+        # delete node i; its edges to already-processed nodes get charged now,
+        # edges to later nodes when those are reached
+        del_g = g + node_delete + edge_delete * back
+        if nd == n:  # every child is a goal, and only the cheapest can pop
+            best = math.inf
+            for _, bit, adj, lj, _ in nodes2:
+                if used & bit:
+                    continue
+                both = (img & adj).bit_count()
+                to_used = (used & adj).bit_count()
+                sub = 0.0 if lj == li else node_sub
+                ng = g + (sub + edge_delete * (back - both) + edge_insert * (to_used - both))
+                best = min(best, ng + ((n2 - 1) * node_insert
+                                       + (internal2 + cross2 - to_used) * edge_insert))
+            best = min(best, del_g + (n2 * node_insert + (internal2 + cross2) * edge_insert))
+            tick += 1
+            state = pushpop(heap, (best, -nd, tick, None, nd, None, None, None))
+            continue
+        tail = tail1[i]
         common = sum(map(min, tail, free_counts))
         lost = li >= 0 and tail[li] <= free_counts[li]  # i leaving the tail lowers C
-        goal = nd == n
         internal1_nd, cross1_nd = internal1[nd], cross1[nd]
         # map node i onto each unused g2 node, lowest first
-        free = full & ~used
-        while free:
-            bit = free & -free
-            free ^= bit
-            j = bit.bit_length() - 1
-            adj = adj2[j]
+        for j, bit, adj, lj, degree in nodes2:
+            if used & bit:
+                continue
             both = (img & adj).bit_count()
             to_used = (used & adj).bit_count()
-            lj = label_at2[j]
             if lj == li:
                 sub, c = 0.0, common - 1
             else:
                 sub, c = node_sub, common - lost - (free_counts[lj] <= tail[lj])
             ng = g + (sub + edge_delete * (back - both) + edge_insert * (to_used - both))
-            nu = used | bit
-            if goal:
-                h = (n2 - 1) * node_insert + (internal2 + cross2 - to_used) * edge_insert
-            else:
-                to_free = adj.bit_count() - to_used
-                i2, c2 = internal2 - to_free, cross2 - to_used + to_free
-                if nu not in free_memo:
-                    counts = list(free_counts)
-                    counts[lj] -= 1
-                    free_memo[nu] = (n2 - 1, counts, i2, c2)
-                h = ((n2 - 1 - c) * min_node_cost
-                     + (abs(internal1_nd - i2) + abs(cross1_nd - c2)) * min_edge_cost)
+            to_free = degree - to_used
+            i2, c2 = internal2 - to_free, cross2 - to_used + to_free
+            h = ((n2 - 1 - c) * min_node_cost
+                 + (abs(internal1_nd - i2) + abs(cross1_nd - c2)) * min_edge_cost)
             tick += 1
-            push(heap, (ng + h, -nd, tick, ng, nd, nu, mapping + (j,), False))
-        # delete node i; its edges to already-processed nodes get charged now,
-        # edges to later nodes when those are reached
-        ng = g + node_delete + edge_delete * back
-        if goal:
-            h = n2 * node_insert + (internal2 + cross2) * edge_insert
-        else:
-            h = ((n2 - (common - lost)) * min_node_cost
-                 + (abs(internal1_nd - internal2) + abs(cross1_nd - cross2)) * min_edge_cost)
+            push(heap, (ng + h, -nd, tick, ng, nd, used | bit, mapping, j))
+        h = ((n2 - (common - lost)) * min_node_cost
+             + (abs(internal1_nd - internal2) + abs(cross1_nd - cross2)) * min_edge_cost)
         tick += 1
-        push(heap, (ng + h, -nd, tick, ng, nd, used, mapping + (DEL,), False))
-    raise RuntimeError("A* exhausted the queue without reaching a goal")
+        state = pushpop(heap, (del_g + h, -nd, tick, del_g, nd, used, mapping, DEL))
 
 
 def ged_bruteforce(g1, g2, costs=None, max_nodes=5):

@@ -79,7 +79,9 @@ def make_graph(graph_id, features, edges, labels=None, group=None):
     dupes = 0
     for e in edges:
         try:
-            u, v = (_integer(x) for x in e)
+            u, v = e
+            if type(u) is not int or type(v) is not int:  # plain ints need no check
+                u, v = _integer(u), _integer(v)
         except (TypeError, ValueError):
             raise GraphError(f"graph {graph_id!r}: edge {e!r} is not a pair of "
                              f"integer node indices") from None

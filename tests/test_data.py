@@ -1,17 +1,20 @@
+import hashlib
 import json
 import logging
 import math
 import os
 import re
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphmatch.data import (Dataset, DatasetError, gen_clone_dataset, gen_ged_dataset,
-                             load_dataset, load_dataset_dir, save_dataset)
+from graphmatch.data import (Dataset, DatasetError, _pair_at, _random_connected_edges,
+                             gen_clone_dataset, gen_ged_dataset, load_dataset, load_dataset_dir,
+                             save_dataset)
 from graphmatch.ged import ged_bruteforce
 from graphmatch.graphs import LabeledPair, make_graph
 
@@ -403,6 +406,85 @@ def test_seeded_determinism_byte_identical(tmp_path):
         save_dataset(gen(), tmp_path / sub)
     for name in ("graphs.jsonl", "pairs.jsonl", "split.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+# sha256 of the three files save_dataset writes, computed with one scalar
+# draw per tree node and per node pair and with the train pairs listed before
+# sampling: the vector draws and the sampling by position must reproduce them
+GENERATED_SHA256 = {
+    "ged_sampled_pairs_eval_candidates": (
+        lambda: gen_ged_dataset(30, node_range=(3, 7), edge_prob=0.3, seed=41,
+                                max_train_pairs=25, eval_candidates=3),
+        "857b3553afe698f977a31aad3d2e6bb149debaaefcedd7b86a7b39dbf63bbf5e"),
+    "ged_sampled_pairs_every_candidate": (
+        lambda: gen_ged_dataset(20, node_range=(2, 6), seed=43, max_train_pairs=12),
+        "0ad020818d5f67bfce187072389fa91a10f96e95783ec9709e86627dce1d59de"),
+    "ged_all_pairs_eval_candidates": (
+        lambda: gen_ged_dataset(12, node_range=(1, 6), edge_prob=0.5, seed=47,
+                                eval_candidates=2),
+        "c47969be4893cf04ab0fbb734b8f07a3f32b999755e81ac82839d1f555cea7bb"),
+    "ged_all_pairs_under_the_cap_every_candidate": (
+        lambda: gen_ged_dataset(10, node_range=(4, 6), edge_prob=0.1, seed=53,
+                                max_train_pairs=100, eval_candidates=None),
+        "1934a7a6cca602de0b25d55af689df092c74c278b896fa761bccbfc63dd52d41"),
+    "clone": (
+        lambda: gen_clone_dataset(8, 3, 3, seed=59),
+        "b0dd1d12dbddf2aa9eede9512a6e3f68c06d260f61cdfd610a049f4560db8843"),
+}
+
+
+@pytest.mark.parametrize("name", list(GENERATED_SHA256))
+def test_generated_corpus_bytes_are_pinned(tmp_path, name):
+    gen, want = GENERATED_SHA256[name]
+    save_dataset(gen(), tmp_path)
+    digest = hashlib.sha256()
+    for f in ("graphs.jsonl", "pairs.jsonl", "split.json"):
+        digest.update((tmp_path / f).read_bytes())
+    assert digest.hexdigest() == want
+
+
+def scalar_connected_edges(n, edge_prob, rng):
+    """The generator's edges drawn one scalar call per tree node and per pair."""
+    edges = set()
+    order = rng.permutation(n)
+    for i in range(1, n):
+        u = int(order[i])
+        v = int(order[rng.integers(0, i)])
+        edges.add((min(u, v), max(u, v)))
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < edge_prob:
+                edges.add((u, v))
+    return sorted(edges)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_random_edges_draw_what_scalar_draws_would(n):
+    for seed in range(300):
+        edge_prob = (0.0, 0.2, 0.5, 1.0)[seed % 4]
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert _random_connected_edges(n, edge_prob, a) == scalar_connected_edges(n, edge_prob, b)
+        assert a.integers(0, 2**62) == b.integers(0, 2**62), (n, seed)  # the same state after
+
+
+def test_pair_positions_follow_the_row_major_listing():
+    for t in range(2, 41):
+        listing = [(i, j) for i in range(t) for j in range(i + 1, t)]
+        assert [_pair_at(k, t) for k in range(len(listing))] == listing, t
+
+
+def test_sampled_train_pairs_are_not_listed_first():
+    # 1,200 train graphs have 719,400 pairs, tens of MB as a list of tuples;
+    # drawing four of them must not build that list
+    tracemalloc.start()
+    try:
+        ds = gen_ged_dataset(2000, node_range=(1, 2), seed=5, max_train_pairs=4,
+                             eval_candidates=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ds.pairs) == 4
+    assert peak < 16e6, peak
 
 
 def test_pair_split_assignment():

@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -7,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphmatch import ged
-from graphmatch.ged import (TABLE_CACHE_SIZE, EditCostScheme, GedBudgetError, ged_bruteforce,
-                            ged_exact, normalized_similarity)
+from graphmatch.ged import (TABLE_CACHE_SIZE, EditCostScheme, GedBudgetError, GedTimeoutError,
+                            ged_bruteforce, ged_exact, normalized_similarity)
 from graphmatch.graphs import make_graph
 
 from conftest import random_graph
@@ -225,6 +227,31 @@ def test_search_tables_are_cached_once_per_graph():
     assert ged._tables.cache_info().currsize == 2
 
 
+def comprehension_tables(n, edges, labels):
+    """The mapped-side search tables by one comprehension over the edges per
+    node and per depth: the reference the one-pass build must equal."""
+    adj = ged._adj_masks(n, edges)
+    order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
+    pos = {v: k for k, v in enumerate(order)}
+    edges1 = [(min(pos[u], pos[v]), max(pos[u], pos[v])) for u, v in edges]
+    lab1 = tuple(labels[v] for v in order)
+    depths = range(n + 1)
+    return (lab1, tuple(tuple(u for u, v in edges1 if v == i) for i in range(n)),
+            tuple(ged._adj_masks(n, edges1)),
+            tuple(sum(1 for u, _ in edges1 if u >= d) for d in depths),
+            tuple(sum(1 for u, v in edges1 if u < d <= v) for d in depths),
+            {lab: tuple(lab1[d:].count(lab) for d in depths) for lab in dict.fromkeys(labels)})
+
+
+def test_search_tables_match_their_comprehensions():
+    rng = np.random.default_rng(811)
+    for i in range(1500):
+        g = random_graph(rng, n_min=1, n_max=10, n_labels=4, labeled=i % 3 != 0,
+                         edge_prob=rng.random(), gid=f"g{i}")
+        args = (g.num_nodes, g.edges, ged._labels(g))
+        assert ged._tables.__wrapped__(*args)[0] == comprehension_tables(*args), args
+
+
 def test_the_smaller_graph_is_the_one_searched():
     # pairs that differ in (nodes, edges) run one search whichever way they
     # are given, so the swapped call expands the same states
@@ -251,6 +278,15 @@ def test_oracle_equivalence_when_g1_is_larger():
         g2 = random_graph(rng, n_min=1, n_max=g1.num_nodes - 1, n_labels=3, gid=f"b{i}")
         assert ged_exact(g1, g2, costs).distance == ged_bruteforce(g1, g2, costs).distance, \
             (i, costs)
+
+
+@pytest.mark.parametrize("clone", [lambda e: pickle.loads(pickle.dumps(e)), copy.copy,
+                                   copy.deepcopy], ids=["pickle", "copy", "deepcopy"])
+def test_timeout_error_survives_pickle_and_copy(clone):
+    e = clone(GedTimeoutError(3.5))
+    assert type(e) is GedTimeoutError
+    assert str(e) == "GED search timed out; best lower bound 3.5"
+    assert e.best_bound == 3.5
 
 
 def test_budget_error_keeps_the_callers_size_order():

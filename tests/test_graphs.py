@@ -1,4 +1,5 @@
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -104,6 +105,19 @@ def test_label_length_checked():
 def test_malformed_graph_rejected(feats, edges, labels):
     with pytest.raises(GraphError, match="graph 'a'"):
         make_graph("a", feats, edges, labels)
+
+
+@pytest.mark.parametrize("edge", [(0, True), (np.int64(0), 1.0), (0.0, 1), (0, "1")])
+def test_an_endpoint_that_is_no_plain_int_is_checked(edge):
+    with pytest.raises(GraphError, match=re.escape(
+            f"graph 'a': edge {edge!r} is not a pair of integer node indices")):
+        make_graph("a", np.zeros((2, 1)), [edge])
+
+
+def test_numpy_integer_endpoints_read_as_ints():
+    g = make_graph("a", np.zeros((3, 1)), [(np.int64(2), np.int32(0)), (np.uint8(1), 2)])
+    assert g.edges == ((0, 2), (1, 2))
+    assert {type(x) for e in g.edges for x in e} == {int}
 
 
 @pytest.mark.parametrize("feats", [
