@@ -7,7 +7,7 @@ import os
 __version__ = "0.1.0"
 
 from .graphs import Graph, LabeledPair, make_graph, normalized_adjacency
-from .ged import EditCostScheme, GedResult, ged_bruteforce, ged_exact, normalized_similarity
+from .ged import EditCostScheme, GedResult, ged_exact, normalized_similarity
 from .model import Model, ModelConfig, load_checkpoint, save_checkpoint
 from .training import TrainConfig, train
 

@@ -1,9 +1,11 @@
 """Command-line entry point: dataset generation, edit-distance queries,
 training, evaluation, and pair scoring.
 
-Every command resolves its full configuration, writes a run manifest into the
-output directory before doing any work, and exits nonzero on any error.
-Progress goes to stderr; machine-readable results go to files.
+``gen``, ``train`` and ``eval`` resolve their full configuration and write a
+run manifest into their ``--out`` directory before doing any work, then write
+their results there. ``ged`` and ``score`` take no ``--out`` and write no file:
+each prints its result to stdout. Every command exits nonzero on any error,
+and progress goes to stderr.
 """
 
 import argparse

@@ -1,4 +1,4 @@
-"""Exact graph edit distance via A* search, with a brute-force verifier.
+"""Exact graph edit distance via A* search.
 
 Distance is the minimum total cost of node insertions/deletions/substitutions
 and edge insertions/deletions turning one graph into the other. The search
@@ -46,9 +46,6 @@ class EditCostScheme:
 
     def __post_init__(self):
         check_bounds(vars(self), self.BOUNDS, ValueError)
-
-    def substitution(self, l1, l2):
-        return 0.0 if l1 == l2 else self.node_substitute
 
 
 @dataclass(frozen=True)
@@ -322,44 +319,3 @@ def ged_exact(g1, g2, costs=None, node_budget=10, timeout=10.0):
              + (abs(internal1_nd - internal2) + abs(cross1_nd - cross2)) * min_edge_cost)
         tick += 1
         state = pushpop(heap, (del_g + h, -nd, tick, del_g, nd, used, mapping, DEL))
-
-
-def ged_bruteforce(g1, g2, costs=None, max_nodes=5):
-    """Exhaustive minimum over all injective partial node mappings.
-
-    Only intended as a test oracle; refuses graphs above max_nodes.
-    """
-    costs = costs or EditCostScheme()
-    n, m = g1.num_nodes, g2.num_nodes
-    if max(n, m) > max_nodes:
-        raise GedBudgetError(f"brute force limited to {max_nodes} nodes, got {n}/{m}")
-    lab1, lab2 = _labels(g1), _labels(g2)
-    e1 = set(g1.edges)
-    e2 = set(g2.edges)
-    best = math.inf
-    nodes1 = list(range(n))
-    for k in range(min(n, m) + 1):
-        for kept in itertools.combinations(nodes1, k):
-            for image in itertools.permutations(range(m), k):
-                phi = dict(zip(kept, image))
-                cost = (n - k) * costs.node_delete + (m - k) * costs.node_insert
-                cost += sum(costs.substitution(lab1[u], lab2[phi[u]]) for u in kept)
-                for u, v in e1:
-                    if u in phi and v in phi:
-                        a, b = phi[u], phi[v]
-                        if (min(a, b), max(a, b)) not in e2:
-                            cost += costs.edge_delete
-                    else:
-                        cost += costs.edge_delete
-                used = set(image)
-                inv = {j: u for u, j in phi.items()}
-                for x, y in e2:
-                    if x in used and y in used:
-                        u, v = inv[x], inv[y]
-                        if (min(u, v), max(u, v)) not in e1:
-                            cost += costs.edge_insert
-                    else:
-                        cost += costs.edge_insert
-                if cost < best:
-                    best = cost
-    return GedResult(best, normalized_similarity(best, n, m), 0)

@@ -254,7 +254,7 @@ class Model:
         self.config = config
         if params is None:
             if rng is None:
-                rng = np.random.default_rng(0)
+                raise TypeError("Model needs params or rng, the generator to draw them from")
             params = init_params(config, rng)
         self.params = params
 
@@ -263,9 +263,10 @@ class Model:
         return gcn_forward([g], self.params, self.config, rng)
 
     def forward_pair(self, g1, g2, training=False, rng=None):
-        """Similarity score of one pair, scalar Tensor; a train pass draws from rng or seed 0."""
-        rng = (np.random.default_rng(0) if rng is None else rng) if training else None
-        return ad.reshape(self.forward_batch([(g1, g2)], rng), ())
+        """Similarity score of one pair, scalar Tensor; a train pass draws from rng."""
+        if training and rng is None:
+            raise TypeError("a train pass needs rng, the generator its masks and orders draw from")
+        return ad.reshape(self.forward_batch([(g1, g2)], rng if training else None), ())
 
     def forward_batch(self, pairs, rng=None):
         """Similarity scores (B,) for a list of (g1, g2) graph pairs: the

@@ -1,7 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from graphmatch.ged import EditCostScheme, GedBudgetError, GedResult, normalized_similarity
 from graphmatch.graphs import make_graph
+
+BRUTEFORCE_MAX_NODES = 5  # 1,546 mappings of a 5-node pair; 6 nodes take 13,327
 
 
 def rel_err(got, want):
@@ -32,6 +37,38 @@ def finite_difference_grad(f, params, h=1e-5):
             gflat[i] = (fp - fm) / (2.0 * h)
         grads.append(g)
     return grads
+
+
+def edit_cost(g1, g2, mapping, costs):
+    """Cost of the edit path a node mapping defines: {u: j} substitutes g1's
+    node u by g2's node j, every other g1 node is deleted and every other g2
+    node inserted; a g1 edge is kept when its two ends map onto the ends of a
+    g2 edge, and every other g1 edge is deleted and every other g2 edge inserted."""
+    assert len(set(mapping.values())) == len(mapping), "mapping is not injective"
+    lab1 = g1.labels or (0,) * g1.num_nodes
+    lab2 = g2.labels or (0,) * g2.num_nodes
+    edges2 = set(g2.edges)
+    kept = sum(u in mapping and v in mapping and tuple(sorted((mapping[u], mapping[v]))) in edges2
+               for u, v in g1.edges)
+    return ((g1.num_nodes - len(mapping)) * costs.node_delete
+            + (g2.num_nodes - len(mapping)) * costs.node_insert
+            + sum(costs.node_substitute for u, j in mapping.items() if lab1[u] != lab2[j])
+            + (len(g1.edges) - kept) * costs.edge_delete
+            + (len(edges2) - kept) * costs.edge_insert)
+
+
+def ged_bruteforce(g1, g2, costs=None):
+    """The minimum of edit_cost over every injective partial node mapping;
+    refuses graphs above BRUTEFORCE_MAX_NODES."""
+    costs = costs or EditCostScheme()
+    n, m = g1.num_nodes, g2.num_nodes
+    if max(n, m) > BRUTEFORCE_MAX_NODES:
+        raise GedBudgetError(f"brute force limited to {BRUTEFORCE_MAX_NODES} nodes, got {n}/{m}")
+    best = min(edit_cost(g1, g2, dict(zip(kept, image)), costs)
+               for k in range(min(n, m) + 1)
+               for kept in itertools.combinations(range(n), k)
+               for image in itertools.permutations(range(m), k))
+    return GedResult(best, normalized_similarity(best, n, m), 0)
 
 
 def random_graph(rng, n_min=2, n_max=5, feature_dim=3, n_labels=2, labeled=True,

@@ -17,14 +17,14 @@ import pytest
 from graphmatch import autodiff as ad
 from graphmatch.autodiff import Tensor, backward
 from graphmatch.data import gen_clone_dataset, gen_ged_dataset
-from graphmatch.ged import ged_bruteforce, ged_exact
+from graphmatch.ged import ged_exact
 from graphmatch.graphs import make_graph
 from graphmatch.metrics import mse_metric, spearman_rho
 from graphmatch.model import (Model, ModelConfig, load_checkpoint, loss_mse,
                               save_checkpoint)
 from graphmatch.training import TrainConfig, evaluate_pairs, train
 
-from conftest import finite_difference_grad
+from conftest import finite_difference_grad, ged_bruteforce
 
 GRAD_TOL = 1e-4
 FD_STEP = 1e-5

@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 from graphmatch.data import (Dataset, DatasetError, _pair_at, _random_connected_edges,
                              gen_clone_dataset, gen_ged_dataset, load_dataset, load_dataset_dir,
                              save_dataset)
-from graphmatch.ged import ged_bruteforce
 from graphmatch.graphs import LabeledPair, make_graph
+
+from conftest import ged_bruteforce
 
 
 def small_ged_dataset(**kw):

@@ -491,16 +491,18 @@ def test_eval_batch_encodes_each_graph_once(rng, monkeypatch):
 
 def test_an_eval_pass_builds_no_generator(rng, monkeypatch):
     """A pass trains exactly when it is handed a generator: an eval pass makes
-    none, and only forward_pair's train pass without one seeds its own."""
+    none, and a train pass or new parameters without one are refused, naming rng."""
     g1, g2 = (random_graph(rng, gid=k) for k in "ab")
     m = Model(tiny_config(), rng=np.random.default_rng(0))
     made, real = [], np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng", lambda *a: made.append(a) or real(*a))
     m.forward_pair(g1, g2)
     m.forward_batch([(g1, g2), (g2, g1)])
+    with pytest.raises(TypeError, match="needs rng"):
+        m.forward_pair(g1, g2, training=True)
+    with pytest.raises(TypeError, match="needs params or rng"):
+        Model(tiny_config())
     assert made == []
-    m.forward_pair(g1, g2, training=True)
-    assert made == [(0,)]
 
 
 def test_forward_batch_rejects_empty_batch():
