@@ -191,7 +191,10 @@ def cmd_eval(args):
     write_manifest(args.out, "eval", {"checkpoint": args.checkpoint, "dataset": args.dataset,
                                       "split": args.split}, 0,
                    [args.checkpoint, *dataset_files(args.dataset)])
+    start = time.perf_counter()
     rep = evaluate_model(model, ds, split=args.split)
+    seconds = time.perf_counter() - start
+    rep.update(seconds=seconds, pairs_per_s=rep["num_pairs"] / seconds)
     out_path = os.path.join(args.out, "eval_report.json")
     write_report(out_path, rep, dataset_id=args.dataset, checkpoint_id=args.checkpoint)
     print(json.dumps(rep, indent=2))
@@ -204,7 +207,7 @@ def cmd_score(args):
     for path in (args.g1, args.g2):
         graphs.append(_load_single_graph(path))
         _check_width(args.checkpoint, model, graphs[-1].feature_dim, f"graph file {path}")
-    score = model.forward_pair(*graphs).item()
+    score = model.eval_view().forward_pair(*graphs).item()
     print(f"{score:.6f}")
     return 0
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .ged import ged_exact
 from .graphs import GraphError, LabeledPair, as_id, make_graph
-from .model import AT_LEAST_0, AT_LEAST_0_OR_NONE, AT_LEAST_1, IN_0_1, check_bounds
+from .model import AT_LEAST_0, AT_LEAST_0_OR_NONE, AT_LEAST_1, IN_0_1, check_bounds, is_count
 
 log = logging.getLogger(__name__)
 
@@ -258,8 +258,9 @@ def _pair_at(k, t):
 
 
 GED_BOUNDS = {"n_graphs": AT_LEAST_1, "edge_prob": IN_0_1, "seed": AT_LEAST_0,
-              "node_range": (f"(min, max) with 1 <= min <= max <= {GED_NODE_BUDGET}",
-                             lambda r: len(r) == 2 and 1 <= r[0] <= r[1] <= GED_NODE_BUDGET),
+              "node_range": (f"(min, max) ints with 1 <= min <= max <= {GED_NODE_BUDGET}",
+                             lambda r: len(r) == 2 and all(map(is_count, r))
+                             and 1 <= r[0] <= r[1] <= GED_NODE_BUDGET),
               "max_train_pairs": AT_LEAST_0_OR_NONE, "eval_candidates": AT_LEAST_0_OR_NONE}
 
 

@@ -11,6 +11,7 @@ Three modes share one parameter store:
 import base64
 import json
 import math
+import numbers
 import os
 from dataclasses import MISSING, dataclass, asdict, fields
 from typing import get_args
@@ -32,14 +33,23 @@ class ConfigError(ValueError):
     pass
 
 
+def is_count(v):
+    """An integral value, Python's or numpy's, that is not a bool."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _not_bool(v):
+    return not isinstance(v, (bool, np.bool_))
+
+
 # value bounds, each the phrase a refusal states and the test a value within it passes
-AT_LEAST_0 = (">= 0", lambda v: v >= 0)
-AT_LEAST_1 = (">= 1", lambda v: v >= 1)
-AT_LEAST_0_OR_NONE = (">= 0 or None", lambda v: v is None or v >= 0)
-FINITE_AT_LEAST_0 = ("a finite number >= 0", lambda v: 0 <= v < math.inf)
-FINITE_ABOVE_0 = ("a finite number > 0", lambda v: 0 < v < math.inf)
-IN_0_1 = ("in [0, 1]", lambda v: 0 <= v <= 1)
-IN_0_1_OPEN = ("in [0, 1)", lambda v: 0 <= v < 1)
+AT_LEAST_0 = ("an int >= 0", lambda v: is_count(v) and v >= 0)
+AT_LEAST_1 = ("an int >= 1", lambda v: is_count(v) and v >= 1)
+AT_LEAST_0_OR_NONE = ("an int >= 0 or None", lambda v: v is None or is_count(v) and v >= 0)
+FINITE_AT_LEAST_0 = ("a finite number >= 0", lambda v: _not_bool(v) and 0 <= v < math.inf)
+FINITE_ABOVE_0 = ("a finite number > 0", lambda v: _not_bool(v) and 0 < v < math.inf)
+IN_0_1 = ("a number in [0, 1]", lambda v: _not_bool(v) and 0 <= v <= 1)
+IN_0_1_OPEN = ("a number in [0, 1)", lambda v: _not_bool(v) and 0 <= v < 1)
 
 
 def one_of(choices):
@@ -235,8 +245,7 @@ class Encoded:
 
     @classmethod
     def stack(cls, parts):
-        """The values of eval-time outputs as one output without a tape, slots
-        in order; from a generator, each part's tape is freed once the next is read."""
+        """The values of eval-time outputs as one output, slots in order."""
         h, sizes, sg = [], [], []
         for part in parts:
             h.append(part.h.data)
@@ -330,6 +339,12 @@ class Model:
         table = per_side[0] if len(per_side) == 1 else ad.concat(per_side, axis=1)
         return predict(ad.gather_rows(table, np.arange(count)),
                        ad.gather_rows(table, np.arange(count, 2 * count)), cfg.task, self.params)
+
+    def eval_view(self):
+        """This model over tensors that hold its own parameter arrays but require
+        no gradient, so a pass through it keeps values and records no tape; the
+        caller's params stay the same trainable tensors, bytes and all."""
+        return Model(self.config, params={k: Tensor(p.data) for k, p in self.params.items()})
 
     def zero_grad(self):
         for p in self.params.values():

@@ -114,26 +114,48 @@ def _batch_step(model, dataset, batch, optimizer, rng):
     return value
 
 
-# pairs per per-pair stage call in evaluation; the per-graph stage runs on at
-# most 2 * EVAL_SLICE distinct graphs at a time, the most one slice can hold.
-# Each call's whole tape is alive at once, so peak memory grows with it
+# pairs per per-pair stage call in evaluation, at least. A call takes more,
+# in steps of 8, while its padded cross-attention product, pairs x longest
+# first graph x longest second graph x gcn_dim values, stays within
+# EVAL_BUDGET. A matrix-vector product rounds its last (rows mod 4) rows
+# apart (OpenBLAS on x86-64, measured), so calls of 8k pairs, as of 32, give
+# each row of the head the bits the 32-pair slicing gives it. The per-graph
+# stage runs on at most 2 * EVAL_SLICE distinct graphs at a time
 EVAL_SLICE = 32
+EVAL_BUDGET = 2 ** 17
+
+
+def _pair_slices(sizes, width):
+    """(start, stop) of consecutive slices of the pairs whose sides have the
+    (P, 2) node counts sizes, each as long as EVAL_SLICE and EVAL_BUDGET allow."""
+    start = 0
+    reach = max(EVAL_SLICE, EVAL_BUDGET // width)  # k pairs hold k * width values or more
+    while start < len(sizes):
+        longest = np.maximum.accumulate(sizes[start:start + reach], axis=0)
+        product = np.arange(1, len(longest) + 1) * longest[:, 0] * longest[:, 1] * width
+        fit = int(np.sum(product <= EVAL_BUDGET))
+        stop = min(start + max(EVAL_SLICE, fit - fit % 8), len(sizes))
+        yield start, stop
+        start = stop
 
 
 def evaluate_pairs(model, dataset, pairs):
     """Eval-mode predictions and targets for a list of pairs; each distinct
-    graph id is encoded once per call, and only the values are kept."""
+    graph id is encoded once per call, through the model's eval_view, so only
+    values are kept."""
     targets = np.array([p.target for p in pairs], dtype=np.float64)
     if not pairs:
         return np.empty(0), targets
+    view = model.eval_view()
     ids = list(dict.fromkeys(g for p in pairs for g in (p.g1, p.g2)))  # first appearance
     slot = {gid: k for k, gid in enumerate(ids)}
     slots = np.array([[slot[p.g1], slot[p.g2]] for p in pairs], dtype=np.intp)
     step = 2 * EVAL_SLICE
-    enc = Encoded.stack(model.graph_stage([dataset.graph(g) for g in ids[s:s + step]])
+    enc = Encoded.stack(view.graph_stage([dataset.graph(g) for g in ids[s:s + step]])
                         for s in range(0, len(ids), step))
-    preds = [model.pair_stage(enc, slots[s:s + EVAL_SLICE]).data
-             for s in range(0, len(pairs), EVAL_SLICE)]
+    sizes = np.array([len(rows) for rows in enc.nodes])[slots]
+    preds = [view.pair_stage(enc, slots[start:stop]).data
+             for start, stop in _pair_slices(sizes, model.config.gcn_dim)]
     return np.concatenate(preds), targets
 
 

@@ -39,6 +39,25 @@ def finite_difference_grad(f, params, h=1e-5):
     return grads
 
 
+def assert_parameters_untouched(model, before):
+    """model.params are before's {name: (tensor, its bytes)}: the same objects,
+    still trainable, with no gradient and the same bytes."""
+    assert model.params.keys() == before.keys()
+    for k, (p, raw) in before.items():
+        assert model.params[k] is p and p.requires_grad and p.grad is None, k
+        assert p.data.tobytes() == raw, k
+
+
+def record_predictions(monkeypatch):
+    """Every tensor graphmatch.model.predict returns from here on, in order."""
+    import graphmatch.model as model_module
+    scores = []
+    real_predict = model_module.predict
+    monkeypatch.setattr(model_module, "predict",
+                        lambda *args: scores.append(real_predict(*args)) or scores[-1])
+    return scores
+
+
 def edit_cost(g1, g2, mapping, costs):
     """Cost of the edit path a node mapping defines: {u: j} substitutes g1's
     node u by g2's node j, every other g1 node is deleted and every other g2

@@ -21,15 +21,15 @@ from graphmatch.training import TrainConfig
 # per bound phrase: values on its edge (or, for an open edge, just inside it),
 # all accepted, and values just outside it, all refused
 EDGES = {
-    ">= 0": ([0], [-1]),
-    ">= 1": ([1], [0]),
-    ">= 0 or None": ([0, None], [-1]),
+    "an int >= 0": ([0], [-1]),
+    "an int >= 1": ([1], [0]),
+    "an int >= 0 or None": ([0, None], [-1]),
     "a finite number >= 0": ([0.0], [-1e-12, math.inf, math.nan]),
     "a finite number > 0": ([1e-12], [0.0, math.inf, math.nan]),
-    "in [0, 1]": ([0.0, 1.0], [-1e-12, 1.0 + 1e-12]),
-    "in [0, 1)": ([0.0], [-1e-12, 1.0]),
-    "(min, max) with 1 <= min <= max <= 10": ([(1, 1), (1, 10), (10, 10)],
-                                              [(0, 1), (5, 4), (1, 11), (1, 2, 3)]),
+    "a number in [0, 1]": ([0.0, 1.0], [-1e-12, 1.0 + 1e-12]),
+    "a number in [0, 1)": ([0.0], [-1e-12, 1.0]),
+    "(min, max) ints with 1 <= min <= max <= 10": ([(1, 1), (1, 10), (10, 10)],
+                                                   [(0, 1), (5, 4), (1, 11), (1, 2, 3)]),
     **{f"one of {choices}": (list(choices), ["x"]) for choices in (MODES, TASKS, AGGREGATORS)},
 }
 
@@ -38,10 +38,25 @@ EDGES = {
 # types the ged flags, so only the other tables can be given one. Two numbers in
 # an array are a valid (min, max), so the range bound gets no array.
 ARRAY = np.array([3, 4])
-UNCOMPARABLE = {">= 0": ["0", ARRAY], ">= 1": ["1", ARRAY], ">= 0 or None": ["0", ARRAY],
+UNCOMPARABLE = {"an int >= 0": ["0", ARRAY], "an int >= 1": ["1", ARRAY],
+                "an int >= 0 or None": ["0", ARRAY],
                 "a finite number >= 0": ["0", ARRAY], "a finite number > 0": ["1", ARRAY],
-                "in [0, 1]": ["0", ARRAY], "in [0, 1)": ["0", ARRAY],
-                "(min, max) with 1 <= min <= max <= 10": [("1", 2)]}
+                "a number in [0, 1]": ["0", ARRAY], "a number in [0, 1)": ["0", ARRAY],
+                "(min, max) ints with 1 <= min <= max <= 10": [("1", 2)]}
+
+# per bound phrase: a bool, and for a count a float, even an integral one,
+# refused all the same where only library calls can pass them (argparse types
+# the ged flags, and config_from_dict refuses them in JSON); numpy integers
+# are counts, accepted
+NOT_OF_ITS_TYPE = {"an int >= 0": [False, True, 0.0, 2.5], "an int >= 1": [True, 1.0, 4.5],
+                   "an int >= 0 or None": [False, True, 0.0, 2.5],
+                   "a finite number >= 0": [False, True, np.True_],
+                   "a finite number > 0": [True, np.True_],
+                   "a number in [0, 1]": [False, True, np.False_], "a number in [0, 1)": [False],
+                   "(min, max) ints with 1 <= min <= max <= 10": [(True, 2), (4.5, 6), (1.0, 2)]}
+NUMPY_COUNTS = {"an int >= 0": [np.int64(0)], "an int >= 1": [np.int64(1)],
+                "an int >= 0 or None": [np.int32(0)],
+                "(min, max) ints with 1 <= min <= max <= 10": [(np.int64(4), np.int64(6))]}
 
 
 def run_ged(tmp_path, flags):
@@ -75,8 +90,9 @@ def test_each_bound_refuses_outside_and_accepts_its_edge(tmp_path, table, name):
     shown = f"--{name}" if table == "ged" else name  # ged's refusals name the flag
     phrase = bounds[name][0]
     inside, outside = EDGES[phrase]
-    if table != "ged" and phrase in UNCOMPARABLE:
-        outside = outside + UNCOMPARABLE[phrase]
+    if table != "ged":
+        outside = outside + UNCOMPARABLE.get(phrase, []) + NOT_OF_ITS_TYPE.get(phrase, [])
+        inside = inside + NUMPY_COUNTS.get(phrase, [])
     for value in outside:
         message = f"{shown} must be {phrase}, got {value!r}"
         with pytest.raises(error, match=f"^{re.escape(message)}$"):

@@ -9,8 +9,11 @@ import numpy as np
 import pytest
 
 from graphmatch.cli import main
-from graphmatch.model import ModelConfig
+from graphmatch.data import load_dataset
+from graphmatch.model import ModelConfig, load_checkpoint
 from graphmatch.training import TrainConfig
+
+from conftest import assert_parameters_untouched, record_predictions
 
 
 def write_graph_file(path, gid, nodes, edges):
@@ -72,7 +75,8 @@ def test_gen_ged_bad_node_range_refused(tmp_path, caplog):
     rc = main(["gen", "ged", "--graphs", "10", "--node-range", "5", "3",
                "--seed", "1", "--out", str(tmp_path / "ds")])
     assert rc == 1
-    assert "node_range must be (min, max) with 1 <= min <= max <= 10, got [5, 3]" in caplog.text
+    assert ("node_range must be (min, max) ints with 1 <= min <= max <= 10, got [5, 3]"
+            in caplog.text)
     assert not (tmp_path / "ds").exists()  # refused before the manifest
 
 
@@ -80,17 +84,25 @@ def test_gen_ged_node_range_over_the_search_budget_refused(tmp_path, caplog):
     rc = main(["gen", "ged", "--graphs", "10", "--node-range", "4", "11",
                "--out", str(tmp_path / "ds")])
     assert rc == 1
-    assert "node_range must be (min, max) with 1 <= min <= max <= 10, got [4, 11]" in caplog.text
+    assert ("node_range must be (min, max) ints with 1 <= min <= max <= 10, got [4, 11]"
+            in caplog.text)
     assert not (tmp_path / "ds").exists()
 
 
+def case_id(value):
+    """A refusal case's id part: pytest's default for its arguments, and its
+    message without a count's "an int ", the id that test selections name
+    the case by."""
+    return None if isinstance(value, list) else value.replace("an int ", "")
+
+
 @pytest.mark.parametrize("argv, message", [
-    (["ged", "--graphs", "0"], "n_graphs must be >= 1, got 0"),
-    (["clone", "--groups", "0"], "n_groups must be >= 1, got 0"),
-    (["clone", "--variants", "0"], "variants_per_group must be >= 1, got 0"),
-    (["ged", "--max-train-pairs", "-1"], "max_train_pairs must be >= 0 or None, got -1"),
-    (["ged", "--eval-candidates", "-2"], "eval_candidates must be >= 0 or None, got -2"),
-])
+    (["ged", "--graphs", "0"], "n_graphs must be an int >= 1, got 0"),
+    (["clone", "--groups", "0"], "n_groups must be an int >= 1, got 0"),
+    (["clone", "--variants", "0"], "variants_per_group must be an int >= 1, got 0"),
+    (["ged", "--max-train-pairs", "-1"], "max_train_pairs must be an int >= 0 or None, got -1"),
+    (["ged", "--eval-candidates", "-2"], "eval_candidates must be an int >= 0 or None, got -2"),
+], ids=case_id)
 def test_gen_empty_corpus_refused(tmp_path, caplog, argv, message):
     assert main(["gen", *argv, "--out", str(tmp_path / "ds")]) == 1
     assert message in caplog.text
@@ -100,7 +112,7 @@ def test_gen_empty_corpus_refused(tmp_path, caplog, argv, message):
 @pytest.mark.parametrize("kind", ["ged", "clone"])
 def test_gen_negative_seed_refused(tmp_path, caplog, kind):
     assert main(["gen", kind, "--seed", "-1", "--out", str(tmp_path / "ds")]) == 1
-    assert "seed must be >= 0, got -1" in caplog.text
+    assert "seed must be an int >= 0, got -1" in caplog.text
     assert not (tmp_path / "ds").exists()  # refused before the manifest
 
 
@@ -202,9 +214,9 @@ def test_ged_timeout_reports_lower_bound(triangle_path_files, capsys, monkeypatc
     (["--timeout", "0"], "--timeout must be a finite number > 0, got 0.0"),
     (["--timeout", "nan"], "--timeout must be a finite number > 0, got nan"),
     (["--timeout", "inf"], "--timeout must be a finite number > 0, got inf"),
-    (["--budget", "0"], "--budget must be >= 1, got 0"),
-    (["--budget", "-1"], "--budget must be >= 1, got -1"),
-])
+    (["--budget", "0"], "--budget must be an int >= 1, got 0"),
+    (["--budget", "-1"], "--budget must be an int >= 1, got -1"),
+], ids=case_id)
 def test_ged_bad_flags_refused(triangle_path_files, capsys, caplog, flags, message):
     tri, pth = triangle_path_files
     assert main(["ged", tri, pth, *flags]) == 1
@@ -258,6 +270,7 @@ def test_eval_emits_regression_metrics(trained_run, tmp_path, capsys):
     assert "mse" in rep and "spearman_rho" in rep and "kendall_tau" in rep
     assert rep["split"] == "test"
     assert rep["dataset_id"] == str(ds)
+    assert rep["seconds"] > 0 and rep["pairs_per_s"] == rep["num_pairs"] / rep["seconds"]
     manifest = json.loads((tmp_path / "run_manifest.json").read_text())
     ckpt = str(out / "best.ckpt")
     assert manifest["config"] == {"checkpoint": ckpt, "dataset": str(ds), "split": "test"}
@@ -320,6 +333,24 @@ def test_score_identical_graphs_near_one(trained_run, tmp_path, capsys):
     assert rc == 0
     score = float(capsys.readouterr().out.strip())
     assert 0.0 <= score <= 1.0
+
+
+def test_score_keeps_values_and_leaves_the_models_parameters(trained_run, tmp_path,
+                                                             monkeypatch, capsys):
+    import graphmatch.cli as cli_module
+    _, out = trained_run
+    model, _ = load_checkpoint(out / "final.ckpt")
+    f = tmp_path / "g.jsonl"
+    write_graph_file(f, "g", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [[0, 1]])
+    g = load_dataset(f).graph("g")
+    want = f"{model.forward_pair(g, g).item():.6f}\n"
+    before = {k: (p, p.data.tobytes()) for k, p in model.params.items()}
+    scores = record_predictions(monkeypatch)
+    monkeypatch.setattr(cli_module, "load_checkpoint", lambda path: (model, None))
+    assert main(["score", "--checkpoint", "unread.ckpt", str(f), str(f)]) == 0
+    assert capsys.readouterr().out == want
+    assert len(scores) == 1 and not (scores[0].requires_grad or scores[0]._parents)
+    assert_parameters_untouched(model, before)
 
 
 def test_score_accepts_the_train_state(trained_run, tmp_path, capsys):
@@ -495,13 +526,13 @@ def test_train_refused_flag_value_names_the_flag(tiny_dataset, tmp_path, caplog)
         return [r.getMessage() for r in caplog.records if r.levelname == "ERROR"][-1]
 
     assert (refusal({"train": {"iterations": 2}}, "--batch-size", "0")
-            == "--batch-size must be >= 1, got 0")
-    assert refusal({}, "--seed", "-1") == "--seed must be >= 0, got -1"
+            == "--batch-size must be an int >= 1, got 0")
+    assert refusal({}, "--seed", "-1") == "--seed must be an int >= 0, got -1"
     assert (refusal({"model": {"gcn_dim": 4}}, "--perspectives", "0")
-            == "--perspectives must be >= 1, got 0")
+            == "--perspectives must be an int >= 1, got 0")
     # a bad value that is in the file is still blamed on the file
     assert refusal({"train": {"batch_size": 0}}, "--iterations", "2").startswith(
-        f"{cfg}: train section: batch_size must be >= 1, got 0")
+        f"{cfg}: train section: batch_size must be an int >= 1, got 0")
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])
@@ -560,7 +591,7 @@ def test_train_without_validation_writes_no_best_checkpoint(tiny_dataset, tmp_pa
     ('{"train": [1, 2]}', "the train section must be a JSON object, got list"),
     ('{"model": "sgnn"}', "the model section must be a JSON object, got str"),
     ('{"modle": {}}', "unknown section(s) modle; valid sections: model, train"),
-    ('{"train": {"batch_size": 0}}', "train section: batch_size must be >= 1, got 0"),
+    ('{"train": {"batch_size": 0}}', "train section: batch_size must be an int >= 1, got 0"),
     ('{"train": {"iterations": "5"}}',
      "train section: train config value of the wrong type: iterations takes int, got '5'"),
     ('{"train": {"grad_clip": 1.0}}', "train section: grad_clip supports only None, got 1.0"),

@@ -508,17 +508,17 @@ def test_node_range_over_budget_rejected():
 
 
 @pytest.mark.parametrize("kw, message", [
-    ({"node_range": (5, 3)}, r"node_range must be \(min, max\) with 1 <= min <= max <= 10, "
+    ({"node_range": (5, 3)}, r"node_range must be \(min, max\) ints with 1 <= min <= max <= 10, "
                              r"got \(5, 3\)"),
-    ({"node_range": (0, 3)}, r"node_range must be \(min, max\) with 1 <= min <= max <= 10, "
+    ({"node_range": (0, 3)}, r"node_range must be \(min, max\) ints with 1 <= min <= max <= 10, "
                              r"got \(0, 3\)"),
-    ({"node_range": (4, 11)}, r"node_range must be \(min, max\) with 1 <= min <= max <= 10, "
+    ({"node_range": (4, 11)}, r"node_range must be \(min, max\) ints with 1 <= min <= max <= 10, "
                               r"got \(4, 11\)"),
-    ({"edge_prob": -0.5}, r"edge_prob must be in \[0, 1\], got -0.5"),
-    ({"edge_prob": 1.5}, r"edge_prob must be in \[0, 1\], got 1.5"),
-    ({"n_graphs": 0}, r"n_graphs must be >= 1, got 0"),
-    ({"n_graphs": -3}, r"n_graphs must be >= 1, got -3"),
-    ({"seed": -1}, r"seed must be >= 0, got -1"),
+    ({"edge_prob": -0.5}, r"edge_prob must be a number in \[0, 1\], got -0.5"),
+    ({"edge_prob": 1.5}, r"edge_prob must be a number in \[0, 1\], got 1.5"),
+    ({"n_graphs": 0}, r"n_graphs must be an int >= 1, got 0"),
+    ({"n_graphs": -3}, r"n_graphs must be an int >= 1, got -3"),
+    ({"seed": -1}, r"seed must be an int >= 0, got -1"),
 ], ids=["node_range_reversed", "node_range_from_zero", "node_range_over_budget",
         "edge_prob_negative", "edge_prob_above_one", "no_graphs", "negative_graphs",
         "negative_seed"])
@@ -552,10 +552,10 @@ def small_clone_dataset(**kw):
 
 
 @pytest.mark.parametrize("kw, message", [
-    ({"n_groups": 0}, r"n_groups must be >= 1, got 0"),
-    ({"variants_per_group": 0}, r"variants_per_group must be >= 1, got 0"),
-    ({"perturbation_budget": -1}, r"perturbation_budget must be >= 0, got -1"),
-    ({"seed": -1}, r"seed must be >= 0, got -1"),
+    ({"n_groups": 0}, r"n_groups must be an int >= 1, got 0"),
+    ({"variants_per_group": 0}, r"variants_per_group must be an int >= 1, got 0"),
+    ({"perturbation_budget": -1}, r"perturbation_budget must be an int >= 0, got -1"),
+    ({"seed": -1}, r"seed must be an int >= 0, got -1"),
 ], ids=["no_groups", "no_variants", "negative_budget", "negative_seed"])
 def test_clone_generator_parameters_checked(kw, message):
     with pytest.raises(DatasetError, match=message):

@@ -426,3 +426,41 @@ def test_exact_equals_a_binary_program_at_6_to_10_nodes():
         want = edit_cost(g1, g2, mapping, costs)
         assert abs(objective - want) < 1e-3, (i, costs)  # solver tolerance, below any cost step
         assert ged_exact(g1, g2, costs).distance == want, (i, costs)
+
+
+def test_exact_when_the_search_deletes_a_node_with_unmapped_neighbours():
+    # cheap node deletion and insertion against a dear substitution, a dense
+    # g1 and a g1 label no g2 node carries make deleting one of g1's first,
+    # high-degree nodes pay, while its neighbours are still unmapped: the
+    # deletion term of the per-image crossing bound. Doubling that term gives
+    # a wrong distance on 3 of these pairs
+    rng = np.random.default_rng(1)
+    edge_costs = [0.25, 0.5, 1.0, 2.0, 3.0]
+    for i in range(500):
+        costs = EditCostScheme(node_insert=float(rng.choice([0.25, 0.5])),
+                               node_delete=float(rng.choice([0.25, 0.5])),
+                               edge_insert=float(rng.choice(edge_costs)),
+                               edge_delete=float(rng.choice(edge_costs)),
+                               node_substitute=float(rng.choice([2.0, 3.0])))
+        g1 = random_graph(rng, n_min=3, n_max=4, n_labels=3, edge_prob=0.7, gid=f"a{i}")
+        g2 = random_graph(rng, n_min=4, n_max=5, n_labels=2, edge_prob=0.5, gid=f"b{i}")
+        assert ged_exact(g1, g2, costs).distance == ged_bruteforce(g1, g2, costs).distance, \
+            (i, costs)
+
+
+def test_a_timeout_under_an_asymmetric_scheme_still_gives_a_lower_bound():
+    # the bounds price every remaining edit at the cheapest node or edge
+    # operation, so a cheap edge insertion leaves A* almost unguided past 9
+    # nodes: after 2 s on this 10/10-node pair its best bound reads 11
+    # against a distance of 27, which the binary program finds in 0.05 s
+    pytest.importorskip("scipy.optimize")
+    costs = EditCostScheme(node_insert=1, node_delete=0.5, edge_insert=0.25, edge_delete=3,
+                           node_substitute=1)
+    rng = np.random.default_rng(1729)
+    for i in range(13):  # the 13th pair of this draw
+        g1, g2 = (random_graph(rng, 9, 10, n_labels=3, edge_prob=0.35, gid=f"{side}{i}")
+                  for side in "ab")
+    _, mapping = ged_milp(g1, g2, costs)
+    with pytest.raises(GedTimeoutError) as err:
+        ged_exact(g1, g2, costs, timeout=0.25)
+    assert 0 < err.value.best_bound <= edit_cost(g1, g2, mapping, costs)

@@ -43,7 +43,7 @@ def test_config_validation():
         tiny_config(mode="simgnn")
     with pytest.raises(ConfigError):
         tiny_config(gcn_layers=0)
-    with pytest.raises(ConfigError, match="feature_dim must be >= 1, got 0"):
+    with pytest.raises(ConfigError, match="feature_dim must be an int >= 1, got 0"):
         tiny_config(feature_dim=0)
 
 

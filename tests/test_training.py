@@ -22,6 +22,8 @@ from graphmatch.optim import Adam
 from graphmatch.training import (TrainConfig, TrainingError, _batch_step,
                                  _save_train_state, sample_classification_pairs, train)
 
+from conftest import assert_parameters_untouched, record_predictions
+
 
 def tiny_model(task="regression", feature_dim=3, **kw):
     cfg = dict(feature_dim=feature_dim, gcn_layers=2, gcn_dim=6, perspectives=4,
@@ -589,6 +591,15 @@ def test_non_finite_gradient_refused_before_the_update(reg_dataset, monkeypatch)
         assert np.array_equal(p.data, before[k]), k
 
 
+def record_slices(monkeypatch):
+    """The pair count of every per-pair stage call from here on, in order."""
+    sliced = []
+    real_pair_stage = Model.pair_stage
+    monkeypatch.setattr(Model, "pair_stage", lambda self, enc, slots: sliced.append(len(slots))
+                        or real_pair_stage(self, enc, slots))
+    return sliced
+
+
 def test_evaluate_pairs_slices_match_single_pairs(reg_dataset, monkeypatch):
     """Test queries against shared train candidates across slices, plus a
     self-pair: each distinct graph is encoded once per call, by per-graph
@@ -596,13 +607,15 @@ def test_evaluate_pairs_slices_match_single_pairs(reg_dataset, monkeypatch):
     forward_pair's."""
     import graphmatch.model as model_module
     import graphmatch.training as training_module
+    # 4 pairs a slice, or 8 of these 4-5 node pairs at gcn_dim 6
     monkeypatch.setattr(training_module, "EVAL_SLICE", 4)
+    monkeypatch.setattr(training_module, "EVAL_BUDGET", 8 * 5 * 5 * 6)
     model = tiny_model(sgnn_aggregator="bilstm")
     queries, candidates = reg_dataset.split["test"], reg_dataset.split["train"][:6]
     pairs = [LabeledPair(q, c, 0.05 * i)
              for i, (q, c) in enumerate((q, c) for q in queries for c in candidates)]
     pairs.append(LabeledPair(queries[1], queries[1], 1.0))
-    adjacency, encoded = [], []
+    adjacency, encoded, sliced = [], [], record_slices(monkeypatch)
     real_adjacency, real_gcn = model_module.normalized_adjacency, model_module.gcn_forward
     monkeypatch.setattr(model_module, "normalized_adjacency",
                         lambda g: adjacency.append(g.id) or real_adjacency(g))
@@ -611,10 +624,60 @@ def test_evaluate_pairs_slices_match_single_pairs(reg_dataset, monkeypatch):
     preds, targets = training_module.evaluate_pairs(model, reg_dataset, pairs)
     assert sorted(adjacency) == sorted(set(queries) | set(candidates))  # once each
     assert encoded == [8, 1]  # 9 distinct graphs, at most 2 * EVAL_SLICE per call
+    assert sum(sliced) == len(pairs) and min(sliced[:-1]) >= 4 and max(sliced) > 4
     single = [model.forward_pair(reg_dataset.graph(p.g1), reg_dataset.graph(p.g2)).item()
               for p in pairs]
     assert np.max(np.abs(preds - single)) <= 1e-12
     assert targets.tolist() == [p.target for p in pairs]
+
+
+def retrieval_corpus():
+    """Held-out 4-6 node queries against one shared list of train
+    candidates, and a model of gcn_dim 64, as graphmatch eval meets them."""
+    ds = gen_ged_dataset(n_graphs=30, node_range=(4, 6), seed=3, max_train_pairs=0,
+                         eval_candidates=15)
+    model = Model(ModelConfig(feature_dim=3, gcn_layers=3, gcn_dim=64, perspectives=32),
+                  rng=np.random.default_rng(5))
+    return model, ds, ds.pairs_for_split("test") + ds.pairs_for_split("val")
+
+
+def clone_corpus():
+    """Every pair of 14 clone graphs of 6-10 nodes, under a classification model."""
+    ds = gen_clone_dataset(n_groups=7, variants_per_group=2, perturbation_budget=2, seed=4)
+    ids = sorted(ds.graphs)
+    model = tiny_model(task="classification", feature_dim=6, gcn_dim=16,
+                       sgnn_aggregator="bilstm")
+    return model, ds, [LabeledPair(a, b, 1.0) for a in ids for b in ids]
+
+
+@pytest.mark.parametrize("corpus", [retrieval_corpus, clone_corpus])
+def test_evaluate_pairs_gives_the_32_pair_slicing_bytes(corpus, monkeypatch):
+    """On these corpora, slices past EVAL_SLICE under EVAL_BUDGET move no
+    prediction's bits: a budget of 0 slices every 32 pairs."""
+    import graphmatch.training as training_module
+    model, ds, pairs = corpus()
+    sliced = record_slices(monkeypatch)
+    preds, _ = training_module.evaluate_pairs(model, ds, pairs)
+    assert max(sliced) > training_module.EVAL_SLICE
+    monkeypatch.setattr(training_module, "EVAL_BUDGET", 0)
+    sliced.clear()
+    floor, _ = training_module.evaluate_pairs(model, ds, pairs)
+    whole, rest = divmod(len(pairs), 32)
+    assert sliced == [32] * whole + [rest] * (rest > 0)
+    assert preds.tobytes() == floor.tobytes()
+
+
+def test_evaluate_pairs_keeps_values_and_leaves_the_parameters(monkeypatch):
+    """Every score comes off the eval view with no tape, and the caller's
+    parameters stay the same trainable objects, with no gradient and the
+    same bytes."""
+    import graphmatch.training as training_module
+    model, ds, pairs = retrieval_corpus()
+    before = {k: (p, p.data.tobytes()) for k, p in model.params.items()}
+    scores = record_predictions(monkeypatch)
+    training_module.evaluate_pairs(model, ds, pairs)
+    assert scores and not any(t.requires_grad or t._parents for t in scores)
+    assert_parameters_untouched(model, before)
 
 
 def test_evaluate_pairs_of_no_pairs(reg_dataset):
