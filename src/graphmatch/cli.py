@@ -9,6 +9,7 @@ and progress goes to stderr.
 """
 
 import argparse
+import ctypes
 import hashlib
 import json
 import logging
@@ -17,6 +18,7 @@ import sys
 import time
 from dataclasses import fields
 from inspect import signature
+from pathlib import Path
 
 import numpy as np
 
@@ -41,6 +43,34 @@ def _sha256(path):
     return h.hexdigest()
 
 
+# the variables that set the BLAS thread count
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def openblas_core():
+    """The core numpy's bundled OpenBLAS picked at run time (np.show_config
+    gives the build target instead), or None where numpy bundles none."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob(
+        "libscipy_openblas64_*.so"))
+    if not libs:
+        return None
+    corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
+def blas_info():
+    """numpy's BLAS: its build's name and version, the core it runs on and the
+    thread variables as this process sees them (None where unset). A trained
+    parameter's last bits depend on the core."""
+    try:
+        built = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.26 returns no dicts
+        built = {}
+    return {"name": built.get("name"), "version": built.get("version"), "core": openblas_core(),
+            "threads": {v: os.environ.get(v) for v in BLAS_THREAD_VARS}}
+
+
 def write_manifest(out_dir, command, config, seed, inputs=()):
     os.makedirs(out_dir, exist_ok=True)
     manifest = {
@@ -50,6 +80,7 @@ def write_manifest(out_dir, command, config, seed, inputs=()):
         "dataset_checksums": {p: _sha256(p) for p in inputs},
         "code_version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+        "blas": blas_info(),
     }
     path = os.path.join(out_dir, "run_manifest.json")
     with open(path, "w", encoding="utf-8") as fh:

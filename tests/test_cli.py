@@ -8,7 +8,7 @@ from typing import get_args
 import numpy as np
 import pytest
 
-from graphmatch.cli import main
+from graphmatch.cli import main, openblas_core
 from graphmatch.data import load_dataset
 from graphmatch.model import ModelConfig, load_checkpoint
 from graphmatch.training import TrainConfig
@@ -136,6 +136,25 @@ def test_manifest_written_with_checksums(tmp_path):
     assert "code_version" in manifest and "timestamp" in manifest
     assert manifest["config"] == {"n_graphs": 8, "node_range": [4, 4], "edge_prob": 0.25,
                                   "seed": 2, "max_train_pairs": None, "eval_candidates": None}
+
+
+def test_manifest_names_the_blas_a_run_used(tmp_path, monkeypatch):
+    """The manifest records numpy's BLAS build, the core it picked at run time
+    and the thread variables, after the keys it held before."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "2")
+    out = tmp_path / "ds"
+    assert main(["gen", "ged", "--graphs", "4", "--seed", "2", "--out", str(out)]) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert list(manifest) == ["command", "config", "seed", "dataset_checksums", "code_version",
+                              "timestamp", "blas"]
+    built = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert manifest["blas"] == {
+        "name": built["name"], "version": built["version"], "core": openblas_core(),
+        "threads": {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None,
+                    "MKL_NUM_THREADS": "2"}}
+    assert manifest["blas"]["name"] and manifest["blas"]["version"]
 
 
 def test_every_gen_flag_is_a_generator_parameter():

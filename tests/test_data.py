@@ -2,9 +2,11 @@ import hashlib
 import json
 import logging
 import math
+import multiprocessing
 import os
 import re
 import tempfile
+import time
 import tracemalloc
 
 import numpy as np
@@ -12,9 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphmatch.data import (Dataset, DatasetError, _pair_at, _random_connected_edges,
-                             gen_clone_dataset, gen_ged_dataset, load_dataset, load_dataset_dir,
-                             save_dataset)
+import graphmatch.data as data_module
+from graphmatch.data import (PAIRS_PER_PROCESS, Dataset, DatasetError, _pair_at,
+                             _random_connected_edges, _search_pairs, gen_clone_dataset,
+                             gen_ged_dataset, load_dataset, load_dataset_dir, save_dataset)
+from graphmatch.ged import GedTimeoutError
 from graphmatch.graphs import LabeledPair, make_graph
 
 from conftest import ged_bruteforce
@@ -540,6 +544,129 @@ def test_ged_generation_logs_its_cost(caplog):
     assert pairs == len(ds.pairs)
     assert 0 < most <= total
     assert p50 <= p90 <= slowest
+
+
+# ---------------------------------------------------------------------------
+# a call's pairs searched in forked children
+
+def on_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def started_processes(monkeypatch):
+    """Every process the fork context builds from here on, in order."""
+    ctx = multiprocessing.get_context("fork")
+    started, real = [], ctx.Process
+    monkeypatch.setattr(ctx, "Process", lambda *a, **kw: started.append(real(*a, **kw))
+                        or started[-1])
+    return started
+
+
+def indexed_pairs(n):
+    """n pairs of one-node graphs, pair i of graph g{i} with itself."""
+    graphs = {f"g{i}": make_graph(f"g{i}", [[1.0]], [], [0]) for i in range(n)}
+    return graphs, [(gid, gid) for gid in graphs]
+
+
+def ged_exact_failing(monkeypatch, fail):
+    """data.ged_exact runs fail(pair index, pid) before the real search."""
+    real = data_module.ged_exact
+
+    def ged_exact(g1, g2, **kw):
+        fail(int(g1.id[1:]), os.getpid())
+        return real(g1, g2, **kw)
+    monkeypatch.setattr(data_module, "ged_exact", ged_exact)
+
+
+def test_forked_generation_writes_the_serial_bytes(tmp_path, monkeypatch, caplog):
+    """A corpus of three processes' worth of pairs, searched on 3 CPUs (two
+    children), saves the files and logs the counts of the serial search."""
+    started = started_processes(monkeypatch)
+    files, counts = {}, {}
+    for cpus, children in ((1, 0), (3, 2)):
+        on_cpus(monkeypatch, cpus)
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="graphmatch.data"):
+            ds = gen_ged_dataset(32, node_range=(3, 5), seed=61)
+        assert len(ds.pairs) >= 3 * PAIRS_PER_PROCESS and len(started) == children
+        save_dataset(ds, tmp_path / str(cpus))
+        files[cpus] = [(tmp_path / str(cpus) / f).read_bytes()
+                       for f in ("graphs.jsonl", "pairs.jsonl", "split.json")]
+        counts[cpus] = re.match(r"exact GED: (\d+) pairs, (\d+) nodes expanded \(max (\d+)",
+                                caplog.records[-1].getMessage()).groups()
+    assert files[1] == files[3]
+    assert counts[1] == counts[3]
+    assert multiprocessing.active_children() == []
+
+
+def test_a_call_below_two_processes_worth_of_pairs_starts_no_process(monkeypatch):
+    on_cpus(monkeypatch, 64)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("started a process")
+    monkeypatch.setattr(multiprocessing.get_context("fork"), "Process", refuse)
+    graphs, pairs = indexed_pairs(2 * PAIRS_PER_PROCESS - 1)
+    assert [sim for sim, _, _ in _search_pairs(graphs, pairs)] == [1.0] * len(pairs)
+    # the benchmark's generation call
+    ds = gen_ged_dataset(40, node_range=(5, 7), max_train_pairs=30, eval_candidates=2)
+    assert len(ds.pairs) == 62
+
+
+def test_a_call_of_two_processes_worth_of_pairs_forks_one_child(monkeypatch):
+    on_cpus(monkeypatch, 64)
+    started = started_processes(monkeypatch)
+    graphs, pairs = indexed_pairs(2 * PAIRS_PER_PROCESS)
+    assert [sim for sim, _, _ in _search_pairs(graphs, pairs)] == [1.0] * len(pairs)
+    assert len(started) == 1 and multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("bounds, want", [
+    ({4: 2.5}, 2.5),                    # in child 1's share
+    ({9: 3.0, 7: 2.0, 5: 1.5}, 1.5),    # in each share; child 2's pair comes first
+], ids=["one_child", "every_share"])
+def test_the_first_failing_pair_in_input_order_raises(monkeypatch, cpus, bounds, want):
+    """Pair i is in process i % 3's share. Whichever process searched the
+    failing pairs, the call raises the error the serial loop would."""
+    on_cpus(monkeypatch, cpus)
+
+    def fail(i, pid):
+        if i in bounds:
+            raise GedTimeoutError(bounds[i])
+    ged_exact_failing(monkeypatch, fail)
+    with pytest.raises(GedTimeoutError) as err:
+        _search_pairs(*indexed_pairs(3 * PAIRS_PER_PROCESS))
+    assert err.value.best_bound == want
+    assert multiprocessing.active_children() == []
+
+
+def test_a_child_that_exits_without_sending_names_its_exit_code(monkeypatch):
+    on_cpus(monkeypatch, 3)
+    parent = os.getpid()
+
+    def fail(i, pid):
+        if i == 4 and pid != parent:
+            os._exit(3)
+    ged_exact_failing(monkeypatch, fail)
+    with pytest.raises(ChildProcessError, match="exited with code 3 before sending"):
+        _search_pairs(*indexed_pairs(3 * PAIRS_PER_PROCESS))
+    assert multiprocessing.active_children() == []
+
+
+def test_an_interrupt_stops_and_reaps_the_children(monkeypatch):
+    on_cpus(monkeypatch, 3)
+    parent = os.getpid()
+
+    def fail(i, pid):
+        if pid == parent:
+            raise KeyboardInterrupt
+        time.sleep(0.05)  # a child would take 6 s to finish its share
+    ged_exact_failing(monkeypatch, fail)
+    t0 = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        _search_pairs(*indexed_pairs(3 * PAIRS_PER_PROCESS))
+    assert time.perf_counter() - t0 < 3.0
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,16 @@
 import base64
-import ctypes
 import hashlib
 import json
 import os
 import tempfile
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphmatch.cli import openblas_core
 from graphmatch.data import gen_clone_dataset, gen_ged_dataset
 from graphmatch.graphs import LabeledPair
 from graphmatch.metrics import MetricError
@@ -171,18 +170,6 @@ RUN_FILE_SHA256 = {
     "train_state.json": "ab8a47d413428a00d0c9f4586fcbce6a1ce55b2e46982defe01aaf4e3a96063c",
 }
 RUN_FILE_BLAS_CORE = "SkylakeX"
-
-
-def openblas_core():
-    """The core numpy's bundled OpenBLAS picked at run time (np.show_config
-    gives the build target instead), or None where numpy bundles none."""
-    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob(
-        "libscipy_openblas64_*.so"))
-    if not libs:
-        return None
-    corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
-    corename.argtypes, corename.restype = [], ctypes.c_char_p
-    return corename().decode()
 
 
 def test_run_file_bytes_are_pinned(tmp_path, reg_dataset, monkeypatch):
